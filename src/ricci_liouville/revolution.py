@@ -15,7 +15,6 @@ meshing with OBJ / binary PLY export, and two discrete cross-checks
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +103,67 @@ class RevolutionMesh:
             raise ParameterError("face references an invalid vertex index")
 
 
+def _simpson(x0, x2, f0, f1, f2):
+    return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+
+def _interleave(first, second):
+    return np.column_stack([first, second]).ravel()
+
+
+def _simpson_segments(f, nodes, tol: float) -> np.ndarray:
+    """Adaptive Simpson integrals of f over every segment [nodes[i], nodes[i+1]].
+
+    ``f`` maps an array of abscissae to an array of values.  All segments
+    are refined together, breadth first: each level holds the frontier of
+    intervals not yet accepted and evaluates all their quarter points in
+    one call of f.  The per-leaf rule is that of the recursive algorithm
+    (Gander & Gautschi, BIT 40, 2000): a leaf is accepted when
+    |S_fine - S_coarse| / 15 <= tol and contributes S_fine + that
+    estimate.  The accepted leaves are then summed bottom-up in the order
+    the recursion adds them (left + right at every node), so each segment
+    value is exactly what the depth-first recursion returns.  A frontier
+    still open after _SIMPSON_MAX_DEPTH levels raises ConvergenceError.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    n = nodes.size
+    x0, x2 = nodes[:-1], nodes[1:]
+    vals = f(np.concatenate([nodes, 0.5 * (x0 + x2)]))
+    f0, f1, f2 = vals[: n - 1], vals[n:], vals[1:n]
+    whole = _simpson(x0, x2, f0, f1, f2)
+    levels = []  # (accepted mask, leaf value) of each level's frontier
+    for depth in range(_SIMPSON_MAX_DEPTH + 1):
+        x1 = 0.5 * (x0 + x2)
+        xl, xr = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
+        fl, fr = np.split(f(np.concatenate([xl, xr])), 2)
+        left = _simpson(x0, x1, f0, fl, f1)
+        right = _simpson(x1, x2, f1, fr, f2)
+        err = (left + right - whole) / 15.0
+        done = np.abs(err) <= tol
+        levels.append((done, left + right + err))
+        if done.all():
+            break
+        if depth == _SIMPSON_MAX_DEPTH:
+            worst = int(np.argmin(done))
+            raise ConvergenceError(
+                f"adaptive Simpson exceeded {_SIMPSON_MAX_DEPTH} subdivision "
+                f"levels on [{x0[worst]}, {x2[worst]}]"
+            )
+        # children of open interval k sit at 2k (left half) and 2k + 1
+        o = ~done
+        x0, x2 = _interleave(x0[o], x1[o]), _interleave(x1[o], x2[o])
+        f0, f2 = _interleave(f0[o], f1[o]), _interleave(f1[o], f2[o])
+        f1 = _interleave(fl[o], fr[o])
+        whole = _interleave(left[o], right[o])
+    total = levels[-1][1]
+    for done, value in reversed(levels[:-1]):
+        value[~done] = total[0::2] + total[1::2]
+        total = value
+    return total
+
+
 def adaptive_simpson(f, a: float, b: float, tol: float):
-    """Adaptive Simpson quadrature of f over [a, b] to absolute tolerance.
+    """Adaptive Simpson quadrature of a scalar callable f over [a, b].
 
     A leaf interval is accepted when its Richardson error estimate
     (S_fine - S_coarse)/15 falls below ``tol``, and the corrected value
@@ -114,36 +172,16 @@ def adaptive_simpson(f, a: float, b: float, tol: float):
     leaf (instead of halving it with each split) is what lets integrands
     with a square-root zero at an endpoint converge within the subdivision
     cap of 2**20 intervals; exceeding the cap raises ConvergenceError.
+    f is lifted with np.vectorize into the batched frontier kernel that
+    also computes profiles, which evaluates each refinement level in one
+    call and returns exactly what the depth-first recursion would.
     """
     if tol <= 0.0:
         raise ParameterError("quadrature tolerance must be positive")
-
-    def simpson(x0, x2, f0, f1, f2):
-        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def recurse(x0, x2, f0, f1, f2, whole, depth):
-        x1 = 0.5 * (x0 + x2)
-        xl, xr = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
-        fl, fr = f(xl), f(xr)
-        left = simpson(x0, x1, f0, fl, f1)
-        right = simpson(x1, x2, f1, fr, f2)
-        err = (left + right - whole) / 15.0
-        if abs(err) <= tol:
-            return left + right + err
-        if depth >= _SIMPSON_MAX_DEPTH:
-            raise ConvergenceError(
-                f"adaptive Simpson exceeded {_SIMPSON_MAX_DEPTH} subdivision "
-                f"levels on [{x0}, {x2}]"
-            )
-        return recurse(x0, x1, f0, fl, f1, left, depth + 1) + recurse(
-            x1, x2, f1, fr, f2, right, depth + 1
-        )
-
     if a == b:
         return 0.0
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, 0)
+    f = np.vectorize(f, otypes=[float])
+    return float(_simpson_segments(f, [a, b], tol)[0])
 
 
 def _embeddability_gap(p: MetricParams, u, eps_dom):
@@ -218,15 +256,8 @@ def embeddable_interval_numeric(lam, dlam, u_lo: float, u_hi: float, *, n: int =
     return (lo, hi)
 
 
-def profile_from_conformal(lam, dlam, interval, *, tol: float = 1e-10, n: int = 801):
-    """Profile curve of the revolution surface induced by callables lambda, lambda'.
-
-    y(u) = lambda(u) and x(u) accumulates the adaptive-Simpson integral of
-    sqrt(lambda^2 - lambda'^2) from the left endpoint (x = 0 there), with
-    the total estimated quadrature error below ``tol``.  A gap value below
-    -1e-12 at a quadrature node is a precondition breach and is reported
-    with its location.
-    """
+def _profile(factor, interval, tol: float, n: int, params=None) -> ProfileCurve:
+    """Profile over ``interval`` from ``factor(u) -> (lambda, lambda')`` on arrays."""
     u_lo, u_hi = float(interval[0]), float(interval[1])
     if not u_lo < u_hi:
         raise ParameterError("interval must satisfy u_lo < u_hi")
@@ -234,23 +265,39 @@ def profile_from_conformal(lam, dlam, interval, *, tol: float = 1e-10, n: int = 
         raise ParameterError("need at least 2 profile samples")
 
     def integrand(t):
-        gap = lam(t) ** 2 - dlam(t) ** 2
-        if gap < _INTEGRAND_FLOOR:
+        lam, dlam = factor(t)
+        gap = lam * lam - dlam * dlam
+        bad = gap < _INTEGRAND_FLOOR
+        if bad.any():
+            i = int(np.argmax(bad))
             raise ParameterError(
-                f"lambda^2 - lambda'^2 = {gap:.3e} < 0 at u = {t:.17g}: "
+                f"lambda^2 - lambda'^2 = {gap[i]:.3e} < 0 at u = {t[i]:.17g}: "
                 "not embeddable there"
             )
-        return math.sqrt(max(gap, 0.0))
+        return np.sqrt(np.maximum(gap, 0.0))
 
     u = np.linspace(u_lo, u_hi, n)
-    x = np.empty(n)
-    x[0] = 0.0
-    seg_tol = tol / (n - 1)
-    for i in range(1, n):
-        x[i] = x[i - 1] + adaptive_simpson(integrand, u[i - 1], u[i], seg_tol)
-    y = np.asarray([lam(t) for t in u], dtype=float)
+    x = np.cumsum(np.concatenate([[0.0], _simpson_segments(integrand, u, tol / (n - 1))]))
+    y = np.asarray(factor(u)[0], dtype=float)
     monotone = bool(np.all(np.diff(x) >= 0.0))
-    return ProfileCurve(u=u, x=x, y=y, monotone=monotone)
+    return ProfileCurve(u=u, x=x, y=y, monotone=monotone, params=params)
+
+
+def profile_from_conformal(lam, dlam, interval, *, tol: float = 1e-10, n: int = 801):
+    """Profile curve of the revolution surface induced by callables lambda, lambda'.
+
+    y(u) = lambda(u) and x(u) accumulates the adaptive-Simpson integral of
+    sqrt(lambda^2 - lambda'^2) from the left endpoint (x = 0 there), with
+    the total estimated quadrature error below ``tol``.  The scalar
+    callables are lifted with np.vectorize into the batched frontier
+    kernel, which refines all n - 1 segments together and evaluates each
+    level's new nodes in one call.  A gap value below -1e-12 at a
+    quadrature node is a precondition breach and is reported with its
+    location.
+    """
+    lam = np.vectorize(lam, otypes=[float])
+    dlam = np.vectorize(dlam, otypes=[float])
+    return _profile(lambda t: (lam(t), dlam(t)), interval, tol, n)
 
 
 def profile_from_metric(
@@ -264,7 +311,8 @@ def profile_from_metric(
     """Profile curve of the revolution realization of a family metric.
 
     The interval must sit inside both the metric domain and the
-    embeddability interval of p.
+    embeddability interval of p.  Each refinement level of the quadrature
+    takes lambda and lambda' from one closed-form call.
     """
     u_lo, u_hi = float(interval[0]), float(interval[1])
     emb_lo, emb_hi = embeddable_interval(p, eps_dom=eps_dom)
@@ -274,14 +322,10 @@ def profile_from_metric(
             f"[{emb_lo:.6g}, {emb_hi:.6g}]"
         )
 
-    def lam(t):
-        return conformal_factor(p, t, eps_dom=eps_dom)
+    def factor(t):
+        return conformal_factor_derivatives(p, t, eps_dom=eps_dom)[:2]
 
-    def dlam(t):
-        return conformal_factor_derivatives(p, t, eps_dom=eps_dom)[1]
-
-    prof = profile_from_conformal(lam, dlam, (u_lo, u_hi), tol=tol, n=n)
-    return ProfileCurve(u=prof.u, x=prof.x, y=prof.y, monotone=prof.monotone, params=p)
+    return _profile(factor, (u_lo, u_hi), tol, n, params=p)
 
 
 def metric_from_profile(s, x, y, resample_n: int):
@@ -344,30 +388,22 @@ def tessellate(profile: ProfileCurve, v_lo: float, v_hi: float, nv: int) -> Revo
     else:
         v = np.linspace(v_lo, v_hi, nv)
 
-    cos_v, sin_v = np.cos(v), np.sin(v)
-    verts = np.empty((nu * nv, 3))
-    uv = np.empty((nu * nv, 2))
-    for i in range(nu):
-        base = i * nv
-        verts[base : base + nv, 0] = profile.x[i]
-        verts[base : base + nv, 1] = profile.y[i] * cos_v
-        verts[base : base + nv, 2] = profile.y[i] * sin_v
-        uv[base : base + nv, 0] = profile.u[i]
-        uv[base : base + nv, 1] = v
+    verts = np.column_stack(
+        [
+            np.repeat(profile.x, nv),
+            np.outer(profile.y, np.cos(v)).ravel(),
+            np.outer(profile.y, np.sin(v)).ravel(),
+        ]
+    )
+    uv = np.column_stack([np.repeat(profile.u, nv), np.tile(v, nu)])
 
+    # quad (i, j) has corners a = (i, j), d = (i, j+1), b = (i+1, j), c = (i+1, j+1)
     cols = nv if closed else nv - 1
-    faces = np.empty((2 * (nu - 1) * cols, 3), dtype=np.int64)
-    t = 0
-    for i in range(nu - 1):
-        for j in range(cols):
-            jn = (j + 1) % nv
-            a = i * nv + j
-            b = (i + 1) * nv + j
-            c = (i + 1) * nv + jn
-            d = i * nv + jn
-            faces[t] = (a, d, b)
-            faces[t + 1] = (b, d, c)
-            t += 2
+    row = np.arange(nu - 1, dtype=np.int64)[:, None] * nv
+    j = np.arange(cols, dtype=np.int64)
+    a, d = row + j, row + (j + 1) % nv
+    b, c = a + nv, d + nv
+    faces = np.stack([a, d, b, b, d, c], axis=-1).reshape(-1, 3)
     return RevolutionMesh(
         vertices=verts,
         uv=uv,
@@ -389,46 +425,23 @@ def induced_metric_check(mesh: RevolutionMesh, p: MetricParams) -> float:
     if mesh.params != p:
         raise ParameterError("mesh provenance mismatch: not tessellated from p")
     verts = mesh.vertices.reshape(mesh.nu, mesh.nv, 3)
-    uv = mesh.uv.reshape(mesh.nu, mesh.nv, 2)
-    worst = 0.0
+    u = mesh.uv[:: mesh.nv, 0]  # every grid row shares one u
+    v = mesh.uv[: mesh.nv, 1]  # and every column one v
 
-    du = uv[1:, :, 0] - uv[:-1, :, 0]
-    mid_u = 0.5 * (uv[1:, :, 0] + uv[:-1, :, 0])
-    lam_mid = conformal_factor(p, mid_u.ravel()).reshape(mid_u.shape)
-    d2 = np.sum((verts[1:, :, :] - verts[:-1, :, :]) ** 2, axis=2)
-    expected = lam_mid**2 * du**2
-    worst = max(worst, float(np.max(np.abs(d2 / expected - 1.0))))
+    du = u[1:] - u[:-1]
+    lam_mid = conformal_factor(p, 0.5 * (u[1:] + u[:-1]))
+    d2 = np.sum((verts[1:] - verts[:-1]) ** 2, axis=2)
+    expected = (lam_mid**2 * du**2)[:, None]
+    worst_u = float(np.max(np.abs(d2 / expected - 1.0)))
 
-    v = uv[0, :, 1]
-    pairs = [(j, j + 1) for j in range(mesh.nv - 1)]
+    dv = np.roll(v, -1) - v
+    d2 = np.sum((np.roll(verts, -1, axis=1) - verts) ** 2, axis=2)
     if mesh.closed:
-        pairs.append((mesh.nv - 1, 0))
-    lam_row = conformal_factor(p, uv[:, 0, 0])
-    for j, jn in pairs:
-        dv = v[jn] - v[j]
-        if mesh.closed and jn == 0:
-            dv += 2.0 * math.pi
-        d2 = np.sum((verts[:, jn, :] - verts[:, j, :]) ** 2, axis=1)
-        expected = lam_row**2 * dv**2
-        worst = max(worst, float(np.max(np.abs(d2 / expected - 1.0))))
-    return worst
-
-
-def _triangle_angles(p0, p1, p2):
-    """Angles of triangles given corner coordinate arrays of shape (m, 3)."""
-    e0 = p1 - p0
-    e1 = p2 - p1
-    e2 = p0 - p2
-
-    def angle(u, w):
-        cross = np.linalg.norm(np.cross(u, w), axis=1)
-        dot = np.einsum("ij,ij->i", u, w)
-        return np.arctan2(cross, dot)
-
-    a0 = angle(e0, -e2)
-    a1 = angle(e1, -e0)
-    a2 = angle(e2, -e1)
-    return a0, a1, a2
+        dv[-1] += 2.0 * math.pi
+    else:
+        dv, d2 = dv[:-1], d2[:, :-1]
+    expected = conformal_factor(p, u)[:, None] ** 2 * dv**2
+    return max(worst_u, float(np.max(np.abs(d2 / expected - 1.0))))
 
 
 def angle_defect_curvature(mesh: RevolutionMesh):
@@ -441,45 +454,36 @@ def angle_defect_curvature(mesh: RevolutionMesh):
 
     Returns (vertex_indices, curvature_estimates, areas, skipped_vertices).
     """
-    verts = mesh.vertices
-    faces = mesh.faces
+    verts, faces = mesh.vertices, mesh.faces
     p0, p1, p2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    cross = np.cross(p1 - p0, p2 - p0)
-    area2 = np.linalg.norm(cross, axis=1)
+    # edge c runs from corner c to corner c + 1 and is opposite corner c + 2
+    edges = np.stack([p1 - p0, p2 - p1, p0 - p2])
+    area2 = np.linalg.norm(np.cross(edges[2], edges[0]), axis=1)
     degenerate = area2 <= 0.0
     skipped = np.unique(faces[degenerate].ravel())
     ok = ~degenerate
-    f = faces[ok]
-    a0, a1, a2 = _triangle_angles(p0[ok], p1[ok], p2[ok])
-    tri_area = 0.5 * area2[ok]
+    edges, area2 = edges[:, ok], area2[ok]
 
-    angle_sum = np.zeros(len(verts))
-    np.add.at(angle_sum, f[:, 0], a0)
-    np.add.at(angle_sum, f[:, 1], a1)
-    np.add.at(angle_sum, f[:, 2], a2)
+    # corner c sits between edge c and the reversed edge c - 1
+    dot = -np.einsum("cfi,cfi->cf", edges, np.roll(edges, 1, axis=0))
+    angles = np.arctan2(area2, dot)
+    # squared length of the edge opposite each corner, times its cotangent
+    opp = np.roll(np.einsum("cfi,cfi->cf", edges, edges), -1, axis=0) * (dot / area2)
 
     # mixed Voronoi areas (cot formula, obtuse fallback: A/2 at the obtuse
     # corner, A/4 at the others)
-    area_share = np.zeros(len(verts))
-    sq = {
-        0: np.sum((p1[ok] - p2[ok]) ** 2, axis=1),
-        1: np.sum((p2[ok] - p0[ok]) ** 2, axis=1),
-        2: np.sum((p0[ok] - p1[ok]) ** 2, axis=1),
-    }
-    angles = {0: a0, 1: a1, 2: a2}
-    cots = {i: 1.0 / np.tan(angles[i]) for i in range(3)}
-    obtuse_at = np.full(len(f), -1)
-    for i in range(3):
-        obtuse_at[angles[i] > 0.5 * math.pi] = i
-    non_obtuse = obtuse_at < 0
-    for i in range(3):
-        j, kk = (i + 1) % 3, (i + 2) % 3
-        contrib = np.where(
-            non_obtuse,
-            (sq[kk] * cots[kk] + sq[j] * cots[j]) / 8.0,
-            np.where(obtuse_at == i, tri_area / 2.0, tri_area / 4.0),
-        )
-        np.add.at(area_share, f[:, i], contrib)
+    tri_area = 0.5 * area2
+    obtuse = angles > 0.5 * math.pi
+    share = np.where(
+        obtuse.any(axis=0),
+        np.where(obtuse, tri_area / 2.0, tri_area / 4.0),
+        (np.roll(opp, -2, axis=0) + np.roll(opp, -1, axis=0)) / 8.0,
+    )
+
+    # one scatter over the corners in corner-major order
+    corners = faces[ok].T.ravel()
+    angle_sum = np.bincount(corners, weights=angles.ravel(), minlength=len(verts))
+    area_share = np.bincount(corners, weights=share.ravel(), minlength=len(verts))
 
     rows = np.arange(1, mesh.nu - 1)
     if mesh.closed:
@@ -492,12 +496,16 @@ def angle_defect_curvature(mesh: RevolutionMesh):
     return ids, defect / area_share[ids], area_share[ids], skipped
 
 
+def _records(fmt: str, rows) -> str:
+    """Render each row of a 2-d array through the printf-style record ``fmt``."""
+    rows = np.asarray(rows)
+    return (fmt * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def profile_to_csv(profile: ProfileCurve) -> str:
     """CSV rendering of a profile with columns u, x, y (17 significant digits)."""
-    lines = ["u,x,y"]
-    for u, x, y in zip(profile.u, profile.x, profile.y):
-        lines.append(f"{u:.17g},{x:.17g},{y:.17g}")
-    return "\r\n".join(lines) + "\r\n"
+    rows = np.column_stack([profile.u, profile.x, profile.y])
+    return "u,x,y\r\n" + _records("%.17g,%.17g,%.17g\r\n", rows)
 
 
 def _vertex_normals(mesh: RevolutionMesh) -> np.ndarray:
@@ -506,9 +514,11 @@ def _vertex_normals(mesh: RevolutionMesh) -> np.ndarray:
         verts[faces[:, 1]] - verts[faces[:, 0]],
         verts[faces[:, 2]] - verts[faces[:, 0]],
     )
-    normals = np.zeros_like(verts)
-    for c in range(3):
-        np.add.at(normals, faces[:, c], fn)
+    # every face normal goes to its three corners, scattered corner-major
+    corners, weights = faces.T.ravel(), np.tile(fn, (3, 1))
+    normals = np.column_stack(
+        [np.bincount(corners, weights=weights[:, c], minlength=len(verts)) for c in range(3)]
+    )
     norm = np.linalg.norm(normals, axis=1)
     norm[norm == 0.0] = 1.0
     return normals / norm[:, None]
@@ -516,14 +526,12 @@ def _vertex_normals(mesh: RevolutionMesh) -> np.ndarray:
 
 def mesh_to_obj(mesh: RevolutionMesh) -> str:
     """Wavefront OBJ text: v and vn records plus f records (1-based, CCW)."""
-    out = ["# surface of revolution, outward orientation"]
-    for p in mesh.vertices:
-        out.append(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
-    for nrm in _vertex_normals(mesh):
-        out.append(f"vn {nrm[0]:.17g} {nrm[1]:.17g} {nrm[2]:.17g}")
-    for a, b, c in mesh.faces:
-        out.append(f"f {a + 1}//{a + 1} {b + 1}//{b + 1} {c + 1}//{c + 1}")
-    return "\n".join(out) + "\n"
+    return (
+        "# surface of revolution, outward orientation\n"
+        + _records("v %.17g %.17g %.17g\n", mesh.vertices)
+        + _records("vn %.17g %.17g %.17g\n", _vertex_normals(mesh))
+        + _records("f %d//%d %d//%d %d//%d\n", np.repeat(mesh.faces + 1, 2, axis=1))
+    )
 
 
 def mesh_to_ply(mesh: RevolutionMesh) -> bytes:
@@ -543,7 +551,7 @@ def mesh_to_ply(mesh: RevolutionMesh) -> bytes:
         "end_header\n"
     ).encode("ascii")
     vdata = np.hstack([mesh.vertices, mesh.uv]).astype("<f8").tobytes()
-    face_parts = []
-    for a, b, c in mesh.faces:
-        face_parts.append(struct.pack("<Biii", 3, int(a), int(b), int(c)))
-    return header + vdata + b"".join(face_parts)
+    face_rec = np.empty(m, dtype=[("n", "<u1"), ("i", "<i4", (3,))])
+    face_rec["n"] = 3
+    face_rec["i"] = mesh.faces
+    return header + vdata + face_rec.tobytes()

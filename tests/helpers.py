@@ -2,10 +2,12 @@
 
 Everything here is deliberately independent of the code paths under test:
 ODE integration instead of the elliptic closed form, quadrature of defining
-integrals, and spline resampling for profile round trips.
+integrals, spline resampling for profile round trips, and loop-form
+references for the array-native quadrature, meshing and export code.
 """
 
 import math
+import struct
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -167,3 +169,117 @@ def ricci_condition_4th_order_oracle(b, y0, half_span, h_sample, substeps=20):
     phi = np.array(bwd[::-1] + fwd[1:])
     u = h_sample * np.arange(-n_side, n_side + 1)
     return u, phi
+
+
+# Loop-form references for the array-native revolution code.  They keep the
+# arithmetic of the per-segment, per-face and per-record implementations the
+# library used before it worked on whole arrays, so tests can demand equal
+# bits from the vectorized path.
+
+
+def reference_adaptive_simpson(f, a, b, tol, max_depth=20):
+    """Depth-first recursive adaptive Simpson with the per-leaf rule.
+
+    A leaf is accepted when |S_fine - S_coarse| / 15 <= tol and contributes
+    S_fine + that estimate; internal nodes return left + right.
+    """
+
+    def simpson(x0, x2, f0, f1, f2):
+        return (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
+
+    def recurse(x0, x2, f0, f1, f2, whole, depth):
+        x1 = 0.5 * (x0 + x2)
+        xl, xr = 0.5 * (x0 + x1), 0.5 * (x1 + x2)
+        fl, fr = f(xl), f(xr)
+        left = simpson(x0, x1, f0, fl, f1)
+        right = simpson(x1, x2, f1, fr, f2)
+        err = (left + right - whole) / 15.0
+        if abs(err) <= tol:
+            return left + right + err
+        if depth >= max_depth:
+            raise RuntimeError("reference Simpson exceeded its depth cap")
+        return recurse(x0, x1, f0, fl, f1, left, depth + 1) + recurse(
+            x1, x2, f1, fr, f2, right, depth + 1
+        )
+
+    if a == b:
+        return 0.0
+    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
+    return recurse(a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), 0)
+
+
+def reference_profile_x(lam, dlam, interval, tol, n):
+    """x(u) of a revolution profile, one scalar Simpson call per segment."""
+
+    def integrand(t):
+        l, d = lam(t), dlam(t)
+        return math.sqrt(max(l * l - d * d, 0.0))
+
+    u = np.linspace(interval[0], interval[1], n)
+    x = np.empty(n)
+    x[0] = 0.0
+    for i in range(1, n):
+        x[i] = x[i - 1] + reference_adaptive_simpson(integrand, u[i - 1], u[i], tol / (n - 1))
+    return x
+
+
+def reference_faces(nu, nv, closed):
+    """Tube triangles (a, d, b), (b, d, c) per quad, built quad by quad."""
+    cols = nv if closed else nv - 1
+    faces = []
+    for i in range(nu - 1):
+        for j in range(cols):
+            jn = (j + 1) % nv
+            a, b = i * nv + j, (i + 1) * nv + j
+            c, d = (i + 1) * nv + jn, i * nv + jn
+            faces += [(a, d, b), (b, d, c)]
+    return np.array(faces, dtype=np.int64)
+
+
+def reference_vertex_normals(mesh):
+    verts, faces = mesh.vertices, mesh.faces
+    fn = np.cross(
+        verts[faces[:, 1]] - verts[faces[:, 0]],
+        verts[faces[:, 2]] - verts[faces[:, 0]],
+    )
+    normals = np.zeros_like(verts)
+    for c in range(3):
+        np.add.at(normals, faces[:, c], fn)
+    norm = np.linalg.norm(normals, axis=1)
+    norm[norm == 0.0] = 1.0
+    return normals / norm[:, None]
+
+
+def reference_obj(mesh):
+    """OBJ text written record by record."""
+    out = ["# surface of revolution, outward orientation"]
+    for p in mesh.vertices:
+        out.append(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
+    for nrm in reference_vertex_normals(mesh):
+        out.append(f"vn {nrm[0]:.17g} {nrm[1]:.17g} {nrm[2]:.17g}")
+    for a, b, c in mesh.faces:
+        out.append(f"f {a + 1}//{a + 1} {b + 1}//{b + 1} {c + 1}//{c + 1}")
+    return "\n".join(out) + "\n"
+
+
+def reference_ply(mesh):
+    """Binary PLY with one struct.pack call per vertex and per face."""
+    header = (
+        "ply\n"
+        "format binary_little_endian 1.0\n"
+        f"element vertex {len(mesh.vertices)}\n"
+        "property double x\n"
+        "property double y\n"
+        "property double z\n"
+        "property double u\n"
+        "property double v\n"
+        f"element face {len(mesh.faces)}\n"
+        "property list uchar int vertex_indices\n"
+        "end_header\n"
+    ).encode("ascii")
+    parts = [header]
+    for p, (u, v) in zip(mesh.vertices, mesh.uv):
+        parts.append(struct.pack("<5d", p[0], p[1], p[2], u, v))
+    for a, b, c in mesh.faces:
+        parts.append(struct.pack("<Biii", 3, int(a), int(b), int(c)))
+    return b"".join(parts)

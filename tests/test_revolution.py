@@ -10,6 +10,7 @@ from ricci_liouville import (
     adaptive_simpson,
     angle_defect_curvature,
     conformal_factor,
+    conformal_factor_derivatives,
     derive_constants,
     embeddable_interval,
     embeddable_interval_numeric,
@@ -24,7 +25,14 @@ from ricci_liouville import (
     tessellate,
 )
 
-from helpers import arc_length_resample
+from helpers import (
+    arc_length_resample,
+    reference_adaptive_simpson,
+    reference_faces,
+    reference_obj,
+    reference_ply,
+    reference_profile_x,
+)
 
 
 def euler_characteristic(mesh):
@@ -57,6 +65,18 @@ class TestAdaptiveSimpson:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ParameterError):
             adaptive_simpson(math.sin, 0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "f, a, b, tol",
+        [
+            (lambda x: x * x, 0.0, 1.0, 1e-12),
+            (math.sqrt, 0.0, 1.0, 1e-10),
+            (math.cos, -0.5, 3.0, 1e-13),
+        ],
+        ids=["x^2", "sqrt", "cos"],
+    )
+    def test_batched_matches_recursive_reference(self, f, a, b, tol):
+        assert adaptive_simpson(f, a, b, tol) == reference_adaptive_simpson(f, a, b, tol)
 
     def test_subdivision_cap_raises(self):
         from ricci_liouville import ConvergenceError
@@ -127,6 +147,19 @@ class TestProfileFromMetric:
         assert np.all(np.diff(prof.x[pos]) > 0.0)
         assert np.all(np.diff(prof.y[pos]) > 0.0)
         assert prof.params == ref_params
+
+    def test_reference_profile_bit_identical(self, ref_params):
+        lo, hi = embeddable_interval(ref_params)
+        interval = (0.8 * lo, 0.8 * hi)
+        prof = profile_from_metric(ref_params, interval, tol=1e-10, n=201)
+        x_ref = reference_profile_x(
+            lambda t: conformal_factor(ref_params, t),
+            lambda t: conformal_factor_derivatives(ref_params, t)[1],
+            interval,
+            1e-10,
+            201,
+        )
+        assert np.array_equal(prof.x, x_ref)
 
     def test_rejects_interval_beyond_embeddable(self, ref_params):
         _, hi = embeddable_interval(ref_params)
@@ -296,7 +329,35 @@ class TestAngleDefect:
         assert abs(total_defect - total_analytic) / abs(total_analytic) < 0.02
 
 
+def small_ref_mesh(params, v_hi, nv):
+    lo, hi = embeddable_interval(params)
+    prof = profile_from_metric(params, (0.8 * lo, 0.8 * hi), n=9)
+    return tessellate(prof, 0.0, v_hi, nv)
+
+
+SMALL_MESHES = pytest.mark.parametrize(
+    "v_hi, nv", [(math.pi, 7), (2.0 * math.pi, 10)], ids=["open", "closed"]
+)
+
+
 class TestExports:
+    @SMALL_MESHES
+    def test_faces_match_reference(self, ref_params, v_hi, nv):
+        mesh = small_ref_mesh(ref_params, v_hi, nv)
+        ref = reference_faces(mesh.nu, nv, mesh.closed)
+        assert mesh.faces.dtype == ref.dtype
+        assert np.array_equal(mesh.faces, ref)
+
+    @SMALL_MESHES
+    def test_ply_bytes_match_reference(self, ref_params, v_hi, nv):
+        mesh = small_ref_mesh(ref_params, v_hi, nv)
+        assert mesh_to_ply(mesh) == reference_ply(mesh)
+
+    @SMALL_MESHES
+    def test_obj_text_matches_reference(self, ref_params, v_hi, nv):
+        mesh = small_ref_mesh(ref_params, v_hi, nv)
+        assert mesh_to_obj(mesh) == reference_obj(mesh)
+
     def test_profile_csv(self, ref_params):
         prof = profile_from_metric(ref_params, (-0.2, 0.2), n=11)
         lines = profile_to_csv(prof).strip().split("\r\n")
