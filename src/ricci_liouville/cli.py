@@ -4,7 +4,10 @@ Subcommands: derive, verify, mesh, classify, sweep, pmc.  Exit codes:
 0 success, 1 negative verification verdict, 2 usage or parameter error,
 3 numerical failure.  Every run writes exactly one manifest.json next to
 its outputs; data outputs are byte-deterministic for identical inputs.
-The environment variable RICCI_LIOUVILLE_THREADS caps sweep parallelism.
+The environment variable RICCI_LIOUVILLE_THREADS sets the number of sweep
+worker processes, capped at the number of CPUs this process may run on.
+Only classify loads SciPy (inside metric_from_profile); the process pool
+is imported only when a pooled sweep starts one.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -284,6 +286,13 @@ def _sweep_point(task):
         }
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on (the scheduler affinity where it exists)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep(args) -> int:
     bs = _parse_values(args.b_values, "--b-values")
     c1s = _parse_values(args.c1_values, "--c1-values")
@@ -300,8 +309,10 @@ def cmd_sweep(args) -> int:
         for c2 in c2s
         for b in bs
     ]
-    threads = int(os.environ.get("RICCI_LIOUVILLE_THREADS", "1"))
+    threads = min(int(os.environ.get("RICCI_LIOUVILLE_THREADS", "1")), _cpu_count())
     if threads > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:

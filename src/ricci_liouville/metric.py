@@ -94,15 +94,20 @@ def derive_constants(p: MetricParams) -> DerivedConstants:
     k2 = (p.c2 + sqrt_disc) / (2.0 * sqrt_disc)
     lam_p = (-p.c2 + sqrt_disc) / (4.0 * b2)
     lam_m = (-p.c2 - sqrt_disc) / (4.0 * b2)
-    assert disc > p.c2 * p.c2, "discriminant must exceed c2^2 when c1 > 0"
-    assert lam_p > 0.0 > lam_m, "root ordering lambda_plus > 0 > lambda_minus"
-    assert 0.0 < k2 < 1.0, "modulus squared must lie strictly inside (0, 1)"
+    # written so that a NaN fails each check as well
+    if not disc > p.c2 * p.c2:
+        raise ParameterError("discriminant must exceed c2^2 when c1 > 0")
+    if not lam_p > 0.0 > lam_m:
+        raise ParameterError("root ordering lambda_plus > 0 > lambda_minus")
+    if not 0.0 < k2 < 1.0:
+        raise ParameterError("modulus squared must lie strictly inside (0, 1)")
     # factorization 2 b^2 (t - lambda_plus)(t - lambda_minus) = 2 b^2 t^2 + c2 t - c1
     for t in (0.0, 1.0, lam_p):
         lhs = 2.0 * b2 * (t - lam_p) * (t - lam_m)
         rhs = 2.0 * b2 * t * t + p.c2 * t - p.c1
         scale = max(1.0, abs(lhs), abs(rhs))
-        assert abs(lhs - rhs) <= 1e-10 * scale, "quartic factorization failed"
+        if not abs(lhs - rhs) <= 1e-10 * scale:
+            raise ParameterError("quartic factorization failed")
     k = Modulus(math.sqrt(k2))
     s = disc**0.25
     u_max = complete_elliptic_k(k) / s
@@ -112,7 +117,13 @@ def derive_constants(p: MetricParams) -> DerivedConstants:
 
 
 def _check_domain(u, dc: DerivedConstants, eps_dom: float):
-    if np.any(np.abs(u) >= dc.u_max - eps_dom):
+    # NaN fails the comparison, so one pass rejects it with the boundary
+    if not np.all(np.abs(u) < dc.u_max - eps_dom):
+        if np.isnan(u).any():
+            raise DomainError(
+                f"u is NaN; the conformal factor is defined only for "
+                f"|u| < u_max = {dc.u_max:.17g}"
+            )
         worst = float(np.max(np.abs(u)))
         raise DomainError(
             f"|u| = {worst:.17g} reaches the singular boundary u_max = "

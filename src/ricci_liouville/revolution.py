@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import ConvergenceError, ParameterError
 from .metric import (
@@ -337,6 +336,10 @@ def metric_from_profile(s, x, y, resample_n: int):
     (u_grid, lambda) with lambda(u) = y(s(u)) on a uniform grid of
     ``resample_n`` points starting at u = 0.
     """
+    # the only SciPy user: importing it here keeps it out of every other
+    # CLI subcommand's start-up
+    from scipy.interpolate import CubicSpline, PchipInterpolator
+
     s = np.asarray(s, dtype=float)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -461,8 +464,9 @@ def angle_defect_curvature(mesh: RevolutionMesh):
     area2 = np.linalg.norm(np.cross(edges[2], edges[0]), axis=1)
     degenerate = area2 <= 0.0
     skipped = np.unique(faces[degenerate].ravel())
-    ok = ~degenerate
-    edges, area2 = edges[:, ok], area2[ok]
+    if skipped.size:
+        ok = ~degenerate
+        edges, area2, faces = edges[:, ok], area2[ok], faces[ok]
 
     # corner c sits between edge c and the reversed edge c - 1
     dot = -np.einsum("cfi,cfi->cf", edges, np.roll(edges, 1, axis=0))
@@ -481,7 +485,7 @@ def angle_defect_curvature(mesh: RevolutionMesh):
     )
 
     # one scatter over the corners in corner-major order
-    corners = faces[ok].T.ravel()
+    corners = faces.T.ravel()
     angle_sum = np.bincount(corners, weights=angles.ravel(), minlength=len(verts))
     area_share = np.bincount(corners, weights=share.ravel(), minlength=len(verts))
 

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ricci_liouville import embeddable_interval, profile_from_metric
+from ricci_liouville import cli, embeddable_interval, profile_from_metric
 from ricci_liouville.cli import main
 
 from helpers import arc_length_resample
@@ -58,6 +58,11 @@ class TestDerive:
         rc = run_cli(["derive", "--c1", 0, "--c2", 1, "--outdir", tmp_path])
         assert rc == 2
         assert "c1 must be positive" in capsys.readouterr().err
+
+    def test_unrepresentable_constants_exit_two(self, tmp_path, capsys):
+        rc = run_cli(["derive", "--c1", 1, "--c2=-1e8", "--outdir", tmp_path])
+        assert rc == 2
+        assert "factorization" in capsys.readouterr().err
 
     def test_missing_flag_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
@@ -279,6 +284,39 @@ class TestSweep:
             tmp_path / "par" / "sweep.csv"
         ).read_bytes()
 
+    def test_pool_capped_at_cpu_count(self, tmp_path, monkeypatch):
+        import concurrent.futures
+
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        # also a module-level binding, so a hoisted import cannot start a real pool
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool, raising=False)
+        args = ["sweep", "--b-values", "1.0", "--c1-values", "1.0,4.0",
+                "--c2-values", "0.0", "--h-levels", "0.02,0.01"]
+        monkeypatch.delenv("RICCI_LIOUVILLE_THREADS", raising=False)
+        assert run_cli(args + ["--outdir", tmp_path / "serial"]) == 0
+        monkeypatch.setenv("RICCI_LIOUVILLE_THREADS", "100000")
+        assert run_cli(args + ["--outdir", tmp_path / "pool"]) == 0
+        cpus = len(os.sched_getaffinity(0))
+        assert workers == ([cpus] if cpus > 1 else [])
+        assert (tmp_path / "serial" / "sweep.csv").read_bytes() == (
+            tmp_path / "pool" / "sweep.csv"
+        ).read_bytes()
+
 
 class TestPmcCommand:
     def test_report_written(self, tmp_path, capsys):
@@ -298,6 +336,27 @@ class TestPmcCommand:
              "--outdir", tmp_path]
         )
         assert rc == 2
+
+
+class TestImportGraph:
+    def test_derive_loads_neither_scipy_nor_the_process_pool(self, tmp_path):
+        import ricci_liouville
+
+        code = (
+            "import sys\n"
+            "from ricci_liouville.cli import main\n"
+            f"rc = main(['derive', '--c1', '1', '--c2', '0', '--outdir', {str(tmp_path)!r}])\n"
+            "heavy = sorted(m for m in sys.modules if m == 'scipy'"
+            " or m.startswith('scipy.') or m == 'concurrent.futures.process')\n"
+            "print(rc, heavy)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ricci_liouville.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, env=env,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.splitlines()[-1] == "0 []"
 
 
 class TestManifest:

@@ -47,6 +47,19 @@ class TestDerivedConstants:
         assert dc.k.k2 == pytest.approx(0.5, abs=1e-14)
         assert dc.lambda_plus == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-14)
 
+    @pytest.mark.parametrize(
+        "b, c1, c2, message",
+        [
+            (0.5, 1e-8, 1e4, "root ordering"),
+            (1.0 / math.sqrt(6.0), 1.0, -1e8, "factorization"),
+            (0.5, 1.0, 1e200, "discriminant"),
+        ],
+    )
+    def test_unrepresentable_triples_raise_parameter_error(self, b, c1, c2, message):
+        # valid MetricParams whose constants lose the checked invariants
+        with pytest.raises(ParameterError, match=message):
+            derive_constants(MetricParams(b=b, c1=c1, c2=c2))
+
     @settings(max_examples=100, deadline=None)
     @given(
         b=st.floats(min_value=0.1, max_value=3.0),
@@ -103,6 +116,12 @@ class TestConformalFactor:
             conformal_factor(ref_params, dc.u_max)
         with pytest.raises(DomainError):
             conformal_factor(ref_params, -dc.u_max * (1 + 1e-12))
+
+    def test_nan_rejected(self, ref_params):
+        with pytest.raises(DomainError, match="NaN"):
+            conformal_factor(ref_params, math.nan)
+        with pytest.raises(DomainError, match="NaN"):
+            conformal_factor(ref_params, np.array([0.1, math.nan, -0.2]))
 
     def test_eps_dom_margin(self, ref_params):
         dc = derive_constants(ref_params)

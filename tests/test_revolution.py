@@ -310,6 +310,23 @@ class TestAngleDefect:
         _, k_est, _, _ = angle_defect_curvature(mesh)
         assert np.max(np.abs(k_est)) < 1e-6
 
+    def test_zero_area_triangles_skipped(self):
+        prof = profile_from_conformal(lambda u: 2.0, lambda u: 0.0, (0.0, 1.0), n=11)
+        mesh = tessellate(prof, 0.0, 2.0 * math.pi, 16)
+        ref_ids, ref_k, _, _ = angle_defect_curvature(mesh)
+        moved = 5 * mesh.nv + 3
+        mesh.vertices[moved] = mesh.vertices[moved + 1]  # collapses one edge
+        zero = np.isin(mesh.faces, [moved, moved + 1]).sum(axis=1) == 2
+        ids, k_est, _, skipped = angle_defect_curvature(mesh)
+        assert zero.sum() == 2
+        assert np.array_equal(skipped, np.unique(mesh.faces[zero]))
+        assert not np.isin(ids, skipped).any()
+        # fans that never touch the moved vertex keep their exact estimate
+        near = np.unique(mesh.faces[np.isin(mesh.faces, moved).any(axis=1)])
+        far = ~np.isin(ref_ids, near)
+        assert np.array_equal(ids[~np.isin(ids, near)], ref_ids[far])
+        assert np.array_equal(k_est[~np.isin(ids, near)], ref_k[far])
+
     def test_reference_member_matches_analytic(self, ref_params):
         lo, hi = embeddable_interval(ref_params)
         prof = profile_from_metric(ref_params, (0.8 * lo, 0.8 * hi), n=67)
