@@ -36,13 +36,11 @@ from .revolution import (
 )
 from .verify import (
     GridSpec,
-    estimate_order,
     fit_normalization,
     in_family_verdict,
     grid_to_csv,
+    refinement_study,
     ricci_order_1d,
-    ricci_residual_grid,
-    sample_grid,
     summary_to_json,
 )
 from .fileio import write_atomic, write_manifest
@@ -109,15 +107,11 @@ def cmd_verify(args) -> int:
     if args.levels < 2:
         raise ParameterError("--levels must be at least 2")
 
-    grid = sample_grid(p, spec)
-    max_res = ricci_residual_grid(grid, p.b)
-    hs, rs = [spec.h], [max_res]
-    for lev in range(1, args.levels):
-        fine = spec.refined(2**lev)
-        hs.append(fine.h)
-        rs.append(ricci_residual_grid(sample_grid(p, fine), p.b))
-    order = estimate_order(hs, rs)
-    fit = fit_normalization(grid.lambda_field[:, 0], p.b, spec.h, u0=spec.u_lo)
+    _, rs, order, grid = refinement_study(
+        p, (spec.refined(2**lev) for lev in range(args.levels))
+    )
+    max_res = rs[0]
+    fit = fit_normalization(grid.lambda_column, p.b, spec.h, u0=spec.u_lo)
     verdict = in_family_verdict(max_res, order, spec.h)
 
     outdir = Path(args.outdir)
@@ -258,15 +252,14 @@ def _parse_values(text: str, name: str):
 def _sweep_point(task):
     """Evaluate one sweep triple; returns a row dict.  Top level for pickling."""
     b, c1, c2, u_lo, u_hi, h_levels = task
+
+    def square(h):
+        nu = int(round((u_hi - u_lo) / h)) + 1
+        return GridSpec(u_lo, u_hi, u_lo, u_hi, nu, nu)
+
     try:
         p = MetricParams(b=b, c1=c1, c2=c2)
-        hs, rs = [], []
-        for h in h_levels:
-            nu = int(round((u_hi - u_lo) / h)) + 1
-            spec = GridSpec(u_lo, u_hi, u_lo, u_hi, nu, nu)
-            rs.append(ricci_residual_grid(sample_grid(p, spec), p.b))
-            hs.append(spec.h)
-        order = estimate_order(hs, rs)
+        _, rs, order, _ = refinement_study(p, (square(h) for h in h_levels))
         return {
             "c1": c1,
             "c2": c2,
@@ -298,8 +291,9 @@ def cmd_sweep(args) -> int:
     c1s = _parse_values(args.c1_values, "--c1-values")
     c2s = _parse_values(args.c2_values, "--c2-values")
     h_levels = _parse_values(args.h_levels, "--h-levels")
-    if h_levels and min(h_levels) <= 0.0:
-        raise ParameterError("h levels must be positive")
+    for h in h_levels:
+        if not (math.isfinite(h) and h > 0.0):
+            raise ParameterError(f"--h-levels must be finite and positive, got {h!r}")
     if args.u_lo >= args.u_hi:
         raise ParameterError("need --u-lo < --u-hi")
 
@@ -309,7 +303,13 @@ def cmd_sweep(args) -> int:
         for c2 in c2s
         for b in bs
     ]
-    threads = min(int(os.environ.get("RICCI_LIOUVILLE_THREADS", "1")), _cpu_count())
+    raw = os.environ.get("RICCI_LIOUVILLE_THREADS", "1")
+    try:
+        threads = min(int(raw), _cpu_count())
+    except ValueError:
+        raise ParameterError(
+            f"RICCI_LIOUVILLE_THREADS must be an integer, got {raw!r}"
+        ) from None
     if threads > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -172,9 +172,14 @@ def gaussian_curvature(p: MetricParams, u, *, eps_dom: float = DEFAULT_EPS_DOM):
     Strictly below -2 b^2 everywhere, even in u, and approaching -2 b^2 as
     |u| -> u_max.
     """
-    lam = np.asarray(conformal_factor(p, u, eps_dom=eps_dom), dtype=float)
-    curv = -2.0 * p.b * p.b - p.c1 / lam**4
+    curv = _curvature_from_factor(p, conformal_factor(p, u, eps_dom=eps_dom))
     return float(curv) if curv.ndim == 0 else curv
+
+
+def _curvature_from_factor(p: MetricParams, lam) -> np.ndarray:
+    """K = -2 b^2 - c1 / lambda^4 from conformal-factor samples (an array)."""
+    lam = np.asarray(lam, dtype=float)
+    return -2.0 * p.b * p.b - p.c1 / lam**4
 
 
 def theta(p: MetricParams, u, *, eps_dom: float = DEFAULT_EPS_DOM):

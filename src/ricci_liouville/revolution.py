@@ -161,6 +161,11 @@ def _simpson_segments(f, nodes, tol: float) -> np.ndarray:
     return total
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"quadrature tolerance must be finite and positive, got {tol!r}")
+
+
 def adaptive_simpson(f, a: float, b: float, tol: float):
     """Adaptive Simpson quadrature of a scalar callable f over [a, b].
 
@@ -175,8 +180,7 @@ def adaptive_simpson(f, a: float, b: float, tol: float):
     also computes profiles, which evaluates each refinement level in one
     call and returns exactly what the depth-first recursion would.
     """
-    if tol <= 0.0:
-        raise ParameterError("quadrature tolerance must be positive")
+    _check_tol(tol)
     if a == b:
         return 0.0
     f = np.vectorize(f, otypes=[float])
@@ -262,6 +266,7 @@ def _profile(factor, interval, tol: float, n: int, params=None) -> ProfileCurve:
         raise ParameterError("interval must satisfy u_lo < u_hi")
     if n < 2:
         raise ParameterError("need at least 2 profile samples")
+    _check_tol(tol)
 
     def integrand(t):
         lam, dlam = factor(t)

@@ -19,10 +19,9 @@ O(h^2) error model.
 
 from __future__ import annotations
 
-import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,9 +29,9 @@ from .errors import ConvergenceError, NotInFamilyError, ParameterError
 from .metric import (
     DEFAULT_EPS_DOM,
     MetricParams,
+    _curvature_from_factor,
     conformal_factor,
     derive_constants,
-    gaussian_curvature,
 )
 
 __all__ = [
@@ -42,6 +41,7 @@ __all__ = [
     "sample_grid",
     "ricci_residual_grid",
     "convergence_order",
+    "refinement_study",
     "estimate_order",
     "ricci_residual_1d",
     "ricci_order_1d",
@@ -104,28 +104,57 @@ class GridSpec:
         )
 
 
-@dataclass
 class MetricGrid:
     """Sampled conformal factor and curvature over a GridSpec.
 
-    Axis 0 runs along u, axis 1 along v; lambda_field is constant along v
-    (the defining property of a special Liouville metric).  The residual
-    field is filled by ricci_residual_grid (NaN on the trimmed boundary).
+    A special Liouville metric does not depend on v, so the grid stores
+    1-d columns of length nu along u: lambda_column, curvature_column and,
+    once ricci_residual_grid has run, ricci_residual_column (NaN on the
+    first and last rows).  lambda_field, curvature_field and
+    ricci_residual_field are read-only nu x nv views derived from them
+    (axis 0 along u, axis 1 along v); the residual field is NaN on the
+    whole trimmed boundary.
+
+    The constructor takes either two columns of length nu or two full
+    nu x nv fields.  Full fields must be constant along v (atol 1e-12) and
+    are reduced to their first column.
     """
 
-    spec: GridSpec
-    lambda_field: np.ndarray
-    curvature_field: np.ndarray
-    ricci_residual_field: np.ndarray | None = field(default=None)
+    def __init__(self, spec: GridSpec, lambda_field, curvature_field):
+        lam = np.asarray(lambda_field, dtype=float)
+        curv = np.asarray(curvature_field, dtype=float)
+        shape = (spec.nu, spec.nv)
+        if lam.shape == curv.shape == shape:
+            for name, f in (("lambda_field", lam), ("curvature_field", curv)):
+                if not np.allclose(f, f[:, :1], rtol=0.0, atol=1e-12):
+                    raise ParameterError(f"{name} must be constant along v")
+            lam, curv = lam[:, 0].copy(), curv[:, 0].copy()
+        elif not lam.shape == curv.shape == (spec.nu,):
+            raise ParameterError(f"field shapes must equal {shape} or ({spec.nu},)")
+        self.spec = spec
+        self.lambda_column = lam
+        self.curvature_column = curv
+        self.ricci_residual_column: np.ndarray | None = None
 
-    def __post_init__(self):
-        shape = (self.spec.nu, self.spec.nv)
-        if self.lambda_field.shape != shape or self.curvature_field.shape != shape:
-            raise ParameterError(f"field shapes must equal {shape}")
-        if not np.allclose(
-            self.lambda_field, self.lambda_field[:, :1], rtol=0.0, atol=1e-12
-        ):
-            raise ParameterError("lambda_field must be constant along v")
+    def _field(self, column: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(column[:, None], (self.spec.nu, self.spec.nv))
+
+    @property
+    def lambda_field(self) -> np.ndarray:
+        return self._field(self.lambda_column)
+
+    @property
+    def curvature_field(self) -> np.ndarray:
+        return self._field(self.curvature_column)
+
+    @property
+    def ricci_residual_field(self) -> np.ndarray | None:
+        if self.ricci_residual_column is None:
+            return None
+        out = np.full((self.spec.nu, self.spec.nv), np.nan)
+        out[:, 1:-1] = self.ricci_residual_column[:, None]
+        out.flags.writeable = False
+        return out
 
 
 @dataclass(frozen=True)
@@ -149,9 +178,11 @@ class NormalizationFit:
 
 
 def sample_grid(p: MetricParams, g: GridSpec, *, eps_dom: float = DEFAULT_EPS_DOM) -> MetricGrid:
-    """Fill lambda and K over the grid from the closed form.
+    """Sample the lambda and K columns at the grid's u-nodes.
 
-    The u-range must sit strictly inside the metric domain.
+    One closed-form call gives lambda; K = -2 b^2 - c1 / lambda^4 is formed
+    from it exactly as gaussian_curvature does.  The u-range must sit
+    strictly inside the metric domain.
     """
     dc = derive_constants(p)
     if not (-dc.u_max + eps_dom < g.u_lo and g.u_hi < dc.u_max - eps_dom):
@@ -159,42 +190,40 @@ def sample_grid(p: MetricParams, g: GridSpec, *, eps_dom: float = DEFAULT_EPS_DO
             f"grid u-range [{g.u_lo}, {g.u_hi}] must lie strictly inside "
             f"(-{dc.u_max:.6g}, {dc.u_max:.6g})"
         )
-    u = g.u_nodes()
-    lam = conformal_factor(p, u, eps_dom=eps_dom)
-    curv = gaussian_curvature(p, u, eps_dom=eps_dom)
-    lam_field = np.repeat(lam[:, None], g.nv, axis=1)
-    curv_field = np.repeat(curv[:, None], g.nv, axis=1)
-    return MetricGrid(spec=g, lambda_field=lam_field, curvature_field=curv_field)
+    lam = conformal_factor(p, g.u_nodes(), eps_dom=eps_dom)
+    return MetricGrid(g, lam, _curvature_from_factor(p, lam))
 
 
 def ricci_residual_grid(m: MetricGrid, b: float) -> float:
     """Max |Delta log sqrt(-2 b^2 - K) - 2 K| over interior grid points.
 
     Uses the 5-point stencil for f_uu + f_vv and divides by lambda^2 for
-    the Laplace-Beltrami operator of the conformal metric.  Stores the
-    residual field (NaN on the boundary layer) on the grid and returns the
-    interior max.  Requires K < -2 b^2 at every grid point.
+    the Laplace-Beltrami operator of the conformal metric.  It runs on the
+    u-column: both v-neighbours equal the centre, and the sum keeps the 2-d
+    stencil's order of operations, so every value is bit-identical to the
+    full-grid stencil.  Stores the residual column (NaN on the boundary
+    rows) on the grid and returns the interior max.  Requires K < -2 b^2
+    at every grid point.
     """
     g = m.spec
     if g.nu < 5 or g.nv < 5:
         raise ParameterError("residual stencil needs a grid of at least 5x5")
-    w = -2.0 * b * b - m.curvature_field
+    curv = m.curvature_column
+    w = -2.0 * b * b - curv
     if np.any(w <= 0.0):
-        i, j = np.unravel_index(int(np.argmin(w)), w.shape)
+        i = int(np.argmin(w))
         raise NotInFamilyError(
-            f"K >= -2 b^2 at grid point ({i}, {j}); "
+            f"K >= -2 b^2 at grid point ({i}, 0); "
             "log sqrt(-2 b^2 - K) is undefined there",
-            index=(int(i), int(j)),
+            index=(i, 0),
         )
     f = 0.5 * np.log(w)
-    h2 = g.h * g.h
-    lap = (
-        f[2:, 1:-1] + f[:-2, 1:-1] + f[1:-1, 2:] + f[1:-1, :-2] - 4.0 * f[1:-1, 1:-1]
-    ) / h2
-    res = lap / m.lambda_field[1:-1, 1:-1] ** 2 - 2.0 * m.curvature_field[1:-1, 1:-1]
-    out = np.full_like(f, np.nan)
-    out[1:-1, 1:-1] = res
-    m.ricci_residual_field = out
+    c = f[1:-1]
+    lap = (f[2:] + f[:-2] + c + c - 4.0 * c) / (g.h * g.h)
+    res = lap / m.lambda_column[1:-1] ** 2 - 2.0 * curv[1:-1]
+    out = np.full(g.nu, np.nan)
+    out[1:-1] = res
+    m.ricci_residual_column = out
     return float(np.max(np.abs(res)))
 
 
@@ -224,17 +253,46 @@ def convergence_order(p: MetricParams, base: GridSpec, levels: int) -> float:
     """
     if levels < 2:
         raise ParameterError("need at least 2 refinement levels")
-    hs, rs = [], []
-    for lev in range(levels):
-        spec = base.refined(2**lev)
+    return refinement_study(p, (base.refined(2**lev) for lev in range(levels)))[2]
+
+
+def refinement_study(p: MetricParams, specs):
+    """Ricci residual on each grid of ``specs`` and the fitted order.
+
+    Samples each grid in turn, takes its interior max residual with
+    ricci_residual_grid and fits the log-log slope with estimate_order.
+    ``specs`` is consumed lazily, so a generator raises its errors in grid
+    order.  Returns (hs, residuals, order, base), where base is the first
+    sampled grid with its residual stored.
+    """
+    hs, rs, base = [], [], None
+    for spec in specs:
         grid = sample_grid(p, spec)
-        hs.append(spec.h)
         rs.append(ricci_residual_grid(grid, p.b))
-    return estimate_order(hs, rs)
+        hs.append(spec.h)
+        base = grid if base is None else base
+    return hs, rs, estimate_order(hs, rs), base
 
 
 def _second_difference(arr: np.ndarray, h: float) -> np.ndarray:
     return (arr[2:] - 2.0 * arr[1:-1] + arr[:-2]) / (h * h)
+
+
+def _fd_curvature(phi: np.ndarray, b: float, h: float):
+    """K = -phi'' e^{-2 phi} by 3-point differences of phi = log(lambda).
+
+    Returns (K, -2 b^2 - K) on the interior samples; raises
+    NotInFamilyError naming the first sample where -2 b^2 - K <= 0.
+    """
+    curv = -_second_difference(phi, h) * np.exp(-2.0 * phi[1:-1])
+    w = -2.0 * b * b - curv
+    if np.any(w <= 0.0):
+        bad = int(np.argmax(w <= 0.0)) + 1
+        raise NotInFamilyError(
+            f"K >= -2 b^2 at sample index {bad}: not in family at sampled resolution",
+            index=bad,
+        )
+    return curv, w
 
 
 def ricci_residual_1d(phi, b: float, h: float) -> np.ndarray:
@@ -255,14 +313,7 @@ def ricci_residual_1d(phi, b: float, h: float) -> np.ndarray:
         raise ParameterError("need at least 7 samples of log(lambda)")
     if h <= 0.0:
         raise ParameterError("spacing h must be positive")
-    curv = -_second_difference(phi, h) * np.exp(-2.0 * phi[1:-1])
-    w = -2.0 * b * b - curv
-    if np.any(w <= 0.0):
-        bad = int(np.argmax(w <= 0.0)) + 1
-        raise NotInFamilyError(
-            f"K >= -2 b^2 at sample index {bad}: not in family at sampled resolution",
-            index=bad,
-        )
+    curv, w = _fd_curvature(phi, b, h)
     f = 0.5 * np.log(w)
     return _second_difference(f, h) * np.exp(-2.0 * phi[2:-2]) - 2.0 * curv[1:-1]
 
@@ -309,14 +360,7 @@ def fit_normalization(lambda_samples, b: float, h: float, *, u0: float | None = 
     if np.any(lam <= 0.0):
         raise ParameterError("lambda samples must be positive")
     phi = np.log(lam)
-    curv = -_second_difference(phi, h) * np.exp(-2.0 * phi[1:-1])
-    w = -2.0 * b * b - curv
-    if np.any(w <= 0.0):
-        bad = int(np.argmax(w <= 0.0)) + 1
-        raise NotInFamilyError(
-            f"K >= -2 b^2 at sample index {bad}: not in family at sampled resolution",
-            index=bad,
-        )
+    _, w = _fd_curvature(phi, b, h)
     big_f = 2.0 * phi[1:-1] + 0.5 * np.log(w)
     n = lam.size
     if u0 is None:
@@ -340,24 +384,34 @@ def in_family_verdict(max_residual: float, order: float, h: float) -> bool:
 def grid_to_csv(m: MetricGrid) -> str:
     """Render the grid as RFC-4180 CSV with columns u, v, lambda, K, residual.
 
-    Floats carry 17 significant digits; the residual column is empty where
-    the stencil is undefined.
+    One row per grid point, u-major.  Floats carry 17 significant digits;
+    the residual column is empty where the stencil is undefined.  Each
+    distinct value is formatted once, and the nv lines of one u share all
+    fields but v, so they are joined in one call.
     """
-    u = m.spec.u_nodes()
-    v = m.spec.v_nodes()
-    res = m.ricci_residual_field
-    buf = io.StringIO()
-    buf.write("u,v,lambda,K,residual\r\n")
-    for i in range(m.spec.nu):
-        for j in range(m.spec.nv):
-            r = ""
-            if res is not None and not math.isnan(res[i, j]):
-                r = f"{res[i, j]:.17g}"
-            buf.write(
-                f"{u[i]:.17g},{v[j]:.17g},{m.lambda_field[i, j]:.17g},"
-                f"{m.curvature_field[i, j]:.17g},{r}\r\n"
-            )
-    return buf.getvalue()
+    u = _fmt17(m.spec.u_nodes())
+    lam = _fmt17(m.lambda_column)
+    curv = _fmt17(m.curvature_column)
+    res = m.ricci_residual_column
+    if res is None:
+        res = [""] * m.spec.nu
+    else:
+        res = ["" if math.isnan(x) else f"{x:.17g}" for x in res.tolist()]
+    first, *inner, last = _fmt17(m.spec.v_nodes())
+    parts = ["u,v,lambda,K,residual\r\n"]
+    for ui, li, ki, ri in zip(u, lam, curv, res):
+        head = ui + ","
+        edge = f",{li},{ki},\r\n"  # first and last v: no residual
+        tail = f",{li},{ki},{ri}\r\n"
+        parts.append(head + first + edge)
+        if inner:
+            parts.append(head + (tail + head).join(inner) + tail)
+        parts.append(head + last + edge)
+    return "".join(parts)
+
+
+def _fmt17(values: np.ndarray) -> list[str]:
+    return [f"{x:.17g}" for x in values.tolist()]
 
 
 def summary_to_json(

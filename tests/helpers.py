@@ -283,3 +283,49 @@ def reference_ply(mesh):
     for a, b, c in mesh.faces:
         parts.append(struct.pack("<Biii", 3, int(a), int(b), int(c)))
     return b"".join(parts)
+
+
+# Full-grid references for the column-based certification code.  They keep
+# the nu x nv arithmetic verify used before MetricGrid stored 1-d columns,
+# so tests can demand equal bits and bytes from the column path.
+
+
+def reference_full_grid(p, spec):
+    """lambda, K and the Ricci residual as full nu x nv arrays.
+
+    lambda and K come from two closed-form calls and are copied along v
+    with np.repeat; the residual is the 2-d 5-point stencil (NaN on the
+    trimmed boundary).  Returns (lambda, K, residual, interior max); the
+    last two are None below 5 x 5.
+    """
+    from ricci_liouville import conformal_factor, gaussian_curvature
+
+    u = spec.u_nodes()
+    lam = np.repeat(conformal_factor(p, u)[:, None], spec.nv, axis=1)
+    curv = np.repeat(gaussian_curvature(p, u)[:, None], spec.nv, axis=1)
+    if spec.nu < 5 or spec.nv < 5:
+        return lam, curv, None, None
+    f = 0.5 * np.log(-2.0 * p.b * p.b - curv)
+    h2 = spec.h * spec.h
+    lap = (
+        f[2:, 1:-1] + f[:-2, 1:-1] + f[1:-1, 2:] + f[1:-1, :-2] - 4.0 * f[1:-1, 1:-1]
+    ) / h2
+    res = lap / lam[1:-1, 1:-1] ** 2 - 2.0 * curv[1:-1, 1:-1]
+    out = np.full_like(f, np.nan)
+    out[1:-1, 1:-1] = res
+    return lam, curv, out, float(np.max(np.abs(res)))
+
+
+def reference_grid_csv(spec, lam, curv, res):
+    """Grid CSV written cell by cell from full nu x nv fields."""
+    u, v = spec.u_nodes(), spec.v_nodes()
+    out = ["u,v,lambda,K,residual\r\n"]
+    for i in range(spec.nu):
+        for j in range(spec.nv):
+            r = ""
+            if res is not None and not math.isnan(res[i, j]):
+                r = f"{res[i, j]:.17g}"
+            out.append(
+                f"{u[i]:.17g},{v[j]:.17g},{lam[i, j]:.17g},{curv[i, j]:.17g},{r}\r\n"
+            )
+    return "".join(out)

@@ -384,3 +384,28 @@ class TestManifest:
         assert (tmp_path / "a" / "manifest.json").read_bytes() == (
             tmp_path / "b" / "manifest.json"
         ).read_bytes()
+
+
+class TestInputValidation:
+    SWEEP = ["sweep", "--b-values", "1.0", "--c1-values", "1.0", "--c2-values", "0.0"]
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
+    def test_mesh_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        rc = run_cli(MESH_ARGS + ["--format", "obj", f"--tol={tol}", "--outdir", tmp_path])
+        assert rc == 2
+        assert "quadrature tolerance must be finite and positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_threads_must_be_an_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RICCI_LIOUVILLE_THREADS", "abc")
+        rc = run_cli(self.SWEEP + ["--h-levels", "0.02,0.01", "--outdir", tmp_path])
+        assert rc == 2
+        assert "RICCI_LIOUVILLE_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("levels", ["nan,0.05", "0.02,inf", "0.02,0", "-0.01,0.02"])
+    def test_sweep_h_levels_must_be_finite_and_positive(self, tmp_path, capsys, levels):
+        rc = run_cli(self.SWEEP + [f"--h-levels={levels}", "--outdir", tmp_path])
+        assert rc == 2
+        assert "--h-levels must be finite and positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -411,3 +411,19 @@ class TestExports:
         first = np.frombuffer(body[:40], dtype="<f8")
         assert first[:3] == pytest.approx(mesh.vertices[0], abs=0)
         assert first[3:] == pytest.approx(mesh.uv[0], abs=0)
+
+
+class TestQuadratureTolerance:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_adaptive_simpson_rejects(self, tol):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            adaptive_simpson(math.sin, 0.0, 1.0, tol)
+        with pytest.raises(ParameterError, match="finite and positive"):
+            adaptive_simpson(math.sin, 2.0, 2.0, tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
+    def test_profiles_reject(self, ref_params, tol):
+        with pytest.raises(ParameterError, match="finite and positive"):
+            profile_from_metric(ref_params, (-0.3, 0.3), tol=tol, n=11)
+        with pytest.raises(ParameterError, match="finite and positive"):
+            profile_from_conformal(math.cosh, math.sinh, (0.0, 0.5), tol=tol, n=11)

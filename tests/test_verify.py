@@ -17,13 +17,20 @@ from ricci_liouville import (
     fit_normalization,
     grid_to_csv,
     in_family_verdict,
+    refinement_study,
     ricci_order_1d,
     ricci_residual_1d,
     ricci_residual_grid,
     sample_grid,
 )
 
-from helpers import perturbed_metric_grid, ricci_condition_4th_order_oracle, sweep_params
+from helpers import (
+    perturbed_metric_grid,
+    reference_full_grid,
+    reference_grid_csv,
+    ricci_condition_4th_order_oracle,
+    sweep_params,
+)
 
 
 def constant_curvature_grid(spec, b_tilde):
@@ -277,3 +284,85 @@ def test_sweep_invariant_order_two_everywhere():
     for p in sweep_params()[::5]:
         order = convergence_order(p, base, 3)
         assert 1.8 <= order <= 2.2, (p, order)
+
+
+ORACLE_TRIPLES = [
+    MetricParams(b=1.0 / math.sqrt(6.0), c1=1.0, c2=-11.0 / 6.0),
+    MetricParams(b=0.5, c1=4.0, c2=3.0),
+    MetricParams(b=1.0, c1=0.25, c2=-2.0),
+]
+ORACLE_SPECS = [
+    GridSpec(-0.2, 0.2, -0.2, 0.2, 5, 5),
+    GridSpec(-0.4, 0.4, 0.0, 0.24, 21, 7),
+    GridSpec(-0.5, 0.5, -0.5, 0.5, 101, 101),
+]
+
+
+class TestColumnGridMatchesFullGrid:
+    """The column model against the full-grid arithmetic it replaced."""
+
+    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda g: f"{g.nu}x{g.nv}")
+    @pytest.mark.parametrize("p", ORACLE_TRIPLES, ids=["ref", "b.5c4", "b1c.25"])
+    def test_bit_identical_fields_residual_and_csv(self, p, spec):
+        lam, curv, res, max_res = reference_full_grid(p, spec)
+        grid = sample_grid(p, spec)
+        got = ricci_residual_grid(grid, p.b)
+        assert got.hex() == max_res.hex()
+        assert np.array_equal(grid.lambda_field, lam)
+        assert np.array_equal(grid.curvature_field, curv)
+        assert np.array_equal(grid.ricci_residual_field, res, equal_nan=True)
+        assert grid_to_csv(grid).encode() == reference_grid_csv(spec, lam, curv, res).encode()
+
+    @pytest.mark.parametrize("p", ORACLE_TRIPLES, ids=["ref", "b.5c4", "b1c.25"])
+    def test_csv_without_residual_on_three_columns(self, p):
+        spec = GridSpec(-0.3, 0.3, 0.0, 0.1, 13, 3)
+        lam, curv, _, _ = reference_full_grid(p, spec)
+        grid = sample_grid(p, spec)
+        assert grid.ricci_residual_field is None
+        assert grid_to_csv(grid).encode() == reference_grid_csv(spec, lam, curv, None).encode()
+
+    def test_full_fields_reduce_to_the_sampled_columns(self, ref_params):
+        spec = ORACLE_SPECS[1]
+        lam, curv, res, max_res = reference_full_grid(ref_params, spec)
+        grid = MetricGrid(spec=spec, lambda_field=lam, curvature_field=curv)
+        sampled = sample_grid(ref_params, spec)
+        assert np.array_equal(grid.lambda_column, sampled.lambda_column)
+        assert np.array_equal(grid.curvature_column, sampled.curvature_column)
+        assert ricci_residual_grid(grid, ref_params.b) == max_res
+
+    def test_fields_are_read_only_views(self, ref_params):
+        grid = sample_grid(ref_params, ORACLE_SPECS[0])
+        ricci_residual_grid(grid, ref_params.b)
+        for f in (grid.lambda_field, grid.curvature_field, grid.ricci_residual_field):
+            assert f.shape == (5, 5) and not f.flags.writeable
+        assert grid.lambda_column.shape == grid.ricci_residual_column.shape == (5,)
+
+    def test_curvature_varying_along_v_rejected(self, ref_params):
+        lam, curv, _, _ = reference_full_grid(ref_params, ORACLE_SPECS[0])
+        curv[2, 3] *= 1.5
+        with pytest.raises(ParameterError, match="curvature_field must be constant along v"):
+            MetricGrid(spec=ORACLE_SPECS[0], lambda_field=lam, curvature_field=curv)
+
+    def test_wrong_shape_rejected(self, ref_params):
+        lam, curv, _, _ = reference_full_grid(ref_params, ORACLE_SPECS[0])
+        with pytest.raises(ParameterError, match="field shapes"):
+            MetricGrid(spec=ORACLE_SPECS[0], lambda_field=lam[:, 0], curvature_field=curv)
+
+
+class TestRefinementStudy:
+    def test_matches_level_by_level_loop(self, ref_params):
+        base = GridSpec(-0.5, 0.5, -0.5, 0.5, 26, 26)
+        specs = [base.refined(2**lev) for lev in range(3)]
+        hs, rs, order, grid = refinement_study(ref_params, specs)
+        assert hs == [s.h for s in specs]
+        assert rs == [ricci_residual_grid(sample_grid(ref_params, s), ref_params.b) for s in specs]
+        assert order == estimate_order(hs, rs) == convergence_order(ref_params, base, 3)
+        assert grid.spec == base and np.nanmax(np.abs(grid.ricci_residual_column)) == rs[0]
+
+    def test_errors_surface_in_grid_order(self, ref_params):
+        def specs():
+            yield GridSpec(-2.0, 2.0, -2.0, 2.0, 11, 11)  # outside the domain
+            raise AssertionError("consumed past the failing grid")
+
+        with pytest.raises(ParameterError, match="inside"):
+            refinement_study(ref_params, specs())
