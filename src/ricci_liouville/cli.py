@@ -6,8 +6,8 @@ Subcommands: derive, verify, mesh, classify, sweep, pmc.  Exit codes:
 its outputs; data outputs are byte-deterministic for identical inputs.
 The environment variable RICCI_LIOUVILLE_THREADS sets the number of sweep
 worker processes, capped at the number of CPUs this process may run on.
-Only classify loads SciPy (inside metric_from_profile); the process pool
-is imported only when a pooled sweep starts one.
+No subcommand loads SciPy: the library needs NumPy alone.  The process
+pool is imported only when a pooled sweep starts one.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ def _fmt(x: float) -> str:
 
 
 def _points_for(lo: float, hi: float, h: float, name: str) -> int:
-    if h <= 0.0:
-        raise ParameterError(f"{name} spacing h must be positive")
+    if not (math.isfinite(h) and h > 0.0):
+        raise ParameterError(f"--h must be finite and positive, got {h!r}")
     n = int(round((hi - lo) / h)) + 1
     if n < 2 or abs((hi - lo) / (n - 1) - h) > 1e-9 * max(1.0, h):
         raise ParameterError(f"h = {h} does not evenly divide the {name} range")

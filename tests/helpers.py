@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the code paths under test:
 ODE integration instead of the elliptic closed form, quadrature of defining
-integrals, spline resampling for profile round trips, and loop-form
-references for the array-native quadrature, meshing and export code.
+integrals, spline resampling for profile round trips, loop-form
+references for the array-native quadrature, meshing and export code, and
+SciPy's splines for the NumPy interpolants of metric_from_profile.
 """
 
 import math
@@ -11,9 +12,10 @@ import struct
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PchipInterpolator
 
-from ricci_liouville import MetricGrid, MetricParams, derive_constants
+from ricci_liouville import MetricGrid, MetricParams, ParameterError, derive_constants
+from ricci_liouville.revolution import ARC_LENGTH_TOL
 
 
 def sweep_params():
@@ -329,3 +331,41 @@ def reference_grid_csv(spec, lam, curv, res):
                 f"{u[i]:.17g},{v[j]:.17g},{lam[i, j]:.17g},{curv[i, j]:.17g},{r}\r\n"
             )
     return "".join(out)
+
+
+def reference_metric_from_profile(s, x, y, resample_n: int):
+    """metric_from_profile as written on SciPy's CubicSpline and PchipInterpolator.
+
+    The library reproduces these interpolants in NumPy; tests require
+    equal bits from both.
+    """
+    s = np.asarray(s, dtype=float)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not (s.shape == x.shape == y.shape) or s.ndim != 1 or s.size < 4:
+        raise ParameterError("need matching 1-d s, x, y arrays with >= 4 samples")
+    if np.any(np.diff(s) <= 0.0):
+        raise ParameterError("arc-length samples must be strictly increasing")
+    if np.any(y <= 0.0):
+        bad = int(np.argmax(y <= 0.0))
+        raise ParameterError(f"rotation radius y <= 0 at sample {bad}")
+    if resample_n < 7:
+        raise ParameterError("resample_n must be at least 7")
+
+    dx = np.gradient(x, s, edge_order=2)
+    dy = np.gradient(y, s, edge_order=2)
+    speed_err = np.abs(dx * dx + dy * dy - 1.0)
+    worst = int(np.argmax(speed_err))
+    if speed_err[worst] > ARC_LENGTH_TOL:
+        raise ParameterError(
+            f"profile is not arc-length parametrized: |x'^2 + y'^2 - 1| = "
+            f"{speed_err[worst]:.3e} at sample {worst} (s = {s[worst]:.17g})"
+        )
+
+    u_of_s = CubicSpline(s, 1.0 / y).antiderivative()
+    u_samples = u_of_s(s) - u_of_s(s[0])
+    s_of_u = PchipInterpolator(u_samples, s)
+    u_grid = np.linspace(0.0, u_samples[-1], resample_n)
+    s_grid = s_of_u(u_grid)
+    lam = CubicSpline(s, y)(s_grid)
+    return u_grid, lam

@@ -359,6 +359,37 @@ class TestImportGraph:
         assert out.splitlines()[-1] == "0 []"
 
 
+    def test_no_subcommand_loads_scipy(self, trumpet_csv, tmp_path):
+        import ricci_liouville
+
+        outdir = tmp_path / "out"
+        commands = [
+            ["derive", "--c1", "1", "--c2", "0"],
+            ["pmc", "--c1", "1", "--u-lo", "-0.4", "--u-hi", "0.4", "--n", "41"],
+            [str(a) for a in VERIFY_ARGS],
+            [str(a) for a in MESH_ARGS] + ["--format", "obj"],
+            ["classify", "--profile", str(trumpet_csv), "--resample-n", "51"],
+            ["sweep", "--b-values", "1.0", "--c1-values", "1.0", "--c2-values", "0.0",
+             "--h-levels", "0.02,0.01"],
+        ]
+        code = (
+            "import sys\n"
+            "from ricci_liouville.cli import main\n"
+            f"rcs = [main(a + ['--outdir', {str(outdir)!r} + '/' + a[0]]) for a in {commands!r}]\n"
+            "heavy = sorted(m for m in sys.modules if m == 'scipy'"
+            " or m.startswith('scipy.') or m == 'concurrent.futures.process')\n"
+            "print(rcs, heavy)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ricci_liouville.__file__))
+        env["RICCI_LIOUVILLE_THREADS"] = "1"
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, env=env,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
+
+
 class TestManifest:
     def test_every_command_writes_manifest(self, tmp_path, capsys):
         run_cli(["derive", "--c1", 1, "--c2", 0, "--outdir", tmp_path / "d"])
@@ -409,3 +440,25 @@ class TestInputValidation:
         assert rc == 2
         assert "--h-levels must be finite and positive" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_verify_h_must_be_finite(self, tmp_path, capsys):
+        rc = run_cli(["verify", "--c1", 1, "--c2", 0, "--u-lo", -0.1, "--u-hi", 0.1,
+                      "--h", "nan", "--outdir", tmp_path])
+        assert rc == 2
+        assert "--h must be finite and positive, got nan" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "column, token", [("x", "nan"), ("x", "inf"), ("s", "nan"), ("y", "nan")]
+    )
+    def test_classify_non_finite_sample(self, tmp_path, capsys, column, token):
+        s = np.linspace(0.0, 1.0, 21)
+        cols = {"s": s, "x": 0.8 * s, "y": 1.0 + 0.6 * s}
+        cols[column][1] = float(token)
+        path = tmp_path / "profile.csv"
+        write_profile_csv(path, cols["s"], cols["x"], cols["y"])
+        out = tmp_path / "out"
+        rc = run_cli(["classify", "--profile", path, "--resample-n", 51, "--outdir", out])
+        assert rc == 2
+        assert f"profile column {column} is not finite at sample 1" in capsys.readouterr().err
+        assert not out.exists()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from ricci_liouville import (
     MetricParams,
@@ -25,10 +26,13 @@ from ricci_liouville import (
     tessellate,
 )
 
+from ricci_liouville.revolution import _solve_tridiagonal
+
 from helpers import (
     arc_length_resample,
     reference_adaptive_simpson,
     reference_faces,
+    reference_metric_from_profile,
     reference_obj,
     reference_ply,
     reference_profile_x,
@@ -214,6 +218,131 @@ class TestMetricFromProfile:
         u_rec, lam_rec = metric_from_profile(s, x, y, 1001)
         lam_true = conformal_factor(ref_params, u_rec + a_lo)
         assert np.max(np.abs(lam_rec - lam_true)) < 1e-5
+
+
+def cone_profile_arrays(s):
+    """Arc-length cone: y = 1 + 0.6 s, x = 0.8 s (exact unit speed)."""
+    s = np.asarray(s, dtype=float)
+    return s, 0.8 * s, 1.0 + 0.6 * s
+
+
+def spline_matrix(s):
+    """Sub-, main and super-diagonal of the not-a-knot slope system on knots s."""
+    h = np.diff(s)
+    dl = np.append(h[1:], s[-1] - s[-3])
+    d = np.concatenate(([h[1]], 2 * (h[:-1] + h[1:]), [h[-2]]))
+    du = np.insert(h[:-1], 0, s[2] - s[0])
+    return dl, d, du
+
+
+# elimination of the slope system on these knots swaps rows at steps 1, 4,
+# 7, 10 and 11 (the last step).  At step 1 the sub-diagonal h[2] exceeds the
+# pivot 2 (h[0] + h[1]) - (s[2] - s[0]) left after eliminating row 0
+PIVOTING_KNOTS = np.cumsum(
+    [0.0, 0.1, 0.05, 1.3, 0.2, 0.02, 0.9, 0.4, 0.01, 2.0, 0.05, 0.05, 1.5]
+)
+
+
+class TestMetricFromProfileMatchesSciPy:
+    """The NumPy interpolants return SciPy's bits on every input."""
+
+    @staticmethod
+    def assert_same_bits(s, x, y, resample_n):
+        u, lam = metric_from_profile(s, x, y, resample_n)
+        u_ref, lam_ref = reference_metric_from_profile(s, x, y, resample_n)
+        assert np.array_equal(u, u_ref)
+        assert np.array_equal(lam, lam_ref)
+
+    @pytest.mark.parametrize("resample_n", [51, 1001])
+    def test_reference_trumpet(self, ref_params, resample_n):
+        lo, hi = embeddable_interval(ref_params)
+        prof = profile_from_metric(ref_params, (0.8 * lo, 0.8 * hi), tol=1e-10, n=4001)
+        self.assert_same_bits(*arc_length_resample(prof.u, prof.x, prof.y, 4001), resample_n)
+
+    @pytest.mark.parametrize("resample_n", [51, 1001])
+    def test_unit_sphere(self, resample_n):
+        self.assert_same_bits(*sphere_profile_arrays(), resample_n)
+
+    def test_cylinder(self):
+        s = np.linspace(0.0, 5.0, 501)
+        self.assert_same_bits(s, s.copy(), np.full_like(s, 1.7), 101)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_smallest_inputs(self, n):
+        self.assert_same_bits(*cone_profile_arrays(np.linspace(0.0, 1.5, n)), 7)
+
+    def test_non_uniform_knots_pivot(self):
+        s = PIVOTING_KNOTS
+        h = np.diff(s)
+        assert h[2] > abs(2 * (h[0] + h[1]) - (s[2] - s[0]))
+        for resample_n in (7, 51, 1001):
+            self.assert_same_bits(*cone_profile_arrays(s), resample_n)
+
+    def test_random_non_uniform_subsamples(self):
+        rng = np.random.default_rng(5)
+        dense = np.linspace(0.0, 3.0, 2001)
+        for _ in range(20):
+            k = int(rng.integers(4, 200))
+            s = np.sort(rng.choice(dense, size=k, replace=False))
+            self.assert_same_bits(*cone_profile_arrays(s), 51)
+
+
+class TestSolveTridiagonal:
+    @staticmethod
+    def solve_both(dl, d, du, b, c):
+        ab = np.zeros((3, d.size))
+        ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+        ref = solve_banded((1, 1), ab, np.column_stack([b, c]))
+        got_b, got_c = _solve_tridiagonal(dl, d, du, b, c)
+        assert np.array_equal(got_b, ref[:, 0])
+        assert np.array_equal(got_c, ref[:, 1])
+
+    def test_without_interchanges(self):
+        # column diagonally dominant: partial pivoting never swaps rows
+        n = 50
+        rng = np.random.default_rng(1)
+        d = 4.0 + rng.random(n)
+        dl, du = rng.random(n - 1), rng.random(n - 1)
+        self.solve_both(dl, d, du, rng.normal(size=n), rng.normal(size=n))
+
+    def test_with_interchanges(self):
+        rng = np.random.default_rng(2)
+        n = PIVOTING_KNOTS.size
+        self.solve_both(*spline_matrix(PIVOTING_KNOTS), rng.normal(size=n), rng.normal(size=n))
+
+    def test_zero_pivot_raises(self):
+        ones = np.ones(3)
+        with pytest.raises(ParameterError, match="zero pivot in row 0"):
+            _solve_tridiagonal(np.zeros(2), np.array([0.0, 1.0, 1.0]), np.ones(2), ones, ones)
+        with pytest.raises(ParameterError, match="zero pivot in row 2"):
+            _solve_tridiagonal(np.zeros(2), np.array([1.0, 1.0, 0.0]), np.zeros(2), ones, ones)
+
+
+class TestMetricFromProfileInputs:
+    @pytest.mark.parametrize("column", ["s", "x", "y"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_named(self, column, bad):
+        cols = dict(zip("sxy", cone_profile_arrays(np.linspace(0.0, 1.0, 21))))
+        cols[column][3] = bad
+        message = f"profile column {column} is not finite at sample 3"
+        with pytest.raises(ParameterError, match=message):
+            metric_from_profile(cols["s"], cols["x"], cols["y"], 51)
+
+    def test_u_must_increase(self):
+        # a radius dipping to 1e-6 at one sample makes the not-a-knot spline
+        # of 1/y ring negative, so u(s) falls between samples 0 and 1.  x
+        # (with x' < 0 at samples 4 and 5) and y[0] were solved for so that
+        # the central-difference speed is 1 to within 1e-14
+        s = np.arange(9.0)
+        x = [-2.192450153879861, -1.1924501538798638, -0.19245015387986109,
+             0.807549846120137, 1.539601231038899, -1.1924501538798598,
+             -0.1924501538798607, 0.8075498461201367, 1.8075498461201356]
+        y = [0.999999949416531, 1.0, 1.0, 1.0, 1e-06, 1.0, 1.0, 1.0, 1.0]
+        with pytest.raises(ParameterError, match="not strictly increasing at sample 1"):
+            metric_from_profile(s, x, y, 51)
+        # SciPy's PchipInterpolator refuses the same knots
+        with pytest.raises(ValueError, match="strictly increasing"):
+            reference_metric_from_profile(s, x, y, 51)
 
 
 class TestTessellate:
