@@ -4,10 +4,7 @@ Subcommands: derive, verify, mesh, classify, sweep, pmc.  Exit codes:
 0 success, 1 negative verification verdict, 2 usage or parameter error,
 3 numerical failure.  Every run writes exactly one manifest.json next to
 its outputs; data outputs are byte-deterministic for identical inputs.
-The environment variable RICCI_LIOUVILLE_THREADS sets the number of sweep
-worker processes, capped at the number of CPUs this process may run on.
-No subcommand loads SciPy: the library needs NumPy alone.  The process
-pool is imported only when a pooled sweep starts one.
+No subcommand loads SciPy: the library needs NumPy alone.
 """
 
 from __future__ import annotations
@@ -17,7 +14,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -249,41 +245,20 @@ def _parse_values(text: str, name: str):
         raise ParameterError(f"cannot parse {name} value list {text!r}") from exc
 
 
-def _sweep_point(task):
-    """Evaluate one sweep triple; returns a row dict.  Top level for pickling."""
-    b, c1, c2, u_lo, u_hi, h_levels = task
+def _sweep_point(b, c1, c2, u_lo, u_hi, h_levels):
+    """Evaluate one sweep triple; returns a row dict."""
 
     def square(h):
         nu = int(round((u_hi - u_lo) / h)) + 1
         return GridSpec(u_lo, u_hi, u_lo, u_hi, nu, nu)
 
+    row = {"c1": c1, "c2": c2, "b": b}
     try:
         p = MetricParams(b=b, c1=c1, c2=c2)
         _, rs, order, _ = refinement_study(p, (square(h) for h in h_levels))
-        return {
-            "c1": c1,
-            "c2": c2,
-            "b": b,
-            "residual": rs[-1],
-            "order": order,
-            "status": "ok",
-        }
     except (ParameterError, NotInFamilyError) as exc:
-        return {
-            "c1": c1,
-            "c2": c2,
-            "b": b,
-            "residual": None,
-            "order": None,
-            "status": f"domain: {exc}",
-        }
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on (the scheduler affinity where it exists)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        return {**row, "residual": None, "order": None, "status": f"domain: {exc}"}
+    return {**row, "residual": rs[-1], "order": order, "status": "ok"}
 
 
 def cmd_sweep(args) -> int:
@@ -297,26 +272,12 @@ def cmd_sweep(args) -> int:
     if args.u_lo >= args.u_hi:
         raise ParameterError("need --u-lo < --u-hi")
 
-    tasks = [
-        (b, c1, c2, args.u_lo, args.u_hi, tuple(h_levels))
+    rows = [
+        _sweep_point(b, c1, c2, args.u_lo, args.u_hi, h_levels)
         for c1 in c1s
         for c2 in c2s
         for b in bs
     ]
-    raw = os.environ.get("RICCI_LIOUVILLE_THREADS", "1")
-    try:
-        threads = min(int(raw), _cpu_count())
-    except ValueError:
-        raise ParameterError(
-            f"RICCI_LIOUVILLE_THREADS must be an integer, got {raw!r}"
-        ) from None
-    if threads > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
-    else:
-        rows = [_sweep_point(t) for t in tasks]
 
     buf = io.StringIO()
     buf.write("c1,c2,b,residual,order,status\r\n")

@@ -1,12 +1,14 @@
-"""Complete elliptic integral of the first kind and Jacobi elliptic functions.
+"""Elliptic integrals of the first kind and Jacobi elliptic functions.
 
 Self-contained double precision implementation: the quarter period comes
-from the arithmetic-geometric mean, and am/sn/cn/dn are evaluated with the
-descending Landen (Gauss) transformation, cf. DLMF 22.20(ii).  Everything
-takes the modulus k, never the parameter m = k^2.
+from the arithmetic-geometric mean, the incomplete integral F(phi, k) and
+am/sn/cn/dn are evaluated with the descending Landen (Gauss)
+transformation, cf. A&S 17.6 and DLMF 22.20(ii).  Everything takes the
+modulus k, never the parameter m = k^2.
 
-All functions accept a scalar or an ndarray for the argument ``u`` and a
-scalar modulus, and are pure (thread-safe).
+The Jacobi functions accept a scalar or an ndarray for the argument ``u``,
+F takes a scalar amplitude; the modulus is always scalar.  All functions
+are pure (thread-safe).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "Modulus",
     "complete_elliptic_k",
+    "incomplete_elliptic_f",
     "jacobi_am",
     "jacobi_sn_cn_dn",
 ]
@@ -87,6 +90,31 @@ def complete_elliptic_k(k) -> float:
         raise DomainError("K(k) diverges at k = 1")
     aa, _ = _agm_scale(k)
     return math.pi / (2.0 * aa[-1])
+
+
+def incomplete_elliptic_f(phi: float, k) -> float:
+    """Incomplete integral F(phi, k) = \\int_0^phi dt / sqrt(1 - k^2 sin^2 t).
+
+    Forward phi recursion of the descending Landen transformation (A&S
+    17.6): phi_{n+1} = 2 phi_n - atan(2 c_{n+1} sin phi_n cos phi_n /
+    (a_n - 2 c_{n+1} sin^2 phi_n)), where the subtracted angle is small and
+    the denominator a_n cos^2 + b_n sin^2 stays positive, then
+    F = phi_N / (2^N a_N).  Inverse of the amplitude: am(F(phi, k), k) = phi.
+    Raises DomainError unless 0 <= phi <= pi/2 and 0 <= k < 1.
+    """
+    k = _as_modulus(k)
+    phi = float(phi)
+    if not 0.0 <= phi <= 0.5 * math.pi:
+        raise DomainError(f"amplitude phi must lie in [0, pi/2], got {phi!r}")
+    if k.k == 1.0:
+        raise DomainError("F(phi, k) is only supported for k < 1")
+    aa, cc = _agm_scale(k)
+    n = len(aa) - 1
+    for i in range(n):
+        sin, cos = math.sin(phi), math.cos(phi)
+        twice_c = 2.0 * cc[i + 1]
+        phi = 2.0 * phi - math.atan(twice_c * sin * cos / (aa[i] - twice_c * sin * sin))
+    return math.ldexp(phi, -n) / aa[n]
 
 
 def _amplitude_reduced(ur, k: Modulus):

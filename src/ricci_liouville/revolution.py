@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .elliptic import incomplete_elliptic_f
 from .errors import ConvergenceError, ParameterError
 from .metric import (
     DEFAULT_EPS_DOM,
@@ -33,7 +34,6 @@ __all__ = [
     "RevolutionMesh",
     "adaptive_simpson",
     "embeddable_interval",
-    "embeddable_interval_numeric",
     "profile_from_metric",
     "profile_from_conformal",
     "metric_from_profile",
@@ -187,76 +187,26 @@ def adaptive_simpson(f, a: float, b: float, tol: float):
     return float(_simpson_segments(f, [a, b], tol)[0])
 
 
-def _embeddability_gap(p: MetricParams, u, eps_dom):
-    lam, dlam, _ = conformal_factor_derivatives(p, u, eps_dom=eps_dom)
-    return lam * lam - dlam * dlam
-
-
 def embeddable_interval(p: MetricParams, *, eps_dom: float = DEFAULT_EPS_DOM):
-    """Maximal symmetric interval around 0 where lambda^2 >= lambda'^2.
+    """Maximal symmetric interval around 0 where lambda^2 >= lambda'^2, in closed form.
 
-    lambda^2(0) = lambda_plus > 0 = lambda'(0)^2, so 0 always qualifies;
-    towards the domain boundary lambda'^2 ~ 2 b^2 lambda^4 dominates, so
-    the boundary of the interval is the first positive zero of
-    lambda^2 - lambda'^2, located by bisection.
+    With theta = am(s u, k), lambda = sqrt(lambda_plus) / cos(theta) and
+    lambda' = lambda s sin(theta) dn / cos(theta), so the gap vanishes where
+    cos^2 = s^2 sin^2 (1 - k^2 sin^2): x = sin^2 theta is the smaller root
+    of s^2 k^2 x^2 - (s^2 + 1) x + 1 = 0.  The boundary is
+    u* = F(theta*, k) / s, clipped to u_max - max(eps_dom, 1e-12 u_max).
+    The root depends on s and k alone, and with R = hypot(s^2 - 1, 2 s k')
+    the amplitude is theta* = atan2(sqrt(2), sqrt(s^2 - 1 + R)), where
+    s^2 - 1 + R = 4 s^2 k'^2 / (R + 1 - s^2) for s < 1, so no form cancels.
     """
     dc = derive_constants(p)
     hi = dc.u_max - max(eps_dom, 1e-12 * dc.u_max)
-    g = lambda u: _embeddability_gap(p, u, eps_dom / 2.0)
-    if g(hi) >= 0.0:
-        return (-hi, hi)
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g(mid) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    return (-lo, lo)
-
-
-def embeddable_interval_numeric(lam, dlam, u_lo: float, u_hi: float, *, n: int = 4096):
-    """Embeddable interval around 0 for callables lambda, lambda'.
-
-    Scans lambda^2 - lambda'^2 on n points of [u_lo, u_hi] and bisects the
-    sign changes nearest to 0.  Returns the requested range itself when the
-    gap stays nonnegative throughout (for instance lambda = cosh), and a
-    degenerate (0.0, 0.0) if the gap is negative immediately off 0.
-    """
-    if not (u_lo <= 0.0 <= u_hi):
-        raise ParameterError("search range must contain 0")
-    grid = np.linspace(u_lo, u_hi, n)
-    gap = np.asarray([lam(t) ** 2 - dlam(t) ** 2 for t in grid])
-    centre = int(np.argmin(np.abs(grid)))
-    if gap[centre] < 0.0:
-        return (0.0, 0.0)
-
-    def bisect(inside, outside):
-        # inside has gap >= 0, outside gap < 0; returns the sign boundary
-        a, b = inside, outside
-        for _ in range(200):
-            m = 0.5 * (a + b)
-            if lam(m) ** 2 - dlam(m) ** 2 >= 0.0:
-                a = m
-            else:
-                b = m
-            if abs(b - a) <= 1e-14 * max(1.0, abs(b)):
-                break
-        return a
-
-    hi = u_hi
-    for idx in range(centre, n - 1):
-        if gap[idx] >= 0.0 > gap[idx + 1]:
-            hi = bisect(grid[idx], grid[idx + 1])
-            break
-    lo = u_lo
-    for idx in range(centre, 0, -1):
-        if gap[idx] >= 0.0 > gap[idx - 1]:
-            lo = bisect(grid[idx], grid[idx - 1])
-            break
-    return (lo, hi)
+    s2, kc = dc.s * dc.s, dc.k.complement
+    r = math.hypot(s2 - 1.0, 2.0 * dc.s * kc)
+    cos_part = s2 - 1.0 + r if s2 >= 1.0 else 4.0 * s2 * kc * kc / (r + 1.0 - s2)
+    theta = math.atan2(math.sqrt(2.0), math.sqrt(cos_part))
+    u_star = min(incomplete_elliptic_f(theta, dc.k) / dc.s, hi)
+    return (-u_star, u_star)
 
 
 def _profile(factor, interval, tol: float, n: int, params=None) -> ProfileCurve:

@@ -282,8 +282,11 @@ def _fd_curvature(phi: np.ndarray, b: float, h: float):
     """K = -phi'' e^{-2 phi} by 3-point differences of phi = log(lambda).
 
     Returns (K, -2 b^2 - K) on the interior samples; raises
+    ParameterError unless the spacing h is finite and positive, and
     NotInFamilyError naming the first sample where -2 b^2 - K <= 0.
     """
+    if not (math.isfinite(h) and h > 0.0):
+        raise ParameterError(f"spacing h must be finite and positive, got {h!r}")
     curv = -_second_difference(phi, h) * np.exp(-2.0 * phi[1:-1])
     w = -2.0 * b * b - curv
     if np.any(w <= 0.0):
@@ -311,8 +314,6 @@ def ricci_residual_1d(phi, b: float, h: float) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 1 or phi.size < 7:
         raise ParameterError("need at least 7 samples of log(lambda)")
-    if h <= 0.0:
-        raise ParameterError("spacing h must be positive")
     curv, w = _fd_curvature(phi, b, h)
     f = 0.5 * np.log(w)
     return _second_difference(f, h) * np.exp(-2.0 * phi[2:-2]) - 2.0 * curv[1:-1]

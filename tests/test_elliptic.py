@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import ellipj, ellipk
+from scipy.special import ellipj, ellipk, ellipkinc
 
 from ricci_liouville import (
     DomainError,
     Modulus,
     complete_elliptic_k,
+    incomplete_elliptic_f,
     jacobi_am,
     jacobi_sn_cn_dn,
 )
@@ -113,6 +114,45 @@ class TestAmplitude:
             fd = (jacobi_am(u + h, k) - jacobi_am(u - h, k)) / (2 * h)
             _, _, dn = jacobi_sn_cn_dn(u, k)
             assert abs(fd - dn) < 10 * h * h
+
+
+# relative accuracy means nothing for subnormal amplitudes
+AMPLITUDES = st.floats(min_value=0.0, max_value=math.pi / 2.0, allow_subnormal=False)
+MODULI = st.floats(min_value=0.0, max_value=1.0 - 1e-6)
+# k = n / 2^26 has an exact square, so SciPy's parameter m = k^2 is the same modulus
+EXACT_SQUARE_MODULI = st.integers(min_value=0, max_value=int((1.0 - 1e-4) * 2**26)).map(
+    lambda n: n / 2**26
+)
+
+
+class TestIncompleteEllipticF:
+    @settings(max_examples=300, deadline=None)
+    @given(phi=AMPLITUDES, k=EXACT_SQUARE_MODULI)
+    def test_matches_scipy_ellipkinc(self, phi, k):
+        ref = ellipkinc(phi, k * k)
+        assert abs(incomplete_elliptic_f(phi, k) - ref) <= 1e-14 * ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(phi=AMPLITUDES, k=MODULI)
+    def test_inverts_the_amplitude(self, phi, k):
+        assert abs(jacobi_am(incomplete_elliptic_f(phi, k), k) - phi) <= 1e-14 * phi
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=MODULI)
+    def test_quarter_amplitude_gives_quarter_period(self, k):
+        quarter = complete_elliptic_k(k)
+        assert incomplete_elliptic_f(math.pi / 2.0, k) == pytest.approx(quarter, rel=1e-14)
+
+    def test_zero_modulus_is_identity(self):
+        assert incomplete_elliptic_f(1.25, 0.0) == 1.25
+
+    @pytest.mark.parametrize(
+        "phi, k",
+        [(-1e-3, 0.5), (math.pi / 2.0 + 1e-12, 0.5), (math.nan, 0.5), (1.0, 1.0), (1.0, 1.5)],
+    )
+    def test_domain_errors(self, phi, k):
+        with pytest.raises(DomainError):
+            incomplete_elliptic_f(phi, k)
 
 
 class TestSnCnDn:

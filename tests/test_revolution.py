@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.optimize import brentq
+from scipy.special import ellipj
 
 from ricci_liouville import (
     MetricParams,
@@ -14,7 +18,6 @@ from ricci_liouville import (
     conformal_factor_derivatives,
     derive_constants,
     embeddable_interval,
-    embeddable_interval_numeric,
     gaussian_curvature,
     induced_metric_check,
     mesh_to_obj,
@@ -95,7 +98,32 @@ class TestEmbeddableInterval:
         assert lo < 0.0 < hi
         assert lo == -hi
 
-    def test_boundary_matches_quartic_root(self, ref_params):
+    @settings(max_examples=150, deadline=None)
+    @given(
+        log_b=st.floats(min_value=math.log(0.05), max_value=math.log(20.0)),
+        log_c1=st.floats(min_value=math.log(1e-3), max_value=math.log(1e3)),
+        c2=st.floats(min_value=-1e3, max_value=1e3),
+    )
+    def test_boundary_matches_quartic_root(self, log_b, log_c1, c2):
+        # the boundary is the first positive zero of lambda^2 - lambda'^2, with
+        # lambda = sqrt(lambda_plus) / cn(s u, k) taken from SciPy's ellipj
+        p = MetricParams(b=math.exp(log_b), c1=math.exp(log_c1), c2=c2)
+        try:
+            dc = derive_constants(p)
+        except ParameterError:
+            assume(False)
+        root = math.sqrt(dc.lambda_plus)
+
+        def gap(u):
+            sn, cn, dn, _ = ellipj(dc.s * u, dc.k.k2)
+            lam, dlam = root / cn, root * dc.s * sn * dn / (cn * cn)
+            return lam * lam - dlam * dlam
+
+        target = brentq(gap, 0.0, dc.u_max * (1.0 - 1e-12), xtol=1e-300, rtol=1e-15)
+        _, hi = embeddable_interval(p)
+        assert hi == pytest.approx(target, rel=1e-12)
+
+    def test_boundary_on_reference_member(self, ref_params):
         # boundary lambda^2 is the positive root of
         # 2 b^2 X^2 + (c2 - 1) X - c1 = 0
         _, hi = embeddable_interval(ref_params)
@@ -112,22 +140,6 @@ class TestEmbeddableInterval:
                 ref_params, u
             )
             assert lam * lam - dlam * dlam >= -1e-10
-
-    def test_cosh_unbounded_clipped_to_request(self):
-        lo, hi = embeddable_interval_numeric(np.cosh, np.sinh, -2.0, 3.0)
-        assert (lo, hi) == (-2.0, 3.0)
-
-    def test_gaussian_bump_bounded(self):
-        lam = lambda u: math.exp(10.0 * u * u)
-        dlam = lambda u: 20.0 * u * math.exp(10.0 * u * u)
-        lo, hi = embeddable_interval_numeric(lam, dlam, -1.0, 1.0)
-        assert hi == pytest.approx(0.05, abs=1e-6)  # gap zero at 400 u^2 = 1
-        assert lo == pytest.approx(-0.05, abs=1e-6)
-
-    def test_negative_gap_at_zero_degenerates(self):
-        lam = lambda u: math.exp(2.0 * u)
-        dlam = lambda u: 2.0 * math.exp(2.0 * u)
-        assert embeddable_interval_numeric(lam, dlam, -1.0, 1.0) == (0.0, 0.0)
 
 
 class TestProfileFromMetric:

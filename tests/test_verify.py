@@ -256,6 +256,15 @@ class TestFitNormalization:
             fit_normalization(np.array([1.0, -1.0, 1.0, 1.0, 1.0, 1.0, 1.0]), 0.5, 0.1)
 
 
+@pytest.mark.parametrize("h", [0.0, -0.01, math.nan, math.inf])
+@pytest.mark.parametrize("fn", [ricci_residual_1d, fit_normalization])
+def test_stencil_spacing_must_be_finite_and_positive(ref_params, fn, h):
+    lam = conformal_factor(ref_params, np.linspace(-0.3, 0.3, 41))
+    samples = np.log(lam) if fn is ricci_residual_1d else lam
+    with pytest.raises(ParameterError, match="spacing h must be finite and positive"):
+        fn(samples, ref_params.b, h)
+
+
 class TestVerdictAndExport:
     def test_verdict_rule(self):
         assert in_family_verdict(1e-7, 2.0, 0.01)
