@@ -52,10 +52,28 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _check_range(lo: float, hi: float, name: str) -> None:
+    """Reject a NaN or infinite --{name}-lo/--{name}-hi bound, or a span that overflows."""
+    for flag, x in ((f"--{name}-lo", lo), (f"--{name}-hi", hi)):
+        if not math.isfinite(x):
+            raise ParameterError(f"{flag} must be finite, got {x!r}")
+    if not math.isfinite(hi - lo):
+        raise ParameterError(f"the {name} range [{lo!r}, {hi!r}] is too wide")
+
+
+def _check_steps(lo: float, hi: float, h: float, name: str, flag: str) -> float:
+    """(hi - lo) / h, rejected when it overflows."""
+    steps = (hi - lo) / h
+    if not math.isfinite(steps):
+        raise ParameterError(f"{flag} = {h!r} is too small for the {name} range")
+    return steps
+
+
 def _points_for(lo: float, hi: float, h: float, name: str) -> int:
     if not (math.isfinite(h) and h > 0.0):
         raise ParameterError(f"--h must be finite and positive, got {h!r}")
-    n = int(round((hi - lo) / h)) + 1
+    _check_range(lo, hi, name)
+    n = int(round(_check_steps(lo, hi, h, name, "--h"))) + 1
     if n < 2 or abs((hi - lo) / (n - 1) - h) > 1e-9 * max(1.0, h):
         raise ParameterError(f"h = {h} does not evenly divide the {name} range")
     return n
@@ -266,11 +284,13 @@ def cmd_sweep(args) -> int:
     c1s = _parse_values(args.c1_values, "--c1-values")
     c2s = _parse_values(args.c2_values, "--c2-values")
     h_levels = _parse_values(args.h_levels, "--h-levels")
+    _check_range(args.u_lo, args.u_hi, "u")
+    if args.u_lo >= args.u_hi:
+        raise ParameterError("need --u-lo < --u-hi")
     for h in h_levels:
         if not (math.isfinite(h) and h > 0.0):
             raise ParameterError(f"--h-levels must be finite and positive, got {h!r}")
-    if args.u_lo >= args.u_hi:
-        raise ParameterError("need --u-lo < --u-hi")
+        _check_steps(args.u_lo, args.u_hi, h, "u", "--h-levels value")
 
     rows = [
         _sweep_point(b, c1, c2, args.u_lo, args.u_hi, h_levels)

@@ -50,11 +50,23 @@ _INTEGRAND_FLOOR = -1e-12
 _SIMPSON_MAX_DEPTH = 20  # subdivision cap 2**20 intervals
 
 
+def _require_finite(**columns) -> None:
+    """Raise ParameterError naming the first column with a NaN or infinite sample."""
+    for name, col in columns.items():
+        finite = np.isfinite(col)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ParameterError(
+                f"profile column {name} is not finite at sample {bad} ({col[bad]})"
+            )
+
+
 @dataclass(frozen=True)
 class ProfileCurve:
     """Sampled plane curve (x(u), y(u)) generating a surface of revolution.
 
-    y is the rotation radius (strictly positive), u strictly increasing.
+    y is the rotation radius (strictly positive), u strictly increasing,
+    and every sample finite.
     ``monotone`` records whether x is nondecreasing.  ``params`` tags
     profiles built from a family metric for provenance checks downstream.
     """
@@ -69,6 +81,7 @@ class ProfileCurve:
         u, x, y = (np.asarray(a, dtype=float) for a in (self.u, self.x, self.y))
         if not (u.shape == x.shape == y.shape) or u.ndim != 1 or u.size < 2:
             raise ParameterError("profile needs matching 1-d u, x, y arrays")
+        _require_finite(u=u, x=x, y=y)
         if np.any(np.diff(u) <= 0.0):
             raise ParameterError("profile u samples must be strictly increasing")
         if np.any(y <= 0.0):
@@ -397,13 +410,7 @@ def metric_from_profile(s, x, y, resample_n: int):
     y = np.asarray(y, dtype=float)
     if not (s.shape == x.shape == y.shape) or s.ndim != 1 or s.size < 4:
         raise ParameterError("need matching 1-d s, x, y arrays with >= 4 samples")
-    for name, col in (("s", s), ("x", x), ("y", y)):
-        finite = np.isfinite(col)
-        if not finite.all():
-            bad = int(np.argmin(finite))
-            raise ParameterError(
-                f"profile column {name} is not finite at sample {bad} ({col[bad]})"
-            )
+    _require_finite(s=s, x=x, y=y)
     if np.any(np.diff(s) <= 0.0):
         raise ParameterError("arc-length samples must be strictly increasing")
     if np.any(y <= 0.0):
@@ -468,10 +475,13 @@ def tessellate(profile: ProfileCurve, v_lo: float, v_hi: float, nv: int) -> Revo
     Full revolutions (v_hi - v_lo = 2 pi) close the seam: the last column
     of quads wraps back to the first, giving 2 (nu - 1) nv triangles; open
     sweeps keep a boundary in v.  Triangles wind counter-clockwise seen
-    from outside (normals point away from the axis).
+    from outside (normals point away from the axis).  A NaN or infinite
+    v_lo, v_hi or v_hi - v_lo raises ParameterError.
     """
     if nv < 3:
         raise ParameterError("need nv >= 3 mesh columns")
+    if not (math.isfinite(v_lo) and math.isfinite(v_hi) and math.isfinite(v_hi - v_lo)):
+        raise ParameterError(f"v range [{v_lo!r}, {v_hi!r}] must be finite with a finite span")
     if not v_lo < v_hi:
         raise ParameterError("need v_lo < v_hi")
     closed = abs((v_hi - v_lo) - 2.0 * math.pi) <= 1e-12
@@ -537,6 +547,105 @@ def induced_metric_check(mesh: RevolutionMesh, p: MetricParams) -> float:
     return max(worst_u, float(np.max(np.abs(d2 / expected - 1.0))))
 
 
+def _grid_edges(mesh: RevolutionMesh):
+    """Every edge vector of the tube, as (3, rows, cols) coordinate planes.
+
+    Quad (i, j) has corners a = (i, j), d = (i, j + 1), b = (i + 1, j) and
+    c = (i + 1, j + 1), with the next column wrapping on a closed seam.
+    Returns v = d - a on every row, u = b - a on every column and
+    diag = b - d.  u carries one column more than the quads (column 0 again
+    on a closed seam), so u[..., :-1] and u[..., 1:] are the left and right
+    u-edges of each quad: triangle (a, d, b) has edges v, diag, -u left and
+    triangle (b, d, c) has edges -diag, u right, -v one row down.  Raises
+    ParameterError unless vertices and faces have the tessellate layout.
+    """
+    nu, nv = mesh.nu, mesh.nv
+    cols = nv if mesh.closed else nv - 1
+    if len(mesh.vertices) != nu * nv or mesh.faces.shape != (2 * (nu - 1) * cols, 3):
+        raise ParameterError(
+            f"mesh is not a {nu} x {nv} tessellate grid: {len(mesh.vertices)} "
+            f"vertices, faces of shape {mesh.faces.shape}"
+        )
+    grid = np.empty((3, nu, cols + 1))
+    grid[:, :, :nv] = mesh.vertices.reshape(nu, nv, 3).transpose(2, 0, 1)
+    if mesh.closed:
+        grid[:, :, nv] = grid[:, :, 0]
+    v = grid[:, :, 1:] - grid[:, :, :-1]
+    u = grid[:, 1:] - grid[:, :-1]
+    diag = grid[:, 1:, :-1] - grid[:, :-1, 1:]
+    return v, u, diag
+
+
+def _dot(p, q):
+    # the summation order of np.einsum("...i,...i", p, q) over three terms
+    return (p[0] * q[0] + p[2] * q[2]) + p[1] * q[1]
+
+
+def _cross(p, q):
+    # the operations of np.cross
+    return p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]
+
+
+def _cross_norm(p, q):
+    # the summation order of np.linalg.norm(..., axis=-1)
+    cx, cy, cz = _cross(p, q)
+    return np.sqrt((cx * cx + cy * cy) + cz * cz)
+
+
+def _fan_sum(t1_corners, t2_corners, closed: bool):
+    """Sum the six triangle-corner terms around every vertex of the quad grid.
+
+    t1_corners and t2_corners hold the terms at corners 0, 1, 2 of the
+    triangles (a, d, b) and (b, d, c), each as a (rows, cols) quad array.
+    The result covers the vertices whose whole fan is present: quad-grid
+    rows 1..rows-1 and, unless the seam is closed, columns 1..cols-1.  The
+    terms are added as a scatter over the faces adds them, from +0.0,
+    corner-major and then in face order: at column 0 of a closed seam the
+    wrapped quad comes last, so the final two terms swap.
+    """
+    if closed:
+        here, left = (lambda t: t), (lambda t: np.roll(t, 1, axis=1))
+    else:
+        here, left = (lambda t: t[:, 1:]), (lambda t: t[:, :-1])
+    (a0, a1, a2), (b0, b1, b2) = t1_corners, t2_corners
+    total = here(b0[:-1]) + 0.0
+    total += here(a0[1:])
+    total += left(a1[1:])
+    total += left(b1[1:])
+    fifth, sixth = left(b2[:-1]), here(a2[:-1])
+    if closed:
+        first_col = (total[:, 0] + sixth[:, 0]) + fifth[:, 0]
+    total += fifth
+    total += sixth
+    if closed:
+        total[:, 0] = first_col
+    return total
+
+
+def _corner_terms(area2, dots, sq_opposite):
+    """Angles and mixed Voronoi area shares at the three corners of triangles.
+
+    dots[c] is the dot product of the two edges leaving corner c and
+    sq_opposite[c] the squared length of the edge opposite it.  The share
+    is the cotangent formula, with the obtuse-triangle fallback of A/2 at
+    the obtuse corner and A/4 at the others.
+    """
+    angles = [np.arctan2(area2, d) for d in dots]
+    # squared length of the edge opposite each corner, times its cotangent
+    opp = [sq * (d / area2) for sq, d in zip(sq_opposite, dots)]
+    tri_area = 0.5 * area2
+    obtuse = [a > 0.5 * math.pi for a in angles]
+    any_obtuse = obtuse[0] | obtuse[1] | obtuse[2]
+    half, quarter = tri_area / 2.0, tri_area / 4.0
+    shares = []
+    for c in range(3):
+        share = (opp[c - 1] + opp[c - 2]) / 8.0
+        np.copyto(share, quarter, where=any_obtuse)
+        np.copyto(share, half, where=obtuse[c])
+        shares.append(share)
+    return angles, shares
+
+
 def angle_defect_curvature(mesh: RevolutionMesh):
     """Discrete Gaussian curvature (2 pi - sum of incident angles) / area.
 
@@ -545,49 +654,58 @@ def angle_defect_curvature(mesh: RevolutionMesh):
     are estimated: rows 1..nu-2, and for open meshes also columns
     1..nv-2.  Zero-area triangles are skipped and their vertices reported.
 
+    The mesh must have the tessellate layout: vertex (i, j) at index
+    i * nv + j and 2 (nu - 1) cols faces, cols = nv on a closed seam and
+    nv - 1 otherwise; anything else raises ParameterError.  The faces are
+    not read: each edge vector is formed once on the (nu, nv) vertex grid,
+    and every vertex sums its six-triangle fan from shifted slices.
+
     Returns (vertex_indices, curvature_estimates, areas, skipped_vertices).
     """
-    verts, faces = mesh.vertices, mesh.faces
-    p0, p1, p2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    # edge c runs from corner c to corner c + 1 and is opposite corner c + 2
-    edges = np.stack([p1 - p0, p2 - p1, p0 - p2])
-    area2 = np.linalg.norm(np.cross(edges[2], edges[0]), axis=1)
-    degenerate = area2 <= 0.0
-    skipped = np.unique(faces[degenerate].ravel())
-    if skipped.size:
-        ok = ~degenerate
-        edges, area2, faces = edges[:, ok], area2[ok], faces[ok]
+    v, u, diag = _grid_edges(mesh)
+    closed, nu, nv = mesh.closed, mesh.nu, mesh.nv
+    cols = v.shape[2]
+    u_left, u_right = u[..., :-1], u[..., 1:]
+    v_top, v_bot = v[:, :-1], v[:, 1:]
+    sq_v, sq_u, sq_diag = _dot(v, v), _dot(u, u), _dot(diag, diag)
+    sq_u_left, sq_u_right = sq_u[..., :-1], sq_u[..., 1:]
 
-    # corner c sits between edge c and the reversed edge c - 1
-    dot = -np.einsum("cfi,cfi->cf", edges, np.roll(edges, 1, axis=0))
-    angles = np.arctan2(area2, dot)
-    # squared length of the edge opposite each corner, times its cotangent
-    opp = np.roll(np.einsum("cfi,cfi->cf", edges, edges), -1, axis=0) * (dot / area2)
+    # triangle (a, d, b) has edges v_top, diag, -u_left; triangle (b, d, c)
+    # has edges -diag, u_right, -v_bot
+    area1 = _cross_norm(u_left, v_top)
+    area2 = _cross_norm(v_bot, diag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        angles1, shares1 = _corner_terms(
+            area1,
+            (_dot(v_top, u_left), -_dot(diag, v_top), _dot(u_left, diag)),
+            (sq_diag, sq_u_left, sq_v[:-1]),
+        )
+        angles2, shares2 = _corner_terms(
+            area2,
+            (-_dot(diag, v_bot), _dot(u_right, diag), _dot(v_bot, u_right)),
+            (sq_u_right, sq_v[1:], sq_diag),
+        )
+    angle_sum = _fan_sum(angles1, angles2, closed)
+    area_share = _fan_sum(shares1, shares2, closed)
 
-    # mixed Voronoi areas (cot formula, obtuse fallback: A/2 at the obtuse
-    # corner, A/4 at the others)
-    tri_area = 0.5 * area2
-    obtuse = angles > 0.5 * math.pi
-    share = np.where(
-        obtuse.any(axis=0),
-        np.where(obtuse, tri_area / 2.0, tri_area / 4.0),
-        (np.roll(opp, -2, axis=0) + np.roll(opp, -1, axis=0)) / 8.0,
-    )
+    # vertices of zero-area triangles; column nv stands for column 0 of a
+    # closed seam
+    flat1, flat2 = area1 <= 0.0, area2 <= 0.0
+    hit = np.zeros((nu, nv + 1), dtype=bool)
+    hit[:-1, :cols] |= flat1
+    hit[:-1, 1 : cols + 1] |= flat1 | flat2
+    hit[1:, :cols] |= flat1 | flat2
+    hit[1:, 1 : cols + 1] |= flat2
+    hit[:, 0] |= hit[:, nv]
+    hit = hit[:, :nv]
+    skipped = np.flatnonzero(hit)
 
-    # one scatter over the corners in corner-major order
-    corners = faces.T.ravel()
-    angle_sum = np.bincount(corners, weights=angles.ravel(), minlength=len(verts))
-    area_share = np.bincount(corners, weights=share.ravel(), minlength=len(verts))
-
-    rows = np.arange(1, mesh.nu - 1)
-    if mesh.closed:
-        cols = np.arange(mesh.nv)
-    else:
-        cols = np.arange(1, mesh.nv - 1)
-    ids = (rows[:, None] * mesh.nv + cols[None, :]).ravel()
-    ids = ids[~np.isin(ids, skipped)]
-    defect = 2.0 * math.pi - angle_sum[ids]
-    return ids, defect / area_share[ids], area_share[ids], skipped
+    first = 0 if closed else 1
+    inner = (slice(1, nu - 1), slice(first, nv - first))
+    keep = ~hit[inner]
+    ids = np.arange(nu * nv).reshape(nu, nv)[inner][keep]
+    defect = 2.0 * math.pi - angle_sum[keep]
+    return ids, defect / area_share[keep], area_share[keep], skipped
 
 
 def _records(fmt: str, rows) -> str:
@@ -603,16 +721,20 @@ def profile_to_csv(profile: ProfileCurve) -> str:
 
 
 def _vertex_normals(mesh: RevolutionMesh) -> np.ndarray:
-    verts, faces = mesh.vertices, mesh.faces
-    fn = np.cross(
-        verts[faces[:, 1]] - verts[faces[:, 0]],
-        verts[faces[:, 2]] - verts[faces[:, 0]],
-    )
-    # every face normal goes to its three corners, scattered corner-major
-    corners, weights = faces.T.ravel(), np.tile(fn, (3, 1))
-    normals = np.column_stack(
-        [np.bincount(corners, weights=weights[:, c], minlength=len(verts)) for c in range(3)]
-    )
+    """Unit sums of the face normals (d - a) x (b - a) and (d - b) x (c - b) at each vertex.
+
+    The quad arrays are padded with +0.0 quads all round, so every vertex
+    gets its partial fan from _fan_sum; adding +0.0 leaves each sum as the
+    face-ordered scatter makes it.
+    """
+    v, u, diag = _grid_edges(mesh)
+    pad = ((1, 1), (0, 0) if mesh.closed else (1, 1))
+    # (d - b) x (c - b) = (-diag) x v_bot = v_bot x diag
+    fn1 = [np.pad(c, pad) for c in _cross(v[:, :-1], u[..., :-1])]
+    fn2 = [np.pad(c, pad) for c in _cross(v[:, 1:], diag)]
+    normals = np.stack(
+        [_fan_sum((n1,) * 3, (n2,) * 3, mesh.closed) for n1, n2 in zip(fn1, fn2)], axis=-1
+    ).reshape(-1, 3)
     norm = np.linalg.norm(normals, axis=1)
     norm[norm == 0.0] = 1.0
     return normals / norm[:, None]

@@ -252,6 +252,55 @@ def reference_vertex_normals(mesh):
     return normals / norm[:, None]
 
 
+def reference_angle_defect(mesh):
+    """Angle-defect curvature from the face list: per-face gathers, one bincount scatter.
+
+    The face-based form angle_defect_curvature had before it worked on the
+    vertex grid, kept as it was.  Returns (ids, k, areas, skipped).
+    """
+    verts, faces = mesh.vertices, mesh.faces
+    p0, p1, p2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+    # edge c runs from corner c to corner c + 1 and is opposite corner c + 2
+    edges = np.stack([p1 - p0, p2 - p1, p0 - p2])
+    area2 = np.linalg.norm(np.cross(edges[2], edges[0]), axis=1)
+    degenerate = area2 <= 0.0
+    skipped = np.unique(faces[degenerate].ravel())
+    if skipped.size:
+        ok = ~degenerate
+        edges, area2, faces = edges[:, ok], area2[ok], faces[ok]
+
+    # corner c sits between edge c and the reversed edge c - 1
+    dot = -np.einsum("cfi,cfi->cf", edges, np.roll(edges, 1, axis=0))
+    angles = np.arctan2(area2, dot)
+    # squared length of the edge opposite each corner, times its cotangent
+    opp = np.roll(np.einsum("cfi,cfi->cf", edges, edges), -1, axis=0) * (dot / area2)
+
+    # mixed Voronoi areas (cot formula, obtuse fallback: A/2 at the obtuse
+    # corner, A/4 at the others)
+    tri_area = 0.5 * area2
+    obtuse = angles > 0.5 * math.pi
+    share = np.where(
+        obtuse.any(axis=0),
+        np.where(obtuse, tri_area / 2.0, tri_area / 4.0),
+        (np.roll(opp, -2, axis=0) + np.roll(opp, -1, axis=0)) / 8.0,
+    )
+
+    # one scatter over the corners in corner-major order
+    corners = faces.T.ravel()
+    angle_sum = np.bincount(corners, weights=angles.ravel(), minlength=len(verts))
+    area_share = np.bincount(corners, weights=share.ravel(), minlength=len(verts))
+
+    rows = np.arange(1, mesh.nu - 1)
+    if mesh.closed:
+        cols = np.arange(mesh.nv)
+    else:
+        cols = np.arange(1, mesh.nv - 1)
+    ids = (rows[:, None] * mesh.nv + cols[None, :]).ravel()
+    ids = ids[~np.isin(ids, skipped)]
+    defect = 2.0 * math.pi - angle_sum[ids]
+    return ids, defect / area_share[ids], area_share[ids], skipped
+
+
 def reference_obj(mesh):
     """OBJ text written record by record."""
     out = ["# surface of revolution, outward orientation"]

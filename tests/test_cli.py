@@ -400,3 +400,53 @@ class TestInputValidation:
         assert rc == 2
         assert f"profile column {column} is not finite at sample 1" in capsys.readouterr().err
         assert not out.exists()
+
+    VERIFY = ["verify", "--c1", 1, "--c2", 0, "--h", 0.01]
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (["--u-lo", -0.1, "--u-hi", "inf"], "--u-hi must be finite, got inf"),
+            (["--u-lo", "nan", "--u-hi", 0.1], "--u-lo must be finite, got nan"),
+            (["--u-lo=-inf", "--u-hi", 0.1], "--u-lo must be finite, got -inf"),
+            (["--u-lo", -0.1, "--u-hi", 0.1, "--v-hi", "inf"], "--v-hi must be finite, got inf"),
+            (["--u-lo", -0.1, "--u-hi", 0.1, "--v-lo", "nan"], "--v-lo must be finite, got nan"),
+            (["--u-lo=-1e308", "--u-hi", "1e308"], "the u range [-1e+308, 1e+308] is too wide"),
+        ],
+    )
+    def test_verify_range_must_be_finite(self, tmp_path, capsys, bounds, message):
+        rc = run_cli(self.VERIFY + bounds + ["--outdir", tmp_path])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (["--u-hi", "inf"], "--u-hi must be finite, got inf"),
+            (["--u-lo", "nan"], "--u-lo must be finite, got nan"),
+            (["--u-lo=-1e308", "--u-hi", "1e308"], "the u range [-1e+308, 1e+308] is too wide"),
+            (["--h-levels", "1e-320"], "--h-levels value = 1e-320 is too small for the u range"),
+        ],
+    )
+    def test_sweep_range_must_be_finite(self, tmp_path, capsys, bounds, message):
+        rc = run_cli(self.SWEEP + bounds + ["--outdir", tmp_path])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_verify_h_too_small_for_range(self, tmp_path, capsys):
+        rc = run_cli(["verify", "--c1", 1, "--c2", 0, "--u-lo", -0.1, "--u-hi", 0.1,
+                      "--h", "1e-320", "--outdir", tmp_path])
+        assert rc == 2
+        assert "--h = 1e-320 is too small for the u range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "v_range", [["--v-hi", "inf"], ["--v-lo=-inf"], ["--v-lo=-1e308", "--v-hi", "1e308"]]
+    )
+    def test_mesh_v_range_must_be_finite(self, tmp_path, capsys, v_range):
+        args = MESH_ARGS[:MESH_ARGS.index("--v-lo")] + ["--v-lo", 0, "--v-hi", 1, "--nv", 4]
+        rc = run_cli(args + v_range + ["--format", "obj", "--outdir", tmp_path])
+        assert rc == 2
+        assert "must be finite with a finite span" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

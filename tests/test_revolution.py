@@ -21,6 +21,7 @@ from ricci_liouville import (
     gaussian_curvature,
     induced_metric_check,
     mesh_to_obj,
+    RevolutionMesh,
     mesh_to_ply,
     metric_from_profile,
     profile_from_conformal,
@@ -34,6 +35,7 @@ from ricci_liouville.revolution import _solve_tridiagonal
 from helpers import (
     arc_length_resample,
     reference_adaptive_simpson,
+    reference_angle_defect,
     reference_faces,
     reference_metric_from_profile,
     reference_obj,
@@ -357,6 +359,16 @@ class TestMetricFromProfileInputs:
             reference_metric_from_profile(s, x, y, 51)
 
 
+class TestProfileCurve:
+    @pytest.mark.parametrize("column", ["u", "x", "y"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_named(self, column, bad):
+        cols = {"u": np.linspace(0.0, 1.0, 6), "x": np.linspace(0.0, 0.5, 6), "y": np.ones(6)}
+        cols[column][2] = bad
+        with pytest.raises(ParameterError, match=f"profile column {column} is not finite at sample 2"):
+            ProfileCurve(monotone=True, **cols)
+
+
 class TestTessellate:
     def test_closed_tube_counts(self):
         prof = profile_from_conformal(lambda u: 2.0, lambda u: 0.0, (0.0, 1.0), n=11)
@@ -384,6 +396,15 @@ class TestTessellate:
         prof = profile_from_conformal(lambda u: 1.0, lambda u: 0.0, (0.0, 1.0), n=5)
         with pytest.raises(ParameterError):
             tessellate(prof, 0.0, 1.0, 2)
+
+    @pytest.mark.parametrize(
+        "v_lo, v_hi",
+        [(0.0, math.inf), (-math.inf, 1.0), (-1e308, 1e308), (math.nan, 1.0), (0.0, math.nan)],
+    )
+    def test_rejects_non_finite_v_range(self, v_lo, v_hi):
+        prof = profile_from_conformal(lambda u: 1.0, lambda u: 0.0, (0.0, 1.0), n=5)
+        with pytest.raises(ParameterError, match="must be finite with a finite span"):
+            tessellate(prof, v_lo, v_hi, 4)
 
     def test_outward_orientation(self):
         prof = profile_from_conformal(lambda u: 2.0, lambda u: 0.0, (0.0, 1.0), n=5)
@@ -487,6 +508,94 @@ class TestAngleDefect:
         assert abs(total_defect - total_analytic) / abs(total_analytic) < 0.02
 
 
+    # The grid-native function against the face-based oracle.  On the NumPy
+    # build the library was developed with the two agree bit for bit; the
+    # tolerances keep the tests independent of np.einsum's summation order.
+    @staticmethod
+    def assert_matches_oracle(mesh):
+        ids, k_est, areas, skipped = angle_defect_curvature(mesh)
+        ref_ids, ref_k, ref_areas, ref_skipped = reference_angle_defect(mesh)
+        assert ids.dtype == ref_ids.dtype and skipped.dtype == ref_skipped.dtype
+        assert np.array_equal(ids, ref_ids)
+        assert np.array_equal(skipped, ref_skipped)
+        np.testing.assert_allclose(k_est, ref_k, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(areas, ref_areas, rtol=1e-15, atol=0)
+        return ids, skipped
+
+    @pytest.mark.parametrize(
+        "nu, nv, v_hi",
+        [(9, 7, math.pi), (41, 33, math.pi), (3, 3, math.pi), (9, 10, 2.0 * math.pi),
+         (3, 3, 2.0 * math.pi), (67, 157, 2.0 * math.pi)],
+        ids=["open-9x7", "open-41x33", "open-3x3", "closed-9x10", "closed-3x3", "closed-67x157"],
+    )
+    def test_reference_member_matches_oracle(self, ref_params, nu, nv, v_hi):
+        lo, hi = embeddable_interval(ref_params)
+        prof = profile_from_metric(ref_params, (0.8 * lo, 0.8 * hi), n=nu)
+        mesh = tessellate(prof, 0.0, v_hi, nv)
+        ids, _ = self.assert_matches_oracle(mesh)
+        interior_cols = nv if mesh.closed else nv - 2
+        assert len(ids) == (nu - 2) * interior_cols
+
+    @pytest.mark.parametrize("v_hi", [1.0, 2.0 * math.pi], ids=["open", "closed"])
+    def test_sphere_with_obtuse_triangles_matches_oracle(self, v_hi):
+        # few columns make long thin triangles whose diagonal corners are obtuse
+        s, x, y = sphere_profile_arrays(n=61, s0=0.05)
+        mesh = tessellate(ProfileCurve(u=s, x=x, y=y, monotone=True), 0.0, v_hi, 5)
+        self.assert_matches_oracle(mesh)
+
+    @pytest.mark.parametrize("v_hi", [math.pi, 2.0 * math.pi], ids=["open", "closed"])
+    def test_two_rows_have_no_interior(self, v_hi):
+        prof = profile_from_conformal(lambda u: 2.0, lambda u: 0.0, (0.0, 1.0), n=2)
+        mesh = tessellate(prof, 0.0, v_hi, 5)
+        ids, k_est, areas, skipped = angle_defect_curvature(mesh)
+        assert ids.dtype == np.int64 and skipped.dtype == np.int64
+        assert [len(a) for a in (ids, k_est, areas, skipped)] == [0, 0, 0, 0]
+        self.assert_matches_oracle(mesh)
+
+    def test_zero_area_triangles_skipped_on_open_mesh(self):
+        prof = profile_from_conformal(lambda u: 2.0, lambda u: 0.0, (0.0, 1.0), n=11)
+        mesh = tessellate(prof, 0.0, math.pi, 16)
+        moved = 5 * mesh.nv + 3
+        mesh.vertices[moved] = mesh.vertices[moved + 1]  # collapses one edge
+        zero = np.isin(mesh.faces, [moved, moved + 1]).sum(axis=1) == 2
+        assert zero.sum() == 2
+        ids, skipped = self.assert_matches_oracle(mesh)
+        assert np.array_equal(skipped, np.unique(mesh.faces[zero]))
+        assert not np.isin(ids, skipped).any()
+
+    @pytest.mark.parametrize("v_hi", [math.pi, 2.0 * math.pi], ids=["open", "closed"])
+    def test_zero_area_triangles_at_seam_and_border(self, v_hi):
+        prof = profile_from_conformal(lambda u: 2.0, lambda u: 0.0, (0.0, 1.0), n=11)
+        mesh = tessellate(prof, 0.0, v_hi, 16)
+        mesh.vertices[4 * 16] = mesh.vertices[4 * 16 + 1]  # column 0 onto column 1
+        mesh.vertices[6 * 16] = mesh.vertices[6 * 16 + 15]  # onto the last column
+        mesh.vertices[3] = mesh.vertices[4]  # first row
+        mesh.vertices[10 * 16 + 8] = mesh.vertices[10 * 16 + 7]  # last row
+        _, skipped = self.assert_matches_oracle(mesh)
+        # column 0 and the last column share triangles only across a closed seam
+        expected = {4 * 16, 3, 10 * 16 + 8} | ({6 * 16, 6 * 16 + 15} if mesh.closed else set())
+        assert expected <= set(skipped.tolist())
+
+    def test_wrong_layout_raises(self):
+        prof = profile_from_conformal(lambda u: 2.0, lambda u: 0.0, (0.0, 1.0), n=5)
+        mesh = tessellate(prof, 0.0, 2.0 * math.pi, 8)
+        short_faces = RevolutionMesh(
+            vertices=mesh.vertices, uv=mesh.uv, faces=mesh.faces[:-2],
+            nu=mesh.nu, nv=mesh.nv, closed=True,
+        )
+        wrong_count = RevolutionMesh(
+            vertices=mesh.vertices[:-1], uv=mesh.uv[:-1], faces=mesh.faces[:-16],
+            nu=mesh.nu, nv=mesh.nv, closed=True,
+        )
+        open_faces = RevolutionMesh(
+            vertices=mesh.vertices, uv=mesh.uv, faces=mesh.faces,
+            nu=mesh.nu, nv=mesh.nv, closed=False,
+        )
+        for bad in (short_faces, wrong_count, open_faces):
+            with pytest.raises(ParameterError, match="tessellate grid"):
+                angle_defect_curvature(bad)
+
+
 def small_ref_mesh(params, v_hi, nv):
     lo, hi = embeddable_interval(params)
     prof = profile_from_metric(params, (0.8 * lo, 0.8 * hi), n=9)
@@ -514,6 +623,14 @@ class TestExports:
     @SMALL_MESHES
     def test_obj_text_matches_reference(self, ref_params, v_hi, nv):
         mesh = small_ref_mesh(ref_params, v_hi, nv)
+        assert mesh_to_obj(mesh) == reference_obj(mesh)
+
+    @pytest.mark.parametrize(
+        "n, v_hi, nv", [(2, math.pi, 3), (2, 2.0 * math.pi, 5), (3, math.pi, 3), (61, 1.0, 5)]
+    )
+    def test_vertex_normals_match_reference(self, n, v_hi, nv):
+        s, x, y = sphere_profile_arrays(n=n, s0=0.05)
+        mesh = tessellate(ProfileCurve(u=s, x=x, y=y, monotone=True), 0.0, v_hi, nv)
         assert mesh_to_obj(mesh) == reference_obj(mesh)
 
     def test_profile_csv(self, ref_params):
