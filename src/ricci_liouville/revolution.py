@@ -48,6 +48,12 @@ __all__ = [
 ARC_LENGTH_TOL = 1e-6
 _INTEGRAND_FLOOR = -1e-12
 _SIMPSON_MAX_DEPTH = 20  # subdivision cap 2**20 intervals
+# vertices per row band of the angle defect and the induced-metric check.
+# The ~30 live temporaries of a band then total about 2 MB: they stay in a
+# 4 MiB L2, and malloc hands the same heap pages to band after band.  At
+# 16384 the heap is trimmed after each band and faulted in again (18k
+# minor faults per 801 x 314 defect call against 2.6k).
+_BAND_VERTICES = 8192
 
 
 def _require_finite(**columns) -> None:
@@ -518,47 +524,8 @@ def tessellate(profile: ProfileCurve, v_lo: float, v_hi: float, nv: int) -> Revo
     )
 
 
-def induced_metric_check(mesh: RevolutionMesh, p: MetricParams) -> float:
-    """Max relative deviation of squared edge lengths from the metric.
-
-    u-edges are compared against lambda(u_mid)^2 du^2 and v-edges against
-    lambda(u)^2 dv^2, lambda evaluated at the edge-midpoint u from the
-    closed form.  Rejects meshes that were not built from p.
-    """
-    if mesh.params != p:
-        raise ParameterError("mesh provenance mismatch: not tessellated from p")
-    verts = mesh.vertices.reshape(mesh.nu, mesh.nv, 3)
-    u = mesh.uv[:: mesh.nv, 0]  # every grid row shares one u
-    v = mesh.uv[: mesh.nv, 1]  # and every column one v
-
-    du = u[1:] - u[:-1]
-    lam_mid = conformal_factor(p, 0.5 * (u[1:] + u[:-1]))
-    d2 = np.sum((verts[1:] - verts[:-1]) ** 2, axis=2)
-    expected = (lam_mid**2 * du**2)[:, None]
-    worst_u = float(np.max(np.abs(d2 / expected - 1.0)))
-
-    dv = np.roll(v, -1) - v
-    d2 = np.sum((np.roll(verts, -1, axis=1) - verts) ** 2, axis=2)
-    if mesh.closed:
-        dv[-1] += 2.0 * math.pi
-    else:
-        dv, d2 = dv[:-1], d2[:, :-1]
-    expected = conformal_factor(p, u)[:, None] ** 2 * dv**2
-    return max(worst_u, float(np.max(np.abs(d2 / expected - 1.0))))
-
-
-def _grid_edges(mesh: RevolutionMesh):
-    """Every edge vector of the tube, as (3, rows, cols) coordinate planes.
-
-    Quad (i, j) has corners a = (i, j), d = (i, j + 1), b = (i + 1, j) and
-    c = (i + 1, j + 1), with the next column wrapping on a closed seam.
-    Returns v = d - a on every row, u = b - a on every column and
-    diag = b - d.  u carries one column more than the quads (column 0 again
-    on a closed seam), so u[..., :-1] and u[..., 1:] are the left and right
-    u-edges of each quad: triangle (a, d, b) has edges v, diag, -u left and
-    triangle (b, d, c) has edges -diag, u right, -v one row down.  Raises
-    ParameterError unless vertices and faces have the tessellate layout.
-    """
+def _check_layout(mesh: RevolutionMesh) -> None:
+    """Raise ParameterError unless vertices and faces have the tessellate layout."""
     nu, nv = mesh.nu, mesh.nv
     cols = nv if mesh.closed else nv - 1
     if len(mesh.vertices) != nu * nv or mesh.faces.shape != (2 * (nu - 1) * cols, 3):
@@ -566,10 +533,63 @@ def _grid_edges(mesh: RevolutionMesh):
             f"mesh is not a {nu} x {nv} tessellate grid: {len(mesh.vertices)} "
             f"vertices, faces of shape {mesh.faces.shape}"
         )
-    grid = np.empty((3, nu, cols + 1))
-    grid[:, :, :nv] = mesh.vertices.reshape(nu, nv, 3).transpose(2, 0, 1)
-    if mesh.closed:
+
+
+def _planes(block: np.ndarray, closed: bool) -> np.ndarray:
+    """Vertex rows (rows, nv, 3) as x, y, z planes of shape (3, rows, nv + closed).
+
+    On a closed seam column nv repeats column 0, so every quad, the
+    wrapped one included, reads its corners from adjacent columns.
+    """
+    rows, nv = block.shape[:2]
+    grid = np.empty((3, rows, nv + closed))
+    grid[:, :, :nv] = block.transpose(2, 0, 1)
+    if closed:
         grid[:, :, nv] = grid[:, :, 0]
+    return grid
+
+
+def _row_bands(mesh: RevolutionMesh):
+    """Yield (lo, planes) for bands of vertex rows of a tessellate grid.
+
+    Each band holds up to max(1, _BAND_VERTICES // nv) interior rows with
+    a one-row halo on each side: planes covers rows lo .. lo + rows - 1 as
+    _planes lays them out, and its interior rows are lo + 1 .. lo + rows - 2.
+    The interior rows of successive bands tile 1 .. nu - 2, so the quad
+    rows of successive bands overlap by one; two rows give one band with
+    no interior.  A band that holds a NaN or infinite vertex raises
+    ParameterError naming the first one, (i, j) in row-major order.  The
+    caller checks the layout first, and does each band's work in a helper
+    function, so that band's temporaries are freed before the next band
+    is read.
+    """
+    nu, nv = mesh.nu, mesh.nv
+    grid = mesh.vertices.reshape(nu, nv, 3)
+    height = max(1, _BAND_VERTICES // nv)
+    for first in range(1, max(nu - 1, 2), height):
+        lo, hi = first - 1, min(first + height, nu - 1) + 1
+        planes = _planes(grid[lo:hi], mesh.closed)
+        finite = np.isfinite(planes).all(axis=0)
+        if not finite.all():
+            i, j = divmod(int(np.argmin(finite)), finite.shape[1])
+            raise ParameterError(
+                f"mesh vertex ({lo + i}, {j}) is not finite: {grid[lo + i, j].tolist()}"
+            )
+        yield lo, planes
+
+
+def _grid_edges(grid: np.ndarray):
+    """Every edge vector of a band of the tube, as (3, rows, cols) coordinate planes.
+
+    ``grid`` holds vertex rows as _planes lays them out.  Quad (i, j) has
+    corners a = (i, j), d = (i, j + 1), b = (i + 1, j) and
+    c = (i + 1, j + 1).  Returns v = d - a on every row, u = b - a on
+    every column and diag = b - d.  u carries one column more than the
+    quads (column 0 again on a closed seam), so u[..., :-1] and u[..., 1:]
+    are the left and right u-edges of each quad: triangle (a, d, b) has
+    edges v, diag, -u left and triangle (b, d, c) has edges -diag, u right,
+    -v one row down.
+    """
     v = grid[:, :, 1:] - grid[:, :, :-1]
     u = grid[:, 1:] - grid[:, :-1]
     diag = grid[:, 1:, :-1] - grid[:, :-1, 1:]
@@ -581,34 +601,87 @@ def _dot(p, q):
     return (p[0] * q[0] + p[2] * q[2]) + p[1] * q[1]
 
 
+def _sq_norm(p):
+    # the summation order of np.linalg.norm(..., axis=-1) and of
+    # np.sum(... ** 2, axis=-1) over three terms
+    return (p[0] * p[0] + p[1] * p[1]) + p[2] * p[2]
+
+
 def _cross(p, q):
     # the operations of np.cross
     return p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]
 
 
 def _cross_norm(p, q):
-    # the summation order of np.linalg.norm(..., axis=-1)
-    cx, cy, cz = _cross(p, q)
-    return np.sqrt((cx * cx + cy * cy) + cz * cz)
+    return np.sqrt(_sq_norm(_cross(p, q)))
 
 
-def _fan_sum(t1_corners, t2_corners, closed: bool):
+def induced_metric_check(mesh: RevolutionMesh, p: MetricParams) -> float:
+    """Max relative deviation of squared edge lengths from the metric.
+
+    u-edges are compared against lambda(u_mid)^2 du^2 and v-edges against
+    lambda(u)^2 dv^2, lambda evaluated at the edge-midpoint u from the
+    closed form.  Rejects meshes that were not built from p, meshes
+    without the tessellate layout and NaN or infinite vertices, naming
+    the first one as (i, j), with ParameterError.
+
+    lambda comes from two whole-column closed-form calls; the edges are
+    formed band by band over cache-sized row bands (see _row_bands).
+    Each deviation takes the same float operations as on the whole grid,
+    so the result does not depend on the band height.
+    """
+    if mesh.params != p:
+        raise ParameterError("mesh provenance mismatch: not tessellated from p")
+    _check_layout(mesh)
+    nv = mesh.nv
+    u = mesh.uv[::nv, 0]  # every grid row shares one u
+    v = mesh.uv[:nv, 1]  # and every column one v
+
+    du = u[1:] - u[:-1]
+    lam_mid = conformal_factor(p, 0.5 * (u[1:] + u[:-1]))
+    expected_u = lam_mid**2 * du**2
+    dv = np.roll(v, -1) - v
+    if mesh.closed:
+        dv[-1] += 2.0 * math.pi
+    else:
+        dv = dv[:-1]
+    lam2, dv2 = conformal_factor(p, u) ** 2, dv**2
+
+    # band maxima combine as np.max over the whole grid: a NaN propagates
+    worst_u = worst_v = -math.inf
+    for lo, grid in _row_bands(mesh):
+        band_u, band_v = _induced_band(grid, lo, nv, expected_u, lam2, dv2)
+        worst_u, worst_v = np.maximum(worst_u, band_u), np.maximum(worst_v, band_v)
+    return max(float(worst_u), float(worst_v))
+
+
+def _induced_band(grid, lo: int, nv: int, expected_u, lam2, dv2):
+    """Largest u- and v-edge deviations of the band of rows lo .. in ``grid``."""
+    edge_v, edge_u, _ = _grid_edges(grid)
+    quads, rows = slice(lo, lo + edge_u.shape[1]), slice(lo, lo + edge_v.shape[1])
+    dev_u = np.abs(_sq_norm(edge_u[..., :nv]) / expected_u[quads, None] - 1.0)
+    dev_v = np.abs(_sq_norm(edge_v) / (lam2[rows, None] * dv2) - 1.0)
+    return np.max(dev_u), np.max(dev_v)
+
+
+def _fan_sum(t1_corners, t2_corners, closed: bool, out=None):
     """Sum the six triangle-corner terms around every vertex of the quad grid.
 
     t1_corners and t2_corners hold the terms at corners 0, 1, 2 of the
     triangles (a, d, b) and (b, d, c), each as a (rows, cols) quad array.
     The result covers the vertices whose whole fan is present: quad-grid
-    rows 1..rows-1 and, unless the seam is closed, columns 1..cols-1.  The
-    terms are added as a scatter over the faces adds them, from +0.0,
-    corner-major and then in face order: at column 0 of a closed seam the
-    wrapped quad comes last, so the final two terms swap.
+    rows 1..rows-1 and, unless the seam is closed, columns 1..cols-1.  It
+    is written to ``out`` when given.  The terms are added as a scatter
+    over the faces adds them, from +0.0, corner-major and then in face
+    order: at column 0 of a closed seam the wrapped quad comes last, so
+    the final two terms swap.
     """
     if closed:
         here, left = (lambda t: t), (lambda t: np.roll(t, 1, axis=1))
     else:
         here, left = (lambda t: t[:, 1:]), (lambda t: t[:, :-1])
     (a0, a1, a2), (b0, b1, b2) = t1_corners, t2_corners
-    total = here(b0[:-1]) + 0.0
+    total = np.add(here(b0[:-1]), 0.0, out=out)
     total += here(a0[1:])
     total += left(a1[1:])
     total += left(b1[1:])
@@ -646,25 +719,14 @@ def _corner_terms(area2, dots, sq_opposite):
     return angles, shares
 
 
-def angle_defect_curvature(mesh: RevolutionMesh):
-    """Discrete Gaussian curvature (2 pi - sum of incident angles) / area.
+def _defect_band(grid, closed: bool, angle_sum, area_share):
+    """Fan sums of angles and area shares over one band of rows in ``grid``.
 
-    The area share is the mixed Voronoi cell (cotangent formula with the
-    obtuse-triangle fallback).  Only interior vertices (full triangle fans)
-    are estimated: rows 1..nu-2, and for open meshes also columns
-    1..nv-2.  Zero-area triangles are skipped and their vertices reported.
-
-    The mesh must have the tessellate layout: vertex (i, j) at index
-    i * nv + j and 2 (nu - 1) cols faces, cols = nv on a closed seam and
-    nv - 1 otherwise; anything else raises ParameterError.  The faces are
-    not read: each edge vector is formed once on the (nu, nv) vertex grid,
-    and every vertex sums its six-triangle fan from shifted slices.
-
-    Returns (vertex_indices, curvature_estimates, areas, skipped_vertices).
+    Writes the sums of the band's interior rows to angle_sum and
+    area_share and returns the masks of zero-area triangles (a, d, b)
+    and (b, d, c) on the band's quads.
     """
-    v, u, diag = _grid_edges(mesh)
-    closed, nu, nv = mesh.closed, mesh.nu, mesh.nv
-    cols = v.shape[2]
+    v, u, diag = _grid_edges(grid)
     u_left, u_right = u[..., :-1], u[..., 1:]
     v_top, v_bot = v[:, :-1], v[:, 1:]
     sq_v, sq_u, sq_diag = _dot(v, v), _dot(u, u), _dot(diag, diag)
@@ -685,27 +747,68 @@ def angle_defect_curvature(mesh: RevolutionMesh):
             (-_dot(diag, v_bot), _dot(u_right, diag), _dot(v_bot, u_right)),
             (sq_u_right, sq_v[1:], sq_diag),
         )
-    angle_sum = _fan_sum(angles1, angles2, closed)
-    area_share = _fan_sum(shares1, shares2, closed)
+    _fan_sum(angles1, angles2, closed, out=angle_sum)
+    _fan_sum(shares1, shares2, closed, out=area_share)
+    return area1 <= 0.0, area2 <= 0.0
 
+
+def angle_defect_curvature(mesh: RevolutionMesh):
+    """Discrete Gaussian curvature (2 pi - sum of incident angles) / area.
+
+    The area share is the mixed Voronoi cell (cotangent formula with the
+    obtuse-triangle fallback).  Only interior vertices (full triangle fans)
+    are estimated: rows 1..nu-2, and for open meshes also columns
+    1..nv-2.  Zero-area triangles are skipped and their vertices reported.
+
+    The mesh must have the tessellate layout: vertex (i, j) at index
+    i * nv + j and 2 (nu - 1) cols faces, cols = nv on a closed seam and
+    nv - 1 otherwise; anything else raises ParameterError, and so does a
+    NaN or infinite vertex, named as (i, j).  The faces are not read: each
+    edge vector is formed on the (nu, nv) vertex grid, and every vertex
+    sums its six-triangle fan from shifted slices.
+
+    The grid is processed in cache-sized row bands with a one-row halo
+    (see _row_bands).  Angle sums, area shares and the zero-area mask go
+    into whole-grid arrays, compressed once at the end.  Every value
+    takes the same float operations on the same inputs as on the whole
+    grid at once, so the results do not depend on the band height.
+
+    Returns (vertex_indices, curvature_estimates, areas, skipped_vertices).
+    """
+    _check_layout(mesh)
+    closed, nu, nv = mesh.closed, mesh.nu, mesh.nv
+    cols = nv if closed else nv - 1
+    first = 0 if closed else 1
+    inner = (max(nu - 2, 0), nv - 2 * first)
+    angle_sum, area_share = np.empty(inner), np.empty(inner)
     # vertices of zero-area triangles; column nv stands for column 0 of a
     # closed seam
-    flat1, flat2 = area1 <= 0.0, area2 <= 0.0
     hit = np.zeros((nu, nv + 1), dtype=bool)
-    hit[:-1, :cols] |= flat1
-    hit[:-1, 1 : cols + 1] |= flat1 | flat2
-    hit[1:, :cols] |= flat1 | flat2
-    hit[1:, 1 : cols + 1] |= flat2
+    for lo, grid in _row_bands(mesh):
+        # interior row r sits at row r - 1 of the whole-grid sums
+        band = slice(lo, lo + grid.shape[1] - 2)
+        flat1, flat2 = _defect_band(grid, closed, angle_sum[band], area_share[band])
+        quads, below = slice(lo, lo + len(flat1)), slice(lo + 1, lo + len(flat1) + 1)
+        either = flat1 | flat2
+        hit[quads, :cols] |= flat1
+        hit[quads, 1 : cols + 1] |= either
+        hit[below, :cols] |= either
+        hit[below, 1 : cols + 1] |= flat2
     hit[:, 0] |= hit[:, nv]
     hit = hit[:, :nv]
     skipped = np.flatnonzero(hit)
 
-    first = 0 if closed else 1
-    inner = (slice(1, nu - 1), slice(first, nv - first))
-    keep = ~hit[inner]
-    ids = np.arange(nu * nv).reshape(nu, nv)[inner][keep]
-    defect = 2.0 * math.pi - angle_sum[keep]
-    return ids, defect / area_share[keep], area_share[keep], skipped
+    keep = ~hit
+    keep[[0, -1]] = False
+    if not closed:
+        keep[:, [0, -1]] = False
+    ids = np.flatnonzero(keep)
+    keep = keep[1:-1, first : nv - first]
+    areas = area_share[keep]
+    k = angle_sum[keep]
+    np.subtract(2.0 * math.pi, k, out=k)
+    np.divide(k, areas, out=k)
+    return ids, k, areas, skipped
 
 
 def _records(fmt: str, rows) -> str:
@@ -727,7 +830,9 @@ def _vertex_normals(mesh: RevolutionMesh) -> np.ndarray:
     gets its partial fan from _fan_sum; adding +0.0 leaves each sum as the
     face-ordered scatter makes it.
     """
-    v, u, diag = _grid_edges(mesh)
+    _check_layout(mesh)
+    grid = mesh.vertices.reshape(mesh.nu, mesh.nv, 3)
+    v, u, diag = _grid_edges(_planes(grid, mesh.closed))
     pad = ((1, 1), (0, 0) if mesh.closed else (1, 1))
     # (d - b) x (c - b) = (-diag) x v_bot = v_bot x diag
     fn1 = [np.pad(c, pad) for c in _cross(v[:, :-1], u[..., :-1])]

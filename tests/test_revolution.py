@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from ricci_liouville import (
     tessellate,
 )
 
+from ricci_liouville import revolution
 from ricci_liouville.revolution import _solve_tridiagonal
 
 from helpers import (
@@ -596,10 +598,106 @@ class TestAngleDefect:
                 angle_defect_curvature(bad)
 
 
-def small_ref_mesh(params, v_hi, nv):
+def ref_mesh(params, nu, nv, v_hi):
     lo, hi = embeddable_interval(params)
-    prof = profile_from_metric(params, (0.8 * lo, 0.8 * hi), n=9)
+    prof = profile_from_metric(params, (0.8 * lo, 0.8 * hi), n=nu)
     return tessellate(prof, 0.0, v_hi, nv)
+
+
+def defect_and_induced(mesh, params, budget):
+    """Both grid checks of mesh with the row bands sized for ``budget`` vertices."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(revolution, "_BAND_VERTICES", budget)
+        return angle_defect_curvature(mesh), induced_metric_check(mesh, params)
+
+
+class TestRowBands:
+    """Row bands change which call computes a vertex, never its value."""
+
+    @pytest.mark.parametrize(
+        "nu, nv, v_hi, rows",
+        [(801, 314, 2.0 * math.pi, 3), (203, 157, math.pi, 4)],
+        ids=["closed-801x314", "open-203x157"],
+    )
+    def test_bands_match_whole_grid(self, ref_params, nu, nv, v_hi, rows):
+        mesh = ref_mesh(ref_params, nu, nv, v_hi)
+        assert (nu - 2) % rows != 0  # the last band is short
+        whole, whole_induced = defect_and_induced(mesh, ref_params, nu * nv)
+        banded, banded_induced = defect_and_induced(mesh, ref_params, rows * nv)
+        for got, want in zip(banded, whole):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+        assert banded_induced == whole_induced
+
+    # a budget of 1 gives one interior row per band; 40 gives 2 rows at
+    # nv = 16 and 8 at nv = 5, so every collapsed edge sits on a halo row
+    # of some band
+    @pytest.mark.parametrize("budget", [1, 40])
+    def test_oracle_cases_in_small_bands(self, monkeypatch, budget):
+        monkeypatch.setattr(revolution, "_BAND_VERTICES", budget)
+        cases = TestAngleDefect()
+        for v_hi in (math.pi, 2.0 * math.pi):
+            cases.test_zero_area_triangles_at_seam_and_border(v_hi)
+            cases.test_two_rows_have_no_interior(v_hi)
+            cases.test_sphere_with_obtuse_triangles_matches_oracle(v_hi)
+        cases.test_zero_area_triangles_skipped_on_open_mesh()
+        cases.test_zero_area_triangles_skipped()
+
+    @pytest.mark.parametrize(
+        "nu, nv, v_hi",
+        [(3, 7, math.pi), (3, 10, 2.0 * math.pi), (5, 40000, 2.0 * math.pi)],
+        ids=["open-3x7", "closed-3x10", "closed-5x40000"],
+    )
+    def test_short_and_wide_grids_match_oracle(self, ref_params, nu, nv, v_hi):
+        # nv = 40000 exceeds the band budget: one interior row per band
+        assert nv > revolution._BAND_VERTICES or nu == 3
+        TestAngleDefect.assert_matches_oracle(ref_mesh(ref_params, nu, nv, v_hi))
+
+    @pytest.mark.parametrize("v_hi", [math.pi, 2.0 * math.pi], ids=["open", "closed"])
+    @pytest.mark.parametrize("budget", [None, 16], ids=["default-bands", "one-row-bands"])
+    @pytest.mark.parametrize("mutated", [False, True], ids=["built", "mutated"])
+    def test_non_finite_vertex_named(self, ref_params, monkeypatch, v_hi, budget, mutated):
+        if budget is not None:
+            monkeypatch.setattr(revolution, "_BAND_VERTICES", budget)
+        mesh = ref_mesh(ref_params, 41, 16, v_hi)
+        verts = mesh.vertices.copy()
+        verts[[7 * 16 + 5, 30 * 16]] = [[np.nan, 0.0, 1.0], [0.0, np.inf, 0.0]]
+        if mutated:
+            mesh.vertices[:] = verts
+        else:
+            mesh = RevolutionMesh(
+                vertices=verts, uv=mesh.uv, faces=mesh.faces, nu=mesh.nu, nv=mesh.nv,
+                closed=mesh.closed, params=mesh.params,
+            )
+        for check in (angle_defect_curvature, lambda m: induced_metric_check(m, ref_params)):
+            with pytest.raises(ParameterError, match=r"mesh vertex \(7, 5\) is not finite"):
+                check(mesh)
+
+    @pytest.mark.parametrize("row", [0, 40], ids=["first-row", "last-row"])
+    def test_non_finite_vertex_on_border_row(self, ref_params, row):
+        mesh = ref_mesh(ref_params, 41, 16, 2.0 * math.pi)
+        mesh.vertices[row * 16 + 15, 2] = -np.inf
+        for check in (angle_defect_curvature, lambda m: induced_metric_check(m, ref_params)):
+            with pytest.raises(ParameterError, match=rf"mesh vertex \({row}, 15\)"):
+                check(mesh)
+
+    def test_traced_memory_stays_a_few_grid_arrays(self, ref_params):
+        mesh = ref_mesh(ref_params, 801, 314, 2.0 * math.pi)
+        grid_array = 801 * 314 * 8
+        peaks = []
+        for check in (angle_defect_curvature, lambda m: induced_metric_check(m, ref_params)):
+            tracemalloc.start()
+            try:
+                check(mesh)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 10 * grid_array
+        assert peaks[1] <= 2 * grid_array
+
+
+def small_ref_mesh(params, v_hi, nv):
+    return ref_mesh(params, 9, nv, v_hi)
 
 
 SMALL_MESHES = pytest.mark.parametrize(
