@@ -10,66 +10,9 @@ into the complex hyperbolic plane.
 
 __version__ = "0.1.0"
 
-from .elliptic import (
-    Modulus,
-    complete_elliptic_k,
-    incomplete_elliptic_f,
-    jacobi_am,
-    jacobi_sn_cn_dn,
-)
-from .errors import ConvergenceError, DomainError, NotInFamilyError, ParameterError
-from .metric import (
-    DerivedConstants,
-    MetricParams,
-    conformal_factor,
-    conformal_factor_derivatives,
-    derive_constants,
-    gaussian_curvature,
-    ode_residual,
-    theta,
-)
-from .pmc import (
-    PMC_B,
-    PMC_RHO,
-    PmcReport,
-    SubfamilyBranch,
-    amplitude_equation_check,
-    kaehler_angle,
-    pmc_report,
-    second_fundamental_norm,
-    subfamily_params,
-)
-from .revolution import (
-    ProfileCurve,
-    RevolutionMesh,
-    adaptive_simpson,
-    angle_defect_curvature,
-    embeddable_interval,
-    induced_metric_check,
-    mesh_to_obj,
-    mesh_to_ply,
-    metric_from_profile,
-    profile_from_conformal,
-    profile_from_metric,
-    profile_to_csv,
-    tessellate,
-)
-from .verify import (
-    GridSpec,
-    MetricGrid,
-    NormalizationFit,
-    convergence_order,
-    estimate_order,
-    fit_normalization,
-    grid_to_csv,
-    in_family_verdict,
-    refinement_study,
-    ricci_order_1d,
-    ricci_residual_1d,
-    ricci_residual_grid,
-    sample_grid,
-    summary_to_json,
-)
+# The submodules load on the first access to a name in __all__, so that a
+# command which needs only the scalar core starts without NumPy.
+_SUBMODULES = ("elliptic", "errors", "metric", "pmc", "revolution", "verify")
 
 __all__ = [
     "__version__",
@@ -127,3 +70,20 @@ __all__ = [
     "second_fundamental_norm",
     "pmc_report",
 ]
+
+
+def __getattr__(name):
+    """Load all submodules on the first access to a public name (PEP 562)."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    names = globals()
+    for sub in _SUBMODULES:
+        module = importlib.import_module(f"{__name__}.{sub}")
+        names.update((attr, getattr(module, attr)) for attr in module.__all__ if attr in __all__)
+    return names[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -4,42 +4,26 @@ Subcommands: derive, verify, mesh, classify, sweep, pmc.  Exit codes:
 0 success, 1 negative verification verdict, 2 usage or parameter error,
 3 numerical failure.  Every run writes exactly one manifest.json next to
 its outputs; data outputs are byte-deterministic for identical inputs.
-No subcommand loads SciPy: the library needs NumPy alone.
+
+A start pays only for what its subcommand runs: each command imports the
+library modules it calls, and NumPy, inside its body.  derive, --help and
+--version load no NumPy and take about 0.10 s end to end; the commands
+that need NumPy take 0.2-0.25 s (2-vCPU guest, Python 3.11, bytecode not
+cached).  verify and sweep skip revolution and pmc, mesh skips verify
+and pmc, pmc skips revolution, and classify skips pmc.  No subcommand
+loads SciPy.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import ConvergenceError, NotInFamilyError, ParameterError
-from .metric import MetricParams, derive_constants
-from .pmc import SubfamilyBranch, pmc_report
-from .revolution import (
-    metric_from_profile,
-    profile_from_metric,
-    mesh_to_obj,
-    mesh_to_ply,
-    tessellate,
-)
-from .verify import (
-    GridSpec,
-    fit_normalization,
-    in_family_verdict,
-    grid_to_csv,
-    refinement_study,
-    ricci_order_1d,
-    summary_to_json,
-)
-from .fileio import write_atomic, write_manifest
+from .fileio import source_date_epoch, write_atomic, write_manifest
 
 DEFAULT_B = 1.0 / math.sqrt(6.0)
 _SWEEP_DEFAULT_B = (DEFAULT_B, 0.5, 1.0)
@@ -79,7 +63,9 @@ def _points_for(lo: float, hi: float, h: float, name: str) -> int:
     return n
 
 
-def _grid_from_args(args) -> GridSpec:
+def _grid_from_args(args):
+    from .verify import GridSpec
+
     v_lo = args.v_lo if args.v_lo is not None else args.u_lo
     v_hi = args.v_hi if args.v_hi is not None else args.u_hi
     nu = _points_for(args.u_lo, args.u_hi, args.h, "u")
@@ -88,6 +74,10 @@ def _grid_from_args(args) -> GridSpec:
 
 
 def cmd_derive(args) -> int:
+    import json
+
+    from .metric import MetricParams, derive_constants
+
     p = MetricParams(b=args.b, c1=args.c1, c2=args.c2)
     dc = derive_constants(p)
     payload = {
@@ -116,6 +106,15 @@ def cmd_derive(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .metric import MetricParams
+    from .verify import (
+        fit_normalization,
+        grid_to_csv,
+        in_family_verdict,
+        refinement_study,
+        summary_to_json,
+    )
+
     p = MetricParams(b=args.b, c1=args.c1, c2=args.c2)
     spec = _grid_from_args(args)
     if args.levels < 2:
@@ -155,6 +154,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_mesh(args) -> int:
+    from .metric import MetricParams
+    from .revolution import mesh_to_obj, mesh_to_ply, profile_from_metric, tessellate
+
     p = MetricParams(b=args.b, c1=args.c1, c2=args.c2)
     if args.format not in ("obj", "ply"):
         raise ParameterError("--format must be obj or ply")
@@ -192,6 +194,10 @@ def cmd_mesh(args) -> int:
 
 
 def _read_profile_csv(path):
+    import csv
+
+    import numpy as np
+
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -211,6 +217,13 @@ def _read_profile_csv(path):
 
 
 def cmd_classify(args) -> int:
+    import json
+
+    import numpy as np
+
+    from .revolution import metric_from_profile
+    from .verify import fit_normalization, in_family_verdict, ricci_order_1d
+
     s, x, y = _read_profile_csv(args.profile)
     outdir = Path(args.outdir)
     verdict_path = outdir / "verdict.json"
@@ -266,6 +279,9 @@ def _parse_values(text: str, name: str):
 def _sweep_point(b, c1, c2, u_lo, u_hi, h_levels):
     """Evaluate one sweep triple; returns a row dict."""
 
+    from .metric import MetricParams
+    from .verify import GridSpec, refinement_study
+
     def square(h):
         nu = int(round((u_hi - u_lo) / h)) + 1
         return GridSpec(u_lo, u_hi, u_lo, u_hi, nu, nu)
@@ -280,6 +296,8 @@ def _sweep_point(b, c1, c2, u_lo, u_hi, h_levels):
 
 
 def cmd_sweep(args) -> int:
+    import io
+
     bs = _parse_values(args.b_values, "--b-values")
     c1s = _parse_values(args.c1_values, "--c1-values")
     c2s = _parse_values(args.c2_values, "--c2-values")
@@ -333,6 +351,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_pmc(args) -> int:
+    from .pmc import SubfamilyBranch, pmc_report
+
     branch = SubfamilyBranch(c1=args.c1)
     report = pmc_report(branch, (args.u_lo, args.u_hi), args.n)
     outdir = Path(args.outdir)
@@ -429,6 +449,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        source_date_epoch()  # a bad value must fail before any output is written
         return args.func(args)
     except (ParameterError,) as exc:
         print(f"error: {exc}", file=sys.stderr)

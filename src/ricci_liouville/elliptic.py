@@ -8,15 +8,15 @@ modulus k, never the parameter m = k^2.
 
 The Jacobi functions accept a scalar or an ndarray for the argument ``u``,
 F takes a scalar amplitude; the modulus is always scalar.  All functions
-are pure (thread-safe).
+are pure (thread-safe).  Only the Jacobi functions import NumPy, inside
+their bodies, so K(k) and F(phi, k) load without it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
@@ -28,7 +28,7 @@ __all__ = [
     "jacobi_sn_cn_dn",
 ]
 
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
 _AGM_MAX_ITER = 64
 
 
@@ -123,6 +123,8 @@ def _amplitude_reduced(ur, k: Modulus):
     Backward phi recursion of the descending Landen transformation:
     phi_N = 2^N a_N u, then phi_{n-1} = (phi_n + asin(c_n sin(phi_n)/a_n))/2.
     """
+    import numpy as np
+
     aa, cc = _agm_scale(k)
     n = len(aa) - 1
     phi = math.ldexp(aa[n], n) * ur
@@ -134,6 +136,8 @@ def _amplitude_reduced(ur, k: Modulus):
 
 def _reduce(u, k: Modulus):
     """Split u = 2 n K + ur with |ur| <= K, exploiting am(u + 2K) = am(u) + pi."""
+    import numpy as np
+
     quarter = complete_elliptic_k(k)
     n = np.round(u / (2.0 * quarter))
     return n, u - 2.0 * n * quarter
@@ -146,6 +150,8 @@ def jacobi_am(u, k):
     strictly increasing in u.  At k = 1 the closed form
     am(u, 1) = 2 atan(tanh(u/2)) (the gudermannian) is used.
     """
+    import numpy as np
+
     k = _as_modulus(k)
     u = np.asarray(u, dtype=float)
     if k.k == 1.0:
@@ -163,6 +169,8 @@ def jacobi_sn_cn_dn(u, k):
     recursion (after reduction by the half period 2K), and
     dn = sqrt(1 - k^2 sn^2).  At k = 1: (tanh u, sech u, sech u).
     """
+    import numpy as np
+
     k = _as_modulus(k)
     u = np.asarray(u, dtype=float)
     if k.k == 1.0:

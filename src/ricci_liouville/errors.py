@@ -6,6 +6,8 @@ numerical errors, and a failed membership test is a negative verdict
 rather than a crash.
 """
 
+__all__ = ["ParameterError", "DomainError", "ConvergenceError", "NotInFamilyError"]
+
 
 class ParameterError(ValueError):
     """Invalid constructor argument or operation parameter."""

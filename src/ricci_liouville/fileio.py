@@ -4,7 +4,8 @@ Outputs are written to a temporary file in the target directory and moved
 into place, so failed runs never leave partial files behind.  Every CLI
 run records exactly one manifest (command, parameters, version, timestamp,
 outputs, summary).  The timestamp honours SOURCE_DATE_EPOCH for
-byte-reproducible manifests.
+byte-reproducible manifests; the CLI checks that variable before any
+command runs, so a bad value writes no files.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import tempfile
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+
+from .errors import ParameterError
 
 
 def write_atomic(path, data):
@@ -34,10 +37,27 @@ def write_atomic(path, data):
         raise
 
 
-def _timestamp() -> str:
+def source_date_epoch():
+    """SOURCE_DATE_EPOCH as a UTC datetime, or None when it is unset or empty.
+
+    Raises ParameterError, naming the variable, unless it is an integer
+    number of seconds that ``datetime`` can represent.
+    """
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    t = int(epoch) if epoch else time.time()
-    return datetime.fromtimestamp(t, tz=timezone.utc).isoformat()
+    if not epoch:
+        return None
+    try:
+        return datetime.fromtimestamp(int(epoch), tz=timezone.utc)
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ParameterError(
+            f"SOURCE_DATE_EPOCH must be an integer count of seconds within the "
+            f"datetime range, got {epoch!r}"
+        ) from exc
+
+
+def _timestamp() -> str:
+    moment = source_date_epoch() or datetime.fromtimestamp(time.time(), tz=timezone.utc)
+    return moment.isoformat()
 
 
 def write_manifest(outdir, command: str, parameters: dict, outputs, summary: dict, version: str):

@@ -12,6 +12,8 @@ lambda^4 (-2 b^2 - K) = c1, hence K < -2 b^2 everywhere.
 The metric lives on the open interval |u| < u_max = K(k)/s centred at the
 minimum of lambda; evaluation functions raise DomainError at or beyond the
 pole of cn.  All functions are pure and accept scalar or ndarray ``u``.
+NumPy is imported inside the functions that evaluate at ``u``, so
+MetricParams and derive_constants load without it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .elliptic import Modulus, complete_elliptic_k, jacobi_am, jacobi_sn_cn_dn
 from .errors import DomainError, ParameterError
@@ -91,6 +91,14 @@ def derive_constants(p: MetricParams) -> DerivedConstants:
     b2 = p.b * p.b
     disc = p.c2 * p.c2 + 8.0 * b2 * p.c1
     sqrt_disc = math.sqrt(disc)
+    # b^2 and the discriminant divide below, so reject their underflow first
+    if not (b2 > 0.0):
+        raise ParameterError(f"b = {p.b!r} is too small: b^2 underflows to zero")
+    if not (disc > 0.0):
+        raise ParameterError(
+            f"the discriminant c2^2 + 8 b^2 c1 underflows to zero at "
+            f"b = {p.b!r}, c1 = {p.c1!r}, c2 = {p.c2!r}"
+        )
     k2 = (p.c2 + sqrt_disc) / (2.0 * sqrt_disc)
     lam_p = (-p.c2 + sqrt_disc) / (4.0 * b2)
     lam_m = (-p.c2 - sqrt_disc) / (4.0 * b2)
@@ -117,6 +125,8 @@ def derive_constants(p: MetricParams) -> DerivedConstants:
 
 
 def _check_domain(u, dc: DerivedConstants, eps_dom: float):
+    import numpy as np
+
     # NaN fails the comparison, so one pass rejects it with the boundary
     if not np.all(np.abs(u) < dc.u_max - eps_dom):
         if np.isnan(u).any():
@@ -138,6 +148,8 @@ def conformal_factor(p: MetricParams, u, *, eps_dom: float = DEFAULT_EPS_DOM):
     Even in u, minimal at u = 0 with lambda(0) = sqrt(lambda_plus), and
     increasing towards +inf at the domain boundary.
     """
+    import numpy as np
+
     dc = derive_constants(p)
     u = np.asarray(u, dtype=float)
     _check_domain(u, dc, eps_dom)
@@ -153,6 +165,8 @@ def conformal_factor_derivatives(p: MetricParams, u, *, eps_dom: float = DEFAULT
     lambda'' = c2 lambda + 4 b^2 lambda^3  (from differentiating the ODE,
     exact wherever the first integral holds, removable at u = 0).
     """
+    import numpy as np
+
     dc = derive_constants(p)
     u = np.asarray(u, dtype=float)
     _check_domain(u, dc, eps_dom)
@@ -176,8 +190,10 @@ def gaussian_curvature(p: MetricParams, u, *, eps_dom: float = DEFAULT_EPS_DOM):
     return float(curv) if curv.ndim == 0 else curv
 
 
-def _curvature_from_factor(p: MetricParams, lam) -> np.ndarray:
+def _curvature_from_factor(p: MetricParams, lam):
     """K = -2 b^2 - c1 / lambda^4 from conformal-factor samples (an array)."""
+    import numpy as np
+
     lam = np.asarray(lam, dtype=float)
     return -2.0 * p.b * p.b - p.c1 / lam**4
 
@@ -188,6 +204,8 @@ def theta(p: MetricParams, u, *, eps_dom: float = DEFAULT_EPS_DOM):
     Satisfies cos(theta) = sqrt(lambda_plus) / lambda(u) and
     theta'^2 = sqrt(disc) - ((c2 + sqrt(disc))/2) sin^2 theta.
     """
+    import numpy as np
+
     dc = derive_constants(p)
     u = np.asarray(u, dtype=float)
     _check_domain(u, dc, eps_dom)
@@ -201,6 +219,8 @@ def ode_residual(p: MetricParams, u, *, eps_dom: float = DEFAULT_EPS_DOM):
     Vanishes identically for the closed form; the numerical value stays
     below 1e-9 * max(1, lambda^4) across the domain.
     """
+    import numpy as np
+
     lam, dlam, _ = conformal_factor_derivatives(p, u, eps_dom=eps_dom)
     lam = np.asarray(lam, dtype=float)
     dlam = np.asarray(dlam, dtype=float)

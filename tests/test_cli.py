@@ -40,6 +40,32 @@ def sphere_csv(tmp_path_factory):
     return path
 
 
+WATCHED_MODULES = ("numpy", "elliptic", "metric", "verify", "revolution", "pmc")
+
+
+def modules_loaded_by(code):
+    """Run ``code`` (which sets ``rc``) in a fresh interpreter.
+
+    Returns rc and the set of WATCHED_MODULES it loaded, by short name:
+    "numpy", or the ricci_liouville submodule name.
+    """
+    import ricci_liouville
+
+    probe = code + (
+        "import json, sys\n"
+        f"names = {WATCHED_MODULES!r}\n"
+        "full = {n: n if n == 'numpy' else 'ricci_liouville.' + n for n in names}\n"
+        "print(json.dumps([rc, [n for n in names if full[n] in sys.modules]]))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ricci_liouville.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], check=True, env=env, capture_output=True, text=True,
+    ).stdout
+    rc, loaded = json.loads(out.splitlines()[-1])
+    return rc, set(loaded)
+
+
 class TestDerive:
     def test_reference_constants(self, tmp_path, capsys):
         rc = run_cli(
@@ -68,6 +94,21 @@ class TestDerive:
         with pytest.raises(SystemExit) as err:
             run_cli(["derive", "--c1", 1, "--outdir", tmp_path])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "b, c1, c2, named",
+        [("1e-200", "1", "0", "b = 1e-200"), ("1e-170", "1", "1", "b = 1e-170"),
+         ("1e-160", "1e-10", "0", "discriminant")],
+    )
+    @pytest.mark.parametrize("command", ["derive", "verify", "mesh"])
+    def test_underflowing_b_exits_two_without_outputs(
+        self, tmp_path, capsys, command, b, c1, c2, named
+    ):
+        args = {"derive": ["derive"], "verify": VERIFY_ARGS, "mesh": MESH_ARGS + ["--format", "ply"]}
+        argv = args[command] + ["--b", b, "--c1", c1, "--c2", c2, "--outdir", tmp_path / "out"]
+        assert run_cli(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_default_b(self, tmp_path, capsys):
         rc = run_cli(["derive", "--c1", 1, "--c2", -1.8333333333333333,
@@ -261,6 +302,19 @@ class TestSweep:
         assert any(s.startswith('"domain') or s.startswith("domain") for s in statuses)
         assert any(s == "ok" for s in statuses)
 
+    def test_underflowing_b_is_a_domain_row(self, tmp_path):
+        rc = run_cli(
+            ["sweep", "--b-values", "1e-200,0.5", "--c1-values", "1",
+             "--c2-values", "0", "--outdir", tmp_path]
+        )
+        assert rc == 0
+        lines = (tmp_path / "sweep.csv").read_bytes().decode().strip().split("\r\n")
+        assert len(lines) == 3
+        assert lines[1].startswith("1,0,9.9999999999999998e-201,,,domain: b = 1e-200 is too small")
+        assert lines[2].startswith("1,0,0.5,") and lines[2].endswith(",ok")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["summary"] == {"rows": 2, "ok": 1}
+
 
 class TestPmcCommand:
     def test_report_written(self, tmp_path, capsys):
@@ -334,6 +388,57 @@ class TestImportGraph:
         ).stdout
         assert out.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
 
+    @pytest.mark.parametrize(
+        "argv, absent",
+        [
+            (["derive", "--c1", "1", "--c2", "0"], {"numpy"}),
+            (["--help"], {"numpy"}),
+            (["--version"], {"numpy"}),
+            ([str(a) for a in VERIFY_ARGS], {"revolution", "pmc"}),
+            (["sweep", "--b-values", "1.0", "--c1-values", "1.0", "--c2-values", "0.0",
+              "--h-levels", "0.02,0.01"], {"revolution", "pmc"}),
+            ([str(a) for a in MESH_ARGS] + ["--format", "obj"], {"verify", "pmc"}),
+            (["pmc", "--c1", "1", "--u-lo", "-0.4", "--u-hi", "0.4", "--n", "41"],
+             {"revolution"}),
+            (["classify", "--resample-n", "51"], {"pmc"}),
+        ],
+        ids=["derive", "help", "version", "verify", "sweep", "mesh", "pmc", "classify"],
+    )
+    def test_subcommand_loads_only_what_it_runs(self, trumpet_csv, tmp_path, argv, absent):
+        # each case starts a fresh interpreter, so earlier imports cannot hide a load
+        if argv[0] == "classify":
+            argv = argv + ["--profile", str(trumpet_csv)]
+        if not argv[0].startswith("--"):
+            argv = argv + ["--outdir", str(tmp_path)]
+        rc, loaded = modules_loaded_by(
+            "from ricci_liouville.cli import main\n"
+            "try:\n"
+            f"    rc = main({argv!r})\n"
+            "except SystemExit as exc:\n"
+            "    rc = exc.code\n"
+        )
+        assert rc == 0
+        assert not absent & loaded
+
+    def test_bare_package_import_loads_no_submodule(self):
+        _, loaded = modules_loaded_by("import ricci_liouville\nrc = 0\n")
+        assert loaded == set()
+
+    def test_mesh_reads_the_writer_at_call_time(self, tmp_path, monkeypatch):
+        # bench/tracer.py wraps library functions by rebinding module attributes
+        import ricci_liouville.revolution as revolution
+
+        calls = []
+
+        def fake_obj(mesh):
+            calls.append(mesh)
+            return "# replaced\n"
+
+        monkeypatch.setattr(revolution, "mesh_to_obj", fake_obj)
+        assert run_cli(MESH_ARGS + ["--format", "obj", "--outdir", tmp_path]) == 0
+        assert len(calls) == 1
+        assert (tmp_path / "surface.obj").read_text() == "# replaced\n"
+
 
 class TestManifest:
     def test_every_command_writes_manifest(self, tmp_path, capsys):
@@ -360,6 +465,23 @@ class TestManifest:
         assert (tmp_path / "a" / "manifest.json").read_bytes() == (
             tmp_path / "b" / "manifest.json"
         ).read_bytes()
+
+    @pytest.mark.parametrize("epoch", ["abc", "99999999999999999", "1e9"])
+    @pytest.mark.parametrize("command", ["derive", "verify"])
+    def test_bad_source_date_epoch_exits_two_before_any_output(
+        self, tmp_path, capsys, monkeypatch, command, epoch
+    ):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        args = {"derive": ["derive", "--c1", 1, "--c2", 0], "verify": VERIFY_ARGS}
+        assert run_cli(args[command] + ["--outdir", tmp_path / "out"]) == 2
+        assert "SOURCE_DATE_EPOCH" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_empty_source_date_epoch_uses_the_clock(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "")
+        assert run_cli(["derive", "--c1", 1, "--c2", 0, "--outdir", tmp_path]) == 0
+        stamp = json.loads((tmp_path / "manifest.json").read_text())["timestamp"]
+        assert not stamp.startswith("1970-")
 
 
 class TestInputValidation:

@@ -60,6 +60,19 @@ class TestDerivedConstants:
         with pytest.raises(ParameterError, match=message):
             derive_constants(MetricParams(b=b, c1=c1, c2=c2))
 
+    @pytest.mark.parametrize(
+        "b, c1, c2, message",
+        [
+            (1e-200, 1.0, 0.0, r"b = 1e-200 is too small"),  # b^2 and disc underflow
+            (1e-170, 1.0, 1.0, r"b = 1e-170 is too small"),  # b^2 underflows, disc = 1
+            (1e-160, 1e-10, 0.0, r"discriminant .* underflows"),  # b^2 > 0, disc = 0
+        ],
+    )
+    def test_underflowing_divisors_raise_parameter_error(self, b, c1, c2, message):
+        # these divided by zero before the divisors were checked
+        with pytest.raises(ParameterError, match=message):
+            derive_constants(MetricParams(b=b, c1=c1, c2=c2))
+
     @settings(max_examples=100, deadline=None)
     @given(
         b=st.floats(min_value=0.1, max_value=3.0),
