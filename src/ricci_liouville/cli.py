@@ -158,8 +158,6 @@ def cmd_mesh(args) -> int:
     from .revolution import mesh_to_obj, mesh_to_ply, profile_from_metric, tessellate
 
     p = MetricParams(b=args.b, c1=args.c1, c2=args.c2)
-    if args.format not in ("obj", "ply"):
-        raise ParameterError("--format must be obj or ply")
     profile = profile_from_metric(
         p, (args.u_lo, args.u_hi), tol=args.tol, n=args.nu
     )
@@ -451,9 +449,6 @@ def main(argv=None) -> int:
     try:
         source_date_epoch()  # a bad value must fail before any output is written
         return args.func(args)
-    except (ParameterError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NotInFamilyError as exc:
         print(f"verdict: {exc}", file=sys.stderr)
         return 1
@@ -461,7 +456,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
-        # DomainError and friends: bad evaluation points are usage errors
+        # ParameterError, DomainError and friends: usage errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

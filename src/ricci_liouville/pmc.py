@@ -25,9 +25,9 @@ from .errors import DomainError, ParameterError
 from .metric import (
     DEFAULT_EPS_DOM,
     MetricParams,
+    _curvature_from_factor,
     conformal_factor,
     derive_constants,
-    gaussian_curvature,
     theta,
 )
 from .verify import GridSpec, ricci_residual_grid, sample_grid
@@ -192,8 +192,8 @@ def pmc_report(s: SubfamilyBranch, u_interval, n: int, *, eps_dom: float = DEFAU
             f"interval must lie inside the metric domain (-{dc.u_max:.6g}, {dc.u_max:.6g})"
         )
     u = np.linspace(u_lo, u_hi, n) if n > 1 else np.asarray([u_lo])
-    curv = np.atleast_1d(gaussian_curvature(p, u, eps_dom=eps_dom))
     lam = np.atleast_1d(conformal_factor(p, u, eps_dom=eps_dom))
+    curv = _curvature_from_factor(p, lam)
     ang = np.atleast_1d(theta(p, u, eps_dom=eps_dom))
     alpha = _alpha_from_theta(ang)
     c_norm = np.atleast_1d(second_fundamental_norm(curv, p.b))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -101,24 +102,43 @@ class ProfileCurve:
 class RevolutionMesh:
     """Structured triangulated tube (x(u), y(u) cos v, y(u) sin v).
 
-    vertices: (N, 3) coordinates; uv: (N, 2) parameter tags; faces: (M, 3)
-    vertex indices with outward orientation.  ``closed`` marks a full 2 pi
-    seam in v.  Vertex index of grid node (i, j) is i * nv + j.
+    vertices: (nu * nv, 3) coordinates and uv: (nu * nv, 2) parameter tags
+    of grid node (i, j) at index i * nv + j; other shapes raise
+    ParameterError.  ``closed`` marks a full 2 pi seam in v, and the faces
+    follow from (nu, nv, closed).
     """
 
     vertices: np.ndarray
     uv: np.ndarray
-    faces: np.ndarray
     nu: int
     nv: int
     closed: bool
     params: MetricParams | None = None
 
     def __post_init__(self):
-        if self.faces.size and (
-            self.faces.min() < 0 or self.faces.max() >= len(self.vertices)
-        ):
-            raise ParameterError("face references an invalid vertex index")
+        n = self.nu * self.nv
+        if self.vertices.shape != (n, 3) or self.uv.shape != (n, 2):
+            raise ParameterError(
+                f"mesh is not a {self.nu} x {self.nv} tessellate grid: vertices of "
+                f"shape {self.vertices.shape}, uv of shape {self.uv.shape}"
+            )
+
+    @cached_property
+    def faces(self) -> np.ndarray:
+        """(2 (nu - 1) cols, 3) int64 vertex indices with outward orientation.
+
+        cols = nv on a closed seam, whose last column of quads wraps back to
+        the first, and nv - 1 otherwise.  Quad (i, j) has corners
+        a = (i, j), d = (i, j+1), b = (i+1, j), c = (i+1, j+1) and splits
+        into (a, d, b) and (b, d, c).
+        """
+        nu, nv = self.nu, self.nv
+        cols = nv if self.closed else nv - 1
+        row = np.arange(nu - 1, dtype=np.int64)[:, None] * nv
+        j = np.arange(cols, dtype=np.int64)
+        a, d = row + j, row + (j + 1) % nv
+        b, c = a + nv, d + nv
+        return np.stack([a, d, b, b, d, c], axis=-1).reshape(-1, 3)
 
 
 def _simpson(x0, x2, f0, f1, f2):
@@ -505,34 +525,14 @@ def tessellate(profile: ProfileCurve, v_lo: float, v_hi: float, nv: int) -> Revo
         ]
     )
     uv = np.column_stack([np.repeat(profile.u, nv), np.tile(v, nu)])
-
-    # quad (i, j) has corners a = (i, j), d = (i, j+1), b = (i+1, j), c = (i+1, j+1)
-    cols = nv if closed else nv - 1
-    row = np.arange(nu - 1, dtype=np.int64)[:, None] * nv
-    j = np.arange(cols, dtype=np.int64)
-    a, d = row + j, row + (j + 1) % nv
-    b, c = a + nv, d + nv
-    faces = np.stack([a, d, b, b, d, c], axis=-1).reshape(-1, 3)
     return RevolutionMesh(
         vertices=verts,
         uv=uv,
-        faces=faces,
         nu=nu,
         nv=nv,
         closed=closed,
         params=profile.params,
     )
-
-
-def _check_layout(mesh: RevolutionMesh) -> None:
-    """Raise ParameterError unless vertices and faces have the tessellate layout."""
-    nu, nv = mesh.nu, mesh.nv
-    cols = nv if mesh.closed else nv - 1
-    if len(mesh.vertices) != nu * nv or mesh.faces.shape != (2 * (nu - 1) * cols, 3):
-        raise ParameterError(
-            f"mesh is not a {nu} x {nv} tessellate grid: {len(mesh.vertices)} "
-            f"vertices, faces of shape {mesh.faces.shape}"
-        )
 
 
 def _planes(block: np.ndarray, closed: bool) -> np.ndarray:
@@ -559,9 +559,8 @@ def _row_bands(mesh: RevolutionMesh):
     rows of successive bands overlap by one; two rows give one band with
     no interior.  A band that holds a NaN or infinite vertex raises
     ParameterError naming the first one, (i, j) in row-major order.  The
-    caller checks the layout first, and does each band's work in a helper
-    function, so that band's temporaries are freed before the next band
-    is read.
+    caller does each band's work in a helper function, so that band's
+    temporaries are freed before the next band is read.
     """
     nu, nv = mesh.nu, mesh.nv
     grid = mesh.vertices.reshape(nu, nv, 3)
@@ -621,9 +620,8 @@ def induced_metric_check(mesh: RevolutionMesh, p: MetricParams) -> float:
 
     u-edges are compared against lambda(u_mid)^2 du^2 and v-edges against
     lambda(u)^2 dv^2, lambda evaluated at the edge-midpoint u from the
-    closed form.  Rejects meshes that were not built from p, meshes
-    without the tessellate layout and NaN or infinite vertices, naming
-    the first one as (i, j), with ParameterError.
+    closed form.  Rejects meshes that were not built from p and NaN or
+    infinite vertices, naming the first one as (i, j), with ParameterError.
 
     lambda comes from two whole-column closed-form calls; the edges are
     formed band by band over cache-sized row bands (see _row_bands).
@@ -632,7 +630,6 @@ def induced_metric_check(mesh: RevolutionMesh, p: MetricParams) -> float:
     """
     if mesh.params != p:
         raise ParameterError("mesh provenance mismatch: not tessellated from p")
-    _check_layout(mesh)
     nv = mesh.nv
     u = mesh.uv[::nv, 0]  # every grid row shares one u
     v = mesh.uv[:nv, 1]  # and every column one v
@@ -760,12 +757,10 @@ def angle_defect_curvature(mesh: RevolutionMesh):
     are estimated: rows 1..nu-2, and for open meshes also columns
     1..nv-2.  Zero-area triangles are skipped and their vertices reported.
 
-    The mesh must have the tessellate layout: vertex (i, j) at index
-    i * nv + j and 2 (nu - 1) cols faces, cols = nv on a closed seam and
-    nv - 1 otherwise; anything else raises ParameterError, and so does a
-    NaN or infinite vertex, named as (i, j).  The faces are not read: each
-    edge vector is formed on the (nu, nv) vertex grid, and every vertex
-    sums its six-triangle fan from shifted slices.
+    A NaN or infinite vertex raises ParameterError naming it as (i, j).
+    The faces are not read: each edge vector is formed on the (nu, nv)
+    vertex grid, and every vertex sums its six-triangle fan from shifted
+    slices.
 
     The grid is processed in cache-sized row bands with a one-row halo
     (see _row_bands).  Angle sums, area shares and the zero-area mask go
@@ -775,7 +770,6 @@ def angle_defect_curvature(mesh: RevolutionMesh):
 
     Returns (vertex_indices, curvature_estimates, areas, skipped_vertices).
     """
-    _check_layout(mesh)
     closed, nu, nv = mesh.closed, mesh.nu, mesh.nv
     cols = nv if closed else nv - 1
     first = 0 if closed else 1
@@ -830,7 +824,6 @@ def _vertex_normals(mesh: RevolutionMesh) -> np.ndarray:
     gets its partial fan from _fan_sum; adding +0.0 leaves each sum as the
     face-ordered scatter makes it.
     """
-    _check_layout(mesh)
     grid = mesh.vertices.reshape(mesh.nu, mesh.nv, 3)
     v, u, diag = _grid_edges(_planes(grid, mesh.closed))
     pad = ((1, 1), (0, 0) if mesh.closed else (1, 1))
@@ -857,7 +850,8 @@ def mesh_to_obj(mesh: RevolutionMesh) -> str:
 
 def mesh_to_ply(mesh: RevolutionMesh) -> bytes:
     """Binary little-endian PLY with per-vertex x, y, z, u, v (float64)."""
-    n, m = len(mesh.vertices), len(mesh.faces)
+    faces = mesh.faces
+    n, m = len(mesh.vertices), len(faces)
     header = (
         "ply\n"
         "format binary_little_endian 1.0\n"
@@ -874,5 +868,5 @@ def mesh_to_ply(mesh: RevolutionMesh) -> bytes:
     vdata = np.hstack([mesh.vertices, mesh.uv]).astype("<f8").tobytes()
     face_rec = np.empty(m, dtype=[("n", "<u1"), ("i", "<i4", (3,))])
     face_rec["n"] = 3
-    face_rec["i"] = mesh.faces
+    face_rec["i"] = faces
     return header + vdata + face_rec.tobytes()

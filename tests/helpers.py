@@ -4,18 +4,34 @@ Everything here is deliberately independent of the code paths under test:
 ODE integration instead of the elliptic closed form, quadrature of defining
 integrals, spline resampling for profile round trips, loop-form
 references for the array-native quadrature, meshing and export code, and
-SciPy's splines for the NumPy interpolants of metric_from_profile.
+SciPy's splines for the NumPy interpolants of metric_from_profile.  It
+also builds the environment of the suite's child processes.
 """
 
 import math
+import os
 import struct
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
+import ricci_liouville
 from ricci_liouville import MetricGrid, MetricParams, ParameterError, derive_constants
 from ricci_liouville.revolution import ARC_LENGTH_TOL
+
+
+def child_env(**overrides):
+    """Environment for a child Python that imports the ricci_liouville under test.
+
+    A copy of os.environ with PYTHONPATH set to the directory holding the
+    imported package, so the child finds it whether or not the suite was
+    started with PYTHONPATH=src, plus ``overrides``.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ricci_liouville.__file__))
+    env.update(overrides)
+    return env
 
 
 def sweep_params():

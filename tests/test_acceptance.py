@@ -7,7 +7,6 @@ nowhere else.
 
 import json
 import math
-import os
 import subprocess
 import sys
 import time
@@ -40,6 +39,7 @@ from ricci_liouville import (
 
 from helpers import (
     arc_length_resample,
+    child_env,
     lambda_ode_oracle,
     perturbed_metric_grid,
     ricci_condition_4th_order_oracle,
@@ -230,6 +230,7 @@ def test_criterion_09_normalization_fit():
 
 def test_criterion_10_cli_determinism_and_sweep_budget(tmp_path):
     base = [sys.executable, "-m", "ricci_liouville.cli"]
+    env = child_env()
     verify_args = [
         "verify", "--c1", "1", "--c2", "-1.8333333333333333",
         "--u-lo", "-0.4", "--u-hi", "0.4", "--h", "0.02", "--levels", "2",
@@ -243,11 +244,11 @@ def test_criterion_10_cli_determinism_and_sweep_budget(tmp_path):
     for sub in ("a", "b"):
         subprocess.run(
             base + verify_args + ["--outdir", str(tmp_path / sub / "verify")],
-            check=True, stdout=subprocess.DEVNULL,
+            check=True, env=env, stdout=subprocess.DEVNULL,
         )
         subprocess.run(
             base + mesh_args + ["--outdir", str(tmp_path / sub / "mesh")],
-            check=True, stdout=subprocess.DEVNULL,
+            check=True, env=env, stdout=subprocess.DEVNULL,
         )
     for rel in ("verify/residuals.csv", "verify/summary.json", "mesh/surface.obj"):
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
@@ -255,7 +256,7 @@ def test_criterion_10_cli_determinism_and_sweep_budget(tmp_path):
     t0 = time.perf_counter()
     proc = subprocess.run(
         base + ["sweep", "--outdir", str(tmp_path / "sweep")],
-        stdout=subprocess.DEVNULL,
+        env=env, stdout=subprocess.DEVNULL,
     )
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 0

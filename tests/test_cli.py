@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -10,7 +9,7 @@ import pytest
 from ricci_liouville import cli, embeddable_interval, profile_from_metric
 from ricci_liouville.cli import main
 
-from helpers import arc_length_resample
+from helpers import arc_length_resample, child_env
 
 
 def run_cli(args):
@@ -49,18 +48,14 @@ def modules_loaded_by(code):
     Returns rc and the set of WATCHED_MODULES it loaded, by short name:
     "numpy", or the ricci_liouville submodule name.
     """
-    import ricci_liouville
-
     probe = code + (
         "import json, sys\n"
         f"names = {WATCHED_MODULES!r}\n"
         "full = {n: n if n == 'numpy' else 'ricci_liouville.' + n for n in names}\n"
         "print(json.dumps([rc, [n for n in names if full[n] in sys.modules]]))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ricci_liouville.__file__))
     out = subprocess.run(
-        [sys.executable, "-c", probe], check=True, env=env, capture_output=True, text=True,
+        [sys.executable, "-c", probe], check=True, env=child_env(), capture_output=True, text=True,
     ).stdout
     rc, loaded = json.loads(out.splitlines()[-1])
     return rc, set(loaded)
@@ -223,6 +218,13 @@ class TestMesh:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_unknown_format_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(MESH_ARGS + ["--format", "stl", "--outdir", tmp_path])
+        assert exc.value.code == 2
+        assert "invalid choice: 'stl'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestClassify:
     def test_roundtrip_profile_in_family(self, trumpet_csv, tmp_path):
@@ -338,8 +340,6 @@ class TestPmcCommand:
 
 class TestImportGraph:
     def test_derive_loads_neither_scipy_nor_the_process_pool(self, tmp_path):
-        import ricci_liouville
-
         code = (
             "import sys\n"
             "from ricci_liouville.cli import main\n"
@@ -348,18 +348,14 @@ class TestImportGraph:
             " or m.startswith('scipy.') or m == 'concurrent.futures.process')\n"
             "print(rc, heavy)\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ricci_liouville.__file__))
         out = subprocess.run(
-            [sys.executable, "-c", code], check=True, env=env,
+            [sys.executable, "-c", code], check=True, env=child_env(),
             capture_output=True, text=True,
         ).stdout
         assert out.splitlines()[-1] == "0 []"
 
 
     def test_no_subcommand_loads_scipy(self, trumpet_csv, tmp_path):
-        import ricci_liouville
-
         outdir = tmp_path / "out"
         commands = [
             ["derive", "--c1", "1", "--c2", "0"],
@@ -378,12 +374,10 @@ class TestImportGraph:
             " or m.startswith('scipy.') or m == 'concurrent.futures.process')\n"
             "print(rcs, heavy)\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ricci_liouville.__file__))
         # a stale pool variable in the environment must start no process pool
-        env["RICCI_LIOUVILLE_THREADS"] = "2"
         out = subprocess.run(
-            [sys.executable, "-c", code], check=True, env=env,
+            [sys.executable, "-c", code], check=True,
+            env=child_env(RICCI_LIOUVILLE_THREADS="2"),
             capture_output=True, text=True,
         ).stdout
         assert out.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] []"
@@ -452,8 +446,7 @@ class TestManifest:
             }
 
     def test_source_date_epoch_makes_manifest_deterministic(self, tmp_path):
-        env = dict(os.environ)
-        env["SOURCE_DATE_EPOCH"] = "1700000000"
+        env = child_env(SOURCE_DATE_EPOCH="1700000000")
         for sub in ("a", "b"):
             subprocess.run(
                 [sys.executable, "-m", "ricci_liouville.cli", "derive",

@@ -581,21 +581,16 @@ class TestAngleDefect:
     def test_wrong_layout_raises(self):
         prof = profile_from_conformal(lambda u: 2.0, lambda u: 0.0, (0.0, 1.0), n=5)
         mesh = tessellate(prof, 0.0, 2.0 * math.pi, 8)
-        short_faces = RevolutionMesh(
-            vertices=mesh.vertices, uv=mesh.uv, faces=mesh.faces[:-2],
-            nu=mesh.nu, nv=mesh.nv, closed=True,
-        )
-        wrong_count = RevolutionMesh(
-            vertices=mesh.vertices[:-1], uv=mesh.uv[:-1], faces=mesh.faces[:-16],
-            nu=mesh.nu, nv=mesh.nv, closed=True,
-        )
-        open_faces = RevolutionMesh(
-            vertices=mesh.vertices, uv=mesh.uv, faces=mesh.faces,
-            nu=mesh.nu, nv=mesh.nv, closed=False,
-        )
-        for bad in (short_faces, wrong_count, open_faces):
+        layout = dict(nu=mesh.nu, nv=mesh.nv, closed=True)
+        bad_shapes = [
+            (mesh.vertices[:-1], mesh.uv[:-1]),  # one vertex short of nu * nv
+            (mesh.vertices, mesh.uv[:-1]),
+            (mesh.vertices[:, :2], mesh.uv),
+            (mesh.vertices.reshape(mesh.nu, mesh.nv, 3), mesh.uv),
+        ]
+        for vertices, uv in bad_shapes:
             with pytest.raises(ParameterError, match="tessellate grid"):
-                angle_defect_curvature(bad)
+                RevolutionMesh(vertices=vertices, uv=uv, **layout)
 
 
 def ref_mesh(params, nu, nv, v_hi):
@@ -666,7 +661,7 @@ class TestRowBands:
             mesh.vertices[:] = verts
         else:
             mesh = RevolutionMesh(
-                vertices=verts, uv=mesh.uv, faces=mesh.faces, nu=mesh.nu, nv=mesh.nv,
+                vertices=verts, uv=mesh.uv, nu=mesh.nu, nv=mesh.nv,
                 closed=mesh.closed, params=mesh.params,
             )
         for check in (angle_defect_curvature, lambda m: induced_metric_check(m, ref_params)):
