@@ -185,7 +185,7 @@ def cmd_mesh(args) -> int:
             "format": args.format,
         },
         [out_path.name],
-        {"vertices": len(mesh.vertices), "faces": len(mesh.faces), "closed": mesh.closed},
+        {"vertices": len(mesh.vertices), "faces": mesh.face_count, "closed": mesh.closed},
         __version__,
     )
     return 0
@@ -274,20 +274,17 @@ def _parse_values(text: str, name: str):
         raise ParameterError(f"cannot parse {name} value list {text!r}") from exc
 
 
-def _sweep_point(b, c1, c2, u_lo, u_hi, h_levels):
-    """Evaluate one sweep triple; returns a row dict."""
+def _sweep_point(b, c1, c2, u_lo, u_hi, sizes):
+    """Evaluate one sweep triple on square grids of ``sizes`` points a side; returns a row dict."""
 
     from .metric import MetricParams
     from .verify import GridSpec, refinement_study
 
-    def square(h):
-        nu = int(round((u_hi - u_lo) / h)) + 1
-        return GridSpec(u_lo, u_hi, u_lo, u_hi, nu, nu)
-
     row = {"c1": c1, "c2": c2, "b": b}
     try:
         p = MetricParams(b=b, c1=c1, c2=c2)
-        _, rs, order, _ = refinement_study(p, (square(h) for h in h_levels))
+        specs = (GridSpec(u_lo, u_hi, u_lo, u_hi, n, n) for n in sizes)
+        _, rs, order, _ = refinement_study(p, specs)
     except (ParameterError, NotInFamilyError) as exc:
         return {**row, "residual": None, "order": None, "status": f"domain: {exc}"}
     return {**row, "residual": rs[-1], "order": order, "status": "ok"}
@@ -303,13 +300,20 @@ def cmd_sweep(args) -> int:
     _check_range(args.u_lo, args.u_hi, "u")
     if args.u_lo >= args.u_hi:
         raise ParameterError("need --u-lo < --u-hi")
+    sizes = []
     for h in h_levels:
         if not (math.isfinite(h) and h > 0.0):
             raise ParameterError(f"--h-levels must be finite and positive, got {h!r}")
-        _check_steps(args.u_lo, args.u_hi, h, "u", "--h-levels value")
+        steps = _check_steps(args.u_lo, args.u_hi, h, "u", "--h-levels value")
+        sizes.append(int(round(steps)) + 1)
+    if len(set(sizes)) < 2:
+        raise ParameterError(
+            f"--h-levels needs at least two spacings that give distinct grids for the "
+            f"order fit, got {args.h_levels!r}"
+        )
 
     rows = [
-        _sweep_point(b, c1, c2, args.u_lo, args.u_hi, h_levels)
+        _sweep_point(b, c1, c2, args.u_lo, args.u_hi, sizes)
         for c1 in c1s
         for c2 in c2s
         for b in bs
@@ -351,6 +355,11 @@ def cmd_sweep(args) -> int:
 def cmd_pmc(args) -> int:
     from .pmc import SubfamilyBranch, pmc_report
 
+    _check_range(args.u_lo, args.u_hi, "u")
+    if not args.u_lo < args.u_hi:
+        raise ParameterError("need --u-lo < --u-hi for the residual stencil")
+    if args.n < 5:
+        raise ParameterError(f"--n must be at least 5 for the residual stencil, got {args.n}")
     branch = SubfamilyBranch(c1=args.c1)
     report = pmc_report(branch, (args.u_lo, args.u_hi), args.n)
     outdir = Path(args.outdir)

@@ -21,10 +21,10 @@ from .errors import ParameterError
 
 
 def write_atomic(path, data):
-    """Write text or bytes to ``path`` via a temp file and atomic rename."""
+    """Write text, or any bytes-like object, to ``path`` via a temp file and atomic rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    binary = isinstance(data, bytes)
+    binary = not isinstance(data, str)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         kwargs = {} if binary else {"newline": ""}

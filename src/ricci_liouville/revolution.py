@@ -123,6 +123,11 @@ class RevolutionMesh:
                 f"shape {self.vertices.shape}, uv of shape {self.uv.shape}"
             )
 
+    @property
+    def face_count(self) -> int:
+        """Number of triangles, 2 (nu - 1) cols; see ``faces``."""
+        return 2 * (self.nu - 1) * (self.nv if self.closed else self.nv - 1)
+
     @cached_property
     def faces(self) -> np.ndarray:
         """(2 (nu - 1) cols, 3) int64 vertex indices with outward orientation.
@@ -132,13 +137,30 @@ class RevolutionMesh:
         a = (i, j), d = (i, j+1), b = (i+1, j), c = (i+1, j+1) and splits
         into (a, d, b) and (b, d, c).
         """
-        nu, nv = self.nu, self.nv
-        cols = nv if self.closed else nv - 1
-        row = np.arange(nu - 1, dtype=np.int64)[:, None] * nv
-        j = np.arange(cols, dtype=np.int64)
-        a, d = row + j, row + (j + 1) % nv
-        b, c = a + nv, d + nv
-        return np.stack([a, d, b, b, d, c], axis=-1).reshape(-1, 3)
+        faces = np.empty((self.face_count, 3), dtype=np.int64)
+        _fill_faces(self, faces)
+        return faces
+
+
+def _fill_faces(mesh: RevolutionMesh, out) -> None:
+    """Write the triangles of ``mesh.faces``, in its order, into an integer (face_count, 3) array.
+
+    ``out`` may be any strided view, such as a field of packed records:
+    reshaping it to (nu - 1, cols, 2, 3) only splits the face axis, so it
+    stays a view, and each corner is summed from a row offset and a column
+    straight into it.
+    """
+    nu, nv = mesh.nu, mesh.nv
+    cols = nv if mesh.closed else nv - 1
+    top = np.arange(nu - 1, dtype=np.int64)[:, None] * nv
+    bottom = top + nv
+    j = np.arange(cols, dtype=np.int64)
+    jn = (j + 1) % nv
+    a, d, b, c = (top, j), (top, jn), (bottom, j), (bottom, jn)
+    quads = out.reshape(nu - 1, cols, 2, 3)
+    for t, corners in enumerate(((a, d, b), (b, d, c))):
+        for k, (row, col) in enumerate(corners):
+            np.add(row, col, out=quads[:, :, t, k])
 
 
 def _simpson(x0, x2, f0, f1, f2):
@@ -838,20 +860,46 @@ def _vertex_normals(mesh: RevolutionMesh) -> np.ndarray:
     return normals / norm[:, None]
 
 
+def _vertex_records(vertices) -> str:
+    """``v x y z`` lines of an (n, 3) float array, each value as '%.17g'.
+
+    Each column formats each of its distinct float64 bit patterns once
+    (so +0.0 and -0.0 keep their own text) and gathers the strings back
+    by the inverse index.  A tube has nu distinct x and, from the seam's
+    mirror symmetry, about half as many distinct y and z as vertices.
+    """
+    cells = np.empty(vertices.shape, dtype=object)
+    for k in range(3):
+        bits = np.ascontiguousarray(vertices[:, k], dtype=np.float64).view(np.uint64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        text = ["%.17g" % x for x in distinct.view(np.float64).tolist()]
+        cells[:, k] = np.array(text, dtype=object)[inverse]
+    return ("v %s %s %s\n" * len(vertices)) % tuple(cells.ravel().tolist())
+
+
 def mesh_to_obj(mesh: RevolutionMesh) -> str:
-    """Wavefront OBJ text: v and vn records plus f records (1-based, CCW)."""
+    """Wavefront OBJ text: v and vn records plus f records (1-based, CCW).
+
+    Vertex values are formatted once per distinct value; the normals,
+    nearly all distinct, in one printf-style pass; and each face corner
+    k//k is gathered from a table of the vertex numbers.
+    """
+    corners = np.array(["%d//%d" % (k, k) for k in range(1, len(mesh.vertices) + 1)], dtype=object)
     return (
         "# surface of revolution, outward orientation\n"
-        + _records("v %.17g %.17g %.17g\n", mesh.vertices)
+        + _vertex_records(mesh.vertices)
         + _records("vn %.17g %.17g %.17g\n", _vertex_normals(mesh))
-        + _records("f %d//%d %d//%d %d//%d\n", np.repeat(mesh.faces + 1, 2, axis=1))
+        + ("f %s %s %s\n" * mesh.face_count) % tuple(corners[mesh.faces].ravel().tolist())
     )
 
 
 def mesh_to_ply(mesh: RevolutionMesh) -> bytes:
-    """Binary little-endian PLY with per-vertex x, y, z, u, v (float64)."""
-    faces = mesh.faces
-    n, m = len(mesh.vertices), len(faces)
+    """Binary little-endian PLY with per-vertex x, y, z, u, v (float64).
+
+    The vertex block and the packed face records are filled in place and
+    joined once into the result, so no face array is built or cached.
+    """
+    n, m = len(mesh.vertices), mesh.face_count
     header = (
         "ply\n"
         "format binary_little_endian 1.0\n"
@@ -865,8 +913,10 @@ def mesh_to_ply(mesh: RevolutionMesh) -> bytes:
         "property list uchar int vertex_indices\n"
         "end_header\n"
     ).encode("ascii")
-    vdata = np.hstack([mesh.vertices, mesh.uv]).astype("<f8").tobytes()
-    face_rec = np.empty(m, dtype=[("n", "<u1"), ("i", "<i4", (3,))])
-    face_rec["n"] = 3
-    face_rec["i"] = faces
-    return header + vdata + face_rec.tobytes()
+    block = np.empty((n, 5), dtype="<f8")
+    block[:, :3] = mesh.vertices
+    block[:, 3:] = mesh.uv
+    records = np.empty(m, dtype=[("n", "<u1"), ("i", "<i4", (3,))])
+    records["n"] = 3
+    _fill_faces(mesh, records["i"])
+    return b"".join([header, block, records])

@@ -8,6 +8,7 @@ import pytest
 
 from ricci_liouville import cli, embeddable_interval, profile_from_metric
 from ricci_liouville.cli import main
+from ricci_liouville.fileio import write_atomic
 
 from helpers import arc_length_resample, child_env
 
@@ -318,6 +319,22 @@ class TestSweep:
         assert manifest["summary"] == {"rows": 2, "ok": 1}
 
 
+    @pytest.mark.parametrize("levels", ["0.01,0.01", "0.01", "0.3,0.35"])
+    def test_h_levels_need_two_distinct_grids(self, tmp_path, capsys, levels):
+        # 0.3 and 0.35 both round to a 4-point grid on [-0.5, 0.5]
+        rc = run_cli(
+            ["sweep", "--b-values", "1.0", "--c1-values", "1.0", "--c2-values", "0.0",
+             f"--h-levels={levels}", "--outdir", tmp_path]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "error: --h-levels needs at least two spacings that give distinct grids for "
+            f"the order fit, got {levels!r}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestPmcCommand:
     def test_report_written(self, tmp_path, capsys):
         rc = run_cli(
@@ -336,6 +353,27 @@ class TestPmcCommand:
              "--outdir", tmp_path]
         )
         assert rc == 2
+
+
+    @pytest.mark.parametrize(
+        "interval, n, message",
+        [
+            ((-0.1, 0.1), 4, "--n must be at least 5 for the residual stencil, got 4"),
+            ((-0.1, 0.1), 1, "--n must be at least 5 for the residual stencil, got 1"),
+            ((0.1, 0.1), 11, "need --u-lo < --u-hi for the residual stencil"),
+            ((0.2, 0.1), 11, "need --u-lo < --u-hi for the residual stencil"),
+            (("nan", 0.1), 11, "--u-lo must be finite, got nan"),
+        ],
+    )
+    def test_no_stencil_is_a_usage_error(self, tmp_path, capsys, interval, n, message):
+        rc = run_cli(
+            ["pmc", "--c1", 1, "--u-lo", interval[0], "--u-hi", interval[1], "--n", n,
+             "--outdir", tmp_path]
+        )
+        assert rc == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestImportGraph:
@@ -475,6 +513,19 @@ class TestManifest:
         assert run_cli(["derive", "--c1", 1, "--c2", 0, "--outdir", tmp_path]) == 0
         stamp = json.loads((tmp_path / "manifest.json").read_text())["timestamp"]
         assert not stamp.startswith("1970-")
+
+
+class TestWriteAtomic:
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_bytes_like_data_is_written_as_binary(self, tmp_path, kind):
+        data = b"ply\n\x00\xff\r\n"
+        write_atomic(tmp_path / "out.bin", kind(data))
+        assert (tmp_path / "out.bin").read_bytes() == data
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_text_keeps_its_line_endings(self, tmp_path):
+        write_atomic(tmp_path / "out.csv", "a,b\r\n1,2\n")
+        assert (tmp_path / "out.csv").read_bytes() == b"a,b\r\n1,2\n"
 
 
 class TestInputValidation:

@@ -726,6 +726,48 @@ class TestExports:
         mesh = tessellate(ProfileCurve(u=s, x=x, y=y, monotone=True), 0.0, v_hi, nv)
         assert mesh_to_obj(mesh) == reference_obj(mesh)
 
+    # hand-built 2 x 3 and 3 x 4 grids: signed zeros, subnormals and repeated values,
+    # which the OBJ writer formats once per float64 bit pattern
+    ODD_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.5, 1.5, -1.5,
+                  1.0000000000000002, 1e50, 0.1, 0.1, -0.0, 0.0, 5e-324]
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    @pytest.mark.parametrize("nu, nv", [(2, 3), (3, 4)])
+    def test_exports_of_odd_values_match_reference(self, nu, nv, closed):
+        pool = np.array(self.ODD_VALUES)
+        picks = np.random.default_rng(7).integers(0, pool.size, size=(nu * nv, 5))
+        picks[:, 0] = np.arange(nu * nv) % pool.size
+        values = pool[picks]
+        mesh = RevolutionMesh(
+            vertices=values[:, :3].copy(), uv=values[:, 3:].copy(), nu=nu, nv=nv, closed=closed
+        )
+        text = mesh_to_obj(mesh)
+        assert text == reference_obj(mesh)
+        assert "\nv 0 " in text and "\nv -0 " in text
+        assert mesh_to_ply(mesh) == reference_ply(mesh)
+
+    @pytest.mark.parametrize("nu, nv, v_hi", [(2, 3, math.pi), (2, 3, 2.0 * math.pi),
+                                              (9, 7, math.pi), (9, 10, 2.0 * math.pi)])
+    def test_face_count_is_the_face_array_length(self, ref_params, nu, nv, v_hi):
+        mesh = ref_mesh(ref_params, nu, nv, v_hi)
+        assert mesh.face_count == len(mesh.faces) == len(reference_faces(nu, nv, mesh.closed))
+
+    def test_ply_builds_no_face_array(self, ref_params):
+        mesh = small_ref_mesh(ref_params, 2.0 * math.pi, 10)
+        mesh_to_ply(mesh)
+        assert "faces" not in vars(mesh)
+
+    def test_ply_traced_memory_stays_near_its_output(self, ref_params):
+        mesh = ref_mesh(ref_params, 801, 314, 2.0 * math.pi)
+        tracemalloc.start()
+        try:
+            size = len(mesh_to_ply(mesh))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result plus the vertex block and face records it is joined from
+        assert peak <= 2.1 * size
+
     def test_profile_csv(self, ref_params):
         prof = profile_from_metric(ref_params, (-0.2, 0.2), n=11)
         lines = profile_to_csv(prof).strip().split("\r\n")
