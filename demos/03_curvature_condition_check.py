@@ -48,11 +48,7 @@ for lev in range(3):
         1 + 0.01 * u**2
     ) ** 2
     curv = -log_dd / lam_t**2
-    grid = MetricGrid(
-        spec=spec,
-        lambda_field=np.repeat(lam_t[:, None], spec.nv, axis=1),
-        curvature_field=np.repeat(curv[:, None], spec.nv, axis=1),
-    )
+    grid = MetricGrid(spec, lam_t, curv)  # v-independent: one column along u
     r = ricci_residual_grid(grid, p.b)
     hs.append(spec.h)
     rs.append(r)

@@ -38,12 +38,12 @@ __all__ = [
     "NormalizationFit",
     "sample_grid",
     "ricci_residual_grid",
-    "convergence_order",
     "refinement_study",
     "estimate_order",
     "ricci_residual_1d",
     "ricci_order_1d",
     "fit_normalization",
+    "residual_floor",
     "in_family_verdict",
     "grid_to_csv",
     "summary_to_json",

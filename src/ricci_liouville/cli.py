@@ -30,6 +30,10 @@ _SWEEP_DEFAULT_B = (DEFAULT_B, 0.5, 1.0)
 _SWEEP_DEFAULT_C1 = (0.25, 1.0, 4.0)
 _SWEEP_DEFAULT_C2 = (-2.0, 0.0, 3.0)
 _SWEEP_DEFAULT_H = (0.02, 0.01, 0.005)
+# Largest point count verify accepts for each of its two big arrays: the
+# finest refinement column, (nu - 1) 2^(levels - 1) + 1 samples, and the
+# base grid's CSV, nu nv rows (2^21 rows is about 0.2 GB of text).
+VERIFY_POINT_BUDGET = 1 << 21
 
 
 def _fmt(x: float) -> str:
@@ -57,6 +61,8 @@ def _points_for(lo: float, hi: float, h: float, name: str) -> int:
     if not (math.isfinite(h) and h > 0.0):
         raise ParameterError(f"--h must be finite and positive, got {h!r}")
     _check_range(lo, hi, name)
+    if not lo < hi:
+        raise ParameterError(f"--{name}-lo must be below --{name}-hi, got {lo!r} and {hi!r}")
     n = int(round(_check_steps(lo, hi, h, name, "--h"))) + 1
     if n < 2 or abs((hi - lo) / (n - 1) - h) > 1e-9 * max(1.0, h):
         raise ParameterError(f"h = {h} does not evenly divide the {name} range")
@@ -119,6 +125,24 @@ def cmd_verify(args) -> int:
     spec = _grid_from_args(args)
     if args.levels < 2:
         raise ParameterError("--levels must be at least 2")
+    if spec.nu < 7 or spec.nv < 5:
+        raise ParameterError(
+            f"--h {args.h!r} gives {spec.nu} points along u and {spec.nv} along v; "
+            "verify needs at least 7 along u and 5 along v"
+        )
+    # the shift is capped so that a huge --levels builds no huge integer
+    shift = min(args.levels - 1, VERIFY_POINT_BUDGET.bit_length())
+    if ((spec.nu - 1) << shift) + 1 > VERIFY_POINT_BUDGET:
+        raise ParameterError(
+            f"--levels {args.levels} with --h {args.h!r} asks for a finest column of "
+            f"{spec.nu - 1} * 2^{args.levels - 1} + 1 points, over the budget of "
+            f"{VERIFY_POINT_BUDGET}"
+        )
+    if spec.nu * spec.nv > VERIFY_POINT_BUDGET:
+        raise ParameterError(
+            f"--h {args.h!r} gives a CSV of {spec.nu} x {spec.nv} rows, over the budget "
+            f"of {VERIFY_POINT_BUDGET}"
+        )
 
     _, rs, order, grid = refinement_study(
         p, (spec.refined(2**lev) for lev in range(args.levels))
@@ -409,7 +433,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--v-lo", type=float, default=None, help="default: u range")
     sp.add_argument("--v-hi", type=float, default=None, help="default: u range")
     sp.add_argument("--h", type=float, required=True, help="grid spacing (square cells)")
-    sp.add_argument("--levels", type=int, default=3, help="refinement levels for the order fit")
+    sp.add_argument("--levels", type=int, default=3,
+                    help="refinement levels for the order fit; the finest column and the "
+                    f"CSV rows may each hold at most {VERIFY_POINT_BUDGET} points")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("mesh", help="tessellate the revolution surface, OBJ or binary PLY")

@@ -26,11 +26,10 @@ from .metric import (
     DEFAULT_EPS_DOM,
     MetricParams,
     _curvature_from_factor,
-    conformal_factor,
     derive_constants,
     theta,
 )
-from .verify import GridSpec, ricci_residual_grid, sample_grid
+from .verify import _residual_column, residual_floor
 
 __all__ = [
     "PMC_B",
@@ -138,10 +137,6 @@ def amplitude_equation_check(s: SubfamilyBranch, u, *, eps_dom: float = DEFAULT_
     return float(res) if np.ndim(res) == 0 else res
 
 
-def _alpha_from_theta(ang):
-    return np.arccos(-np.sin(ang) / 3.0)
-
-
 def kaehler_angle(s: SubfamilyBranch, u, *, eps_dom: float = DEFAULT_EPS_DOM):
     """Kaehler angle alpha(u) in (0, pi) with 3 cos(alpha) = -sin(theta(u)).
 
@@ -152,7 +147,7 @@ def kaehler_angle(s: SubfamilyBranch, u, *, eps_dom: float = DEFAULT_EPS_DOM):
         raise ParameterError("Kaehler angle relation is stated on the low branch")
     p = subfamily_params(s)
     ang = theta(p, u, eps_dom=eps_dom)
-    alpha = _alpha_from_theta(np.asarray(ang))
+    alpha = np.arccos(-np.sin(np.asarray(ang)) / 3.0)
     return float(alpha) if alpha.ndim == 0 else alpha
 
 
@@ -176,9 +171,14 @@ def pmc_report(s: SubfamilyBranch, u_interval, n: int, *, eps_dom: float = DEFAU
 
     Collects the derived constants, the curvature / Kaehler angle /
     second-fundamental-form ranges on n samples, and the max Ricci
-    residual of a thin 2-d grid at the sample spacing.  The verdict states
-    whether the sampled data is consistent with the hypotheses (curvature
-    strictly below -1/3 and residual at the discretization level).
+    residual of the sampled column at the sample spacing.  The verdict
+    states whether the sampled data is consistent with the hypotheses
+    (curvature strictly below -1/3 and residual below residual_floor).
+
+    One Jacobi evaluation per sample gives everything: lambda =
+    sqrt(lambda_plus) / cn, K from lambda, and alpha = arccos(-sn / 3).
+    Inside the metric domain |s u| < K(k), so am(s u) needs no half-period
+    shift and cn = cos am, sn = sin am bit for bit.
     """
     p = subfamily_params(s)
     dc = derive_constants(p)
@@ -187,26 +187,25 @@ def pmc_report(s: SubfamilyBranch, u_interval, n: int, *, eps_dom: float = DEFAU
         raise ParameterError("interval must satisfy u_lo <= u_hi")
     if n < 1:
         raise ParameterError("need at least one sample")
-    if max(abs(u_lo), abs(u_hi)) >= dc.u_max - eps_dom:
+    # written so that a NaN bound fails the check as well
+    if not (abs(u_lo) < dc.u_max - eps_dom and abs(u_hi) < dc.u_max - eps_dom):
         raise ParameterError(
             f"interval must lie inside the metric domain (-{dc.u_max:.6g}, {dc.u_max:.6g})"
         )
     u = np.linspace(u_lo, u_hi, n) if n > 1 else np.asarray([u_lo])
-    lam = np.atleast_1d(conformal_factor(p, u, eps_dom=eps_dom))
+    sn, cn, _ = jacobi_sn_cn_dn(dc.s * u, dc.k)
+    lam = math.sqrt(dc.lambda_plus) / cn
     curv = _curvature_from_factor(p, lam)
-    ang = np.atleast_1d(theta(p, u, eps_dom=eps_dom))
-    alpha = _alpha_from_theta(ang)
-    c_norm = np.atleast_1d(second_fundamental_norm(curv, p.b))
+    alpha = np.arccos(-sn / 3.0)
+    c_norm = second_fundamental_norm(curv, p.b)
 
     residual = math.nan
     h = (u_hi - u_lo) / (n - 1) if n > 1 else math.nan
     if n >= 5 and u_hi > u_lo:
-        nv = 5
-        grid = GridSpec(u_lo, u_hi, 0.0, (nv - 1) * h, n, nv)
-        residual = ricci_residual_grid(sample_grid(p, grid, eps_dom=eps_dom), p.b)
+        residual = float(np.max(np.abs(_residual_column(lam, curv, p.b, h))))
 
     curvature_ok = bool(np.all(curv < -1.0 / 3.0))
-    residual_ok = not math.isnan(residual) and residual < max(1e-6, 10.0 * h * h)
+    residual_ok = not math.isnan(residual) and residual < residual_floor(h)
     if curvature_ok and residual_ok:
         verdict = "hypotheses satisfied at sampled resolution"
     elif curvature_ok and math.isnan(residual):

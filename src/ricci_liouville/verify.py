@@ -40,12 +40,12 @@ __all__ = [
     "NormalizationFit",
     "sample_grid",
     "ricci_residual_grid",
-    "convergence_order",
     "refinement_study",
     "estimate_order",
     "ricci_residual_1d",
     "ricci_order_1d",
     "fit_normalization",
+    "residual_floor",
     "in_family_verdict",
     "grid_to_csv",
     "summary_to_json",
@@ -107,54 +107,24 @@ class GridSpec:
 class MetricGrid:
     """Sampled conformal factor and curvature over a GridSpec.
 
-    A special Liouville metric does not depend on v, so the grid stores
-    1-d columns of length nu along u: lambda_column, curvature_column and,
-    once ricci_residual_grid has run, ricci_residual_column (NaN on the
-    first and last rows).  lambda_field, curvature_field and
-    ricci_residual_field are read-only nu x nv views derived from them
-    (axis 0 along u, axis 1 along v); the residual field is NaN on the
-    whole trimmed boundary.
-
-    The constructor takes either two columns of length nu or two full
-    nu x nv fields.  Full fields must be constant along v (atol 1e-12) and
-    are reduced to their first column.
+    A special Liouville metric does not depend on v, so the grid holds 1-d
+    columns of length nu along u: lambda_column, curvature_column and, once
+    ricci_residual_grid has run, ricci_residual_column (NaN on the first
+    and last rows).  v enters only through the spec: the square-cell
+    spacing and the rows of grid_to_csv.
     """
 
-    def __init__(self, spec: GridSpec, lambda_field, curvature_field):
-        lam = np.asarray(lambda_field, dtype=float)
-        curv = np.asarray(curvature_field, dtype=float)
-        shape = (spec.nu, spec.nv)
-        if lam.shape == curv.shape == shape:
-            for name, f in (("lambda_field", lam), ("curvature_field", curv)):
-                if not np.allclose(f, f[:, :1], rtol=0.0, atol=1e-12):
-                    raise ParameterError(f"{name} must be constant along v")
-            lam, curv = lam[:, 0].copy(), curv[:, 0].copy()
-        elif not lam.shape == curv.shape == (spec.nu,):
-            raise ParameterError(f"field shapes must equal {shape} or ({spec.nu},)")
+    def __init__(self, spec: GridSpec, lambda_column, curvature_column):
+        lam = np.asarray(lambda_column, dtype=float)
+        curv = np.asarray(curvature_column, dtype=float)
+        if not lam.shape == curv.shape == (spec.nu,):
+            raise ParameterError(
+                f"column shapes must equal ({spec.nu},), got {lam.shape} and {curv.shape}"
+            )
         self.spec = spec
         self.lambda_column = lam
         self.curvature_column = curv
         self.ricci_residual_column: np.ndarray | None = None
-
-    def _field(self, column: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(column[:, None], (self.spec.nu, self.spec.nv))
-
-    @property
-    def lambda_field(self) -> np.ndarray:
-        return self._field(self.lambda_column)
-
-    @property
-    def curvature_field(self) -> np.ndarray:
-        return self._field(self.curvature_column)
-
-    @property
-    def ricci_residual_field(self) -> np.ndarray | None:
-        if self.ricci_residual_column is None:
-            return None
-        out = np.full((self.spec.nu, self.spec.nv), np.nan)
-        out[:, 1:-1] = self.ricci_residual_column[:, None]
-        out.flags.writeable = False
-        return out
 
 
 @dataclass(frozen=True)
@@ -194,21 +164,16 @@ def sample_grid(p: MetricParams, g: GridSpec, *, eps_dom: float = DEFAULT_EPS_DO
     return MetricGrid(g, lam, _curvature_from_factor(p, lam))
 
 
-def ricci_residual_grid(m: MetricGrid, b: float) -> float:
-    """Max |Delta log sqrt(-2 b^2 - K) - 2 K| over interior grid points.
+def _residual_column(lam, curv, b: float, h: float) -> np.ndarray:
+    """Delta log sqrt(-2 b^2 - K) - 2 K on the interior of one u-column.
 
-    Uses the 5-point stencil for f_uu + f_vv and divides by lambda^2 for
-    the Laplace-Beltrami operator of the conformal metric.  It runs on the
-    u-column: both v-neighbours equal the centre, and the sum keeps the 2-d
-    stencil's order of operations, so every value is bit-identical to the
-    full-grid stencil.  Stores the residual column (NaN on the boundary
-    rows) on the grid and returns the interior max.  Requires K < -2 b^2
-    at every grid point.
+    ``lam`` and ``curv`` hold lambda and K at uniform spacing h; the result
+    drops the first and last sample.  Every certification path runs this
+    kernel.  The sum f[2:] + f[:-2] + c + c - 4 c is the 5-point stencil of
+    a v-independent f (both v-neighbours equal the centre) in the 2-d order
+    of operations, so it is bit-identical to the full-grid stencil.
+    Requires K < -2 b^2 at every sample.
     """
-    g = m.spec
-    if g.nu < 5 or g.nv < 5:
-        raise ParameterError("residual stencil needs a grid of at least 5x5")
-    curv = m.curvature_column
     w = -2.0 * b * b - curv
     if np.any(w <= 0.0):
         i = int(np.argmin(w))
@@ -219,11 +184,25 @@ def ricci_residual_grid(m: MetricGrid, b: float) -> float:
         )
     f = 0.5 * np.log(w)
     c = f[1:-1]
-    lap = (f[2:] + f[:-2] + c + c - 4.0 * c) / (g.h * g.h)
-    res = lap / m.lambda_column[1:-1] ** 2 - 2.0 * curv[1:-1]
-    out = np.full(g.nu, np.nan)
-    out[1:-1] = res
-    m.ricci_residual_column = out
+    lap = (f[2:] + f[:-2] + c + c - 4.0 * c) / (h * h)
+    return lap / lam[1:-1] ** 2 - 2.0 * curv[1:-1]
+
+
+def ricci_residual_grid(m: MetricGrid, b: float) -> float:
+    """Max |Delta log sqrt(-2 b^2 - K) - 2 K| over interior grid points.
+
+    The 5-point stencil for f_uu + f_vv, divided by lambda^2 for the
+    Laplace-Beltrami operator of the conformal metric, runs on the
+    u-column.  Stores the residual column (NaN on the boundary rows) on
+    the grid and returns the interior max.  Requires K < -2 b^2 at every
+    grid point.
+    """
+    g = m.spec
+    if g.nu < 5 or g.nv < 5:
+        raise ParameterError("residual stencil needs a grid of at least 5x5")
+    res = _residual_column(m.lambda_column, m.curvature_column, b, g.h)
+    m.ricci_residual_column = np.full(g.nu, np.nan)
+    m.ricci_residual_column[1:-1] = res
     return float(np.max(np.abs(res)))
 
 
@@ -245,17 +224,6 @@ def estimate_order(hs, residuals) -> float:
     return float(slope)
 
 
-def convergence_order(p: MetricParams, base: GridSpec, levels: int) -> float:
-    """Estimated convergence order of the Ricci residual under h -> h/2.
-
-    Runs ricci_residual_grid on the base grid and ``levels - 1`` uniform
-    refinements and fits the log-log slope; family metrics give ~2.
-    """
-    if levels < 2:
-        raise ParameterError("need at least 2 refinement levels")
-    return refinement_study(p, (base.refined(2**lev) for lev in range(levels)))[2]
-
-
 def refinement_study(p: MetricParams, specs):
     """Ricci residual on each grid of ``specs`` and the fitted order.
 
@@ -274,10 +242,6 @@ def refinement_study(p: MetricParams, specs):
     return hs, rs, estimate_order(hs, rs), base
 
 
-def _second_difference(arr: np.ndarray, h: float) -> np.ndarray:
-    return (arr[2:] - 2.0 * arr[1:-1] + arr[:-2]) / (h * h)
-
-
 def _fd_curvature(phi: np.ndarray, b: float, h: float):
     """K = -phi'' e^{-2 phi} by 3-point differences of phi = log(lambda).
 
@@ -287,7 +251,7 @@ def _fd_curvature(phi: np.ndarray, b: float, h: float):
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ParameterError(f"spacing h must be finite and positive, got {h!r}")
-    curv = -_second_difference(phi, h) * np.exp(-2.0 * phi[1:-1])
+    curv = -((phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / (h * h)) * np.exp(-2.0 * phi[1:-1])
     w = -2.0 * b * b - curv
     if np.any(w <= 0.0):
         bad = int(np.argmax(w <= 0.0)) + 1
@@ -303,9 +267,9 @@ def ricci_residual_1d(phi, b: float, h: float) -> np.ndarray:
 
     ``phi`` holds log(lambda) on a uniform u-grid with spacing h.  The
     curvature K = -phi'' e^{-2 phi} is formed with the 3-point stencil,
-    then the condition (log sqrt(-2 b^2 - K))'' e^{-2 phi} - 2 K is
-    stencilled once more; two layers are trimmed per side, so the result
-    has len(phi) - 4 entries.
+    then the residual column kernel of ricci_residual_grid runs on K and
+    lambda = e^phi; two layers are trimmed per side, so the result has
+    len(phi) - 4 entries.
 
     Raises NotInFamilyError naming the first offending sample when
     -2 b^2 - K <= 0 somewhere: such data definitely violates the curvature
@@ -314,9 +278,8 @@ def ricci_residual_1d(phi, b: float, h: float) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     if phi.ndim != 1 or phi.size < 7:
         raise ParameterError("need at least 7 samples of log(lambda)")
-    curv, w = _fd_curvature(phi, b, h)
-    f = 0.5 * np.log(w)
-    return _second_difference(f, h) * np.exp(-2.0 * phi[2:-2]) - 2.0 * curv[1:-1]
+    curv, _ = _fd_curvature(phi, b, h)
+    return _residual_column(np.exp(phi[1:-1]), curv, b, h)
 
 
 def ricci_order_1d(phi, b: float, h: float, strides=(1, 2, 4)):
@@ -377,9 +340,14 @@ def fit_normalization(lambda_samples, b: float, h: float, *, u0: float | None = 
     )
 
 
+def residual_floor(h: float) -> float:
+    """Bound the max residual must stay below at spacing h: max(1e-6, 10 h^2)."""
+    return max(1e-6, 10.0 * h * h)
+
+
 def in_family_verdict(max_residual: float, order: float, h: float) -> bool:
-    """Membership rule: residual below max(1e-6, 10 h^2) and order in [1.8, 2.2]."""
-    return max_residual < max(1e-6, 10.0 * h * h) and 1.8 <= order <= 2.2
+    """Membership rule: residual below residual_floor(h) and order in [1.8, 2.2]."""
+    return max_residual < residual_floor(h) and 1.8 <= order <= 2.2
 
 
 def grid_to_csv(m: MetricGrid) -> str:

@@ -133,11 +133,7 @@ def perturbed_metric_grid(p, spec, q=0.01):
         1.0 - q * u**2
     ) / (1.0 + q * u**2) ** 2
     curv = -log_lam_dd / lam_t**2
-    return MetricGrid(
-        spec=spec,
-        lambda_field=np.repeat(lam_t[:, None], spec.nv, axis=1),
-        curvature_field=np.repeat(curv[:, None], spec.nv, axis=1),
-    )
+    return MetricGrid(spec, lam_t, curv)
 
 
 def ricci_condition_4th_order_oracle(b, y0, half_span, h_sample, substeps=20):
@@ -402,6 +398,55 @@ def reference_grid_csv(spec, lam, curv, res):
                 f"{u[i]:.17g},{v[j]:.17g},{lam[i, j]:.17g},{curv[i, j]:.17g},{r}\r\n"
             )
     return "".join(out)
+
+
+def reference_pmc_report(s, u_interval, n):
+    """pmc_report's fields by three closed-form calls and the full-grid stencil.
+
+    lambda and K from conformal_factor and gaussian_curvature, the Kaehler
+    angle from theta, and the residual from reference_full_grid on an
+    n x 5 grid at the sample spacing.  Returns a dict keyed like the
+    PmcReport fields.
+    """
+    from ricci_liouville import (
+        GridSpec,
+        conformal_factor,
+        gaussian_curvature,
+        subfamily_params,
+        theta,
+    )
+
+    p = subfamily_params(s)
+    dc = derive_constants(p)
+    u_lo, u_hi = float(u_interval[0]), float(u_interval[1])
+    u = np.linspace(u_lo, u_hi, n) if n > 1 else np.asarray([u_lo])
+    lam = np.atleast_1d(conformal_factor(p, u))
+    curv = np.atleast_1d(gaussian_curvature(p, u))
+    alpha = np.arccos(-np.sin(np.atleast_1d(theta(p, u))) / 3.0)
+    c_norm = np.sqrt((-2.0 * p.b * p.b - curv) / 4.0)
+    residual = math.nan
+    h = (u_hi - u_lo) / (n - 1) if n > 1 else math.nan
+    if n >= 5 and u_hi > u_lo:
+        residual = reference_full_grid(p, GridSpec(u_lo, u_hi, 0.0, 4.0 * h, n, 5))[3]
+    curvature_ok = bool(np.all(curv < -1.0 / 3.0))
+    if curvature_ok and residual < max(1e-6, 10.0 * h * h):
+        verdict = "hypotheses satisfied at sampled resolution"
+    elif curvature_ok and math.isnan(residual):
+        verdict = "curvature bound holds; interval too small for the residual stencil"
+    else:
+        verdict = "hypotheses violated at sampled resolution"
+    return {
+        "params": p,
+        "branch": s.branch,
+        "k_squared": dc.k.k2,
+        "lambda_plus": dc.lambda_plus,
+        "H_norm": 2.0 * p.b,
+        "K_range": (float(np.min(curv)), float(np.max(curv))),
+        "alpha_range": (float(np.min(alpha)), float(np.max(alpha))),
+        "c_norm_range": (float(np.min(c_norm)), float(np.max(c_norm))),
+        "ricci_max_residual": residual,
+        "verdict": verdict,
+    }
 
 
 def reference_metric_from_profile(s, x, y, resample_n: int):

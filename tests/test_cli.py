@@ -607,6 +607,70 @@ class TestInputValidation:
         assert rc == 2
         assert "--h = 1e-320 is too small for the u range" in capsys.readouterr().err
 
+    REF_VERIFY = ["verify", "--c1", 1, "--c2", -1.8333333333333333]
+
+    def run_verify_usage_error(self, tmp_path, capsys, args):
+        rc = run_cli(self.REF_VERIFY + args + ["--outdir", tmp_path])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == "" and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+        return err
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (["--u-lo", 0.4, "--u-hi", -0.4], "--u-lo must be below --u-hi, got 0.4 and -0.4"),
+            (["--u-lo", 0.4, "--u-hi", 0.4], "--u-lo must be below --u-hi, got 0.4 and 0.4"),
+            (["--u-lo", -0.4, "--u-hi", 0.4, "--v-lo", 0.4, "--v-hi", -0.4],
+             "--v-lo must be below --v-hi, got 0.4 and -0.4"),
+        ],
+    )
+    def test_verify_range_must_be_ordered(self, tmp_path, capsys, bounds, message):
+        err = self.run_verify_usage_error(tmp_path, capsys, bounds + ["--h", 0.1])
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "h, levels, counts",
+        [(0.2, 2, "5 points along u and 5 along v"), (0.4, 3, "3 points along u and 3 along v")],
+    )
+    def test_verify_needs_enough_points(self, tmp_path, capsys, h, levels, counts):
+        err = self.run_verify_usage_error(
+            tmp_path, capsys, ["--u-lo", -0.4, "--u-hi", 0.4, "--h", h, "--levels", levels]
+        )
+        assert err == (
+            f"error: --h {h!r} gives {counts}; verify needs at least 7 along u and 5 along v\n"
+        )
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--h", 0.1, "--levels", 40],
+             "--levels 40 with --h 0.1 asks for a finest column of 8 * 2^39 + 1 points"),
+            (["--h", 0.1, "--levels", 10**9],
+             f"--levels {10**9} with --h 0.1 asks for a finest column of 8 * 2^{10**9 - 1} + 1"),
+            (["--h", 1e-4, "--levels", 2], "--h 0.0001 gives a CSV of 8001 x 8001 rows"),
+        ],
+    )
+    def test_verify_point_budget(self, tmp_path, capsys, monkeypatch, args, message):
+        # the budget is checked before anything is sampled
+        def no_sampling(*_):
+            raise AssertionError("sampled a grid over the point budget")
+
+        monkeypatch.setattr("ricci_liouville.verify.sample_grid", no_sampling)
+        err = self.run_verify_usage_error(
+            tmp_path, capsys, ["--u-lo", -0.4, "--u-hi", 0.4] + args
+        )
+        assert err.startswith(f"error: {message}")
+        assert err.endswith(f"over the budget of {cli.VERIFY_POINT_BUDGET}\n")
+
+    @pytest.mark.parametrize("budget, rc", [(205, 0), (204, 2), (80, 2)])
+    def test_verify_point_budget_is_inclusive(self, tmp_path, monkeypatch, budget, rc):
+        # 41 x 5 CSV rows and a finest column of 81 points
+        monkeypatch.setattr(cli, "VERIFY_POINT_BUDGET", budget)
+        args = ["--u-lo", -0.4, "--u-hi", 0.4, "--v-lo", 0, "--v-hi", 0.08,
+                "--h", 0.02, "--levels", 2, "--outdir", tmp_path]
+        assert run_cli(self.REF_VERIFY + args) == rc
+
     @pytest.mark.parametrize(
         "v_range", [["--v-hi", "inf"], ["--v-lo=-inf"], ["--v-lo=-1e308", "--v-hi", "1e308"]]
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -20,6 +21,8 @@ from ricci_liouville import (
     second_fundamental_norm,
     subfamily_params,
 )
+
+from helpers import reference_pmc_report
 
 
 class TestSubfamilyBranch:
@@ -194,6 +197,33 @@ class TestPmcReport:
         dc = derive_constants(subfamily_params(SubfamilyBranch(1.0)))
         with pytest.raises(ParameterError, match="domain"):
             pmc_report(SubfamilyBranch(1.0), (-dc.u_max, dc.u_max), 51)
+
+
+def _bits(value):
+    """Floats as hex strings (tuples elementwise), so == compares bits and NaN."""
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value.hex() if isinstance(value, float) else value
+
+
+@pytest.mark.parametrize("c1", [0.1, 1.0, 1.45, 1.6, 6.0, 30.0])
+@pytest.mark.parametrize(
+    "share, n",
+    [((-0.5, 0.5), 401), ((-0.999, 0.999), 2001), ((0.1, 0.9), 64), ((-0.3, 0.3), 5),
+     ((-0.3, 0.3), 4), ((0.0, 0.0), 1)],
+)
+def test_report_matches_three_call_path(c1, share, n):
+    # one Jacobi call per sample and the shared residual kernel against
+    # conformal_factor, theta and the full n x 5 grid stencil, bit for bit
+    s = SubfamilyBranch(c1)
+    u_max = derive_constants(subfamily_params(s)).u_max
+    interval = (share[0] * u_max, share[1] * u_max)
+    rep = pmc_report(s, interval, n)
+    got = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+    want = reference_pmc_report(s, interval, n)
+    assert sorted(got) == sorted(want)
+    for field, value in want.items():
+        assert _bits(got[field]) == _bits(value), field
 
 
 def test_log_c_norm_residual_equals_curvature_condition_residual():

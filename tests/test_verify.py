@@ -11,13 +11,13 @@ from ricci_liouville import (
     NotInFamilyError,
     ParameterError,
     conformal_factor,
-    convergence_order,
     derive_constants,
     estimate_order,
     fit_normalization,
     grid_to_csv,
     in_family_verdict,
     refinement_study,
+    residual_floor,
     ricci_order_1d,
     ricci_residual_1d,
     ricci_residual_grid,
@@ -38,11 +38,24 @@ def constant_curvature_grid(spec, b_tilde):
     u = spec.u_nodes()
     lam = 1.0 / (b_tilde * u)
     curv = np.full_like(lam, -b_tilde * b_tilde)
-    return MetricGrid(
-        spec=spec,
-        lambda_field=np.repeat(lam[:, None], spec.nv, axis=1),
-        curvature_field=np.repeat(curv[:, None], spec.nv, axis=1),
-    )
+    return MetricGrid(spec, lam, curv)
+
+
+def refined_order(p, base, levels):
+    """Convergence order of the residual over ``base`` and levels - 1 halvings of h."""
+    return refinement_study(p, (base.refined(2**lev) for lev in range(levels)))[2]
+
+
+def full_fields(grid):
+    """The grid's columns copied along v: nu x nv lambda, K and residual (NaN when trimmed)."""
+    shape = (grid.spec.nu, grid.spec.nv)
+    lam = np.broadcast_to(grid.lambda_column[:, None], shape)
+    curv = np.broadcast_to(grid.curvature_column[:, None], shape)
+    if grid.ricci_residual_column is None:
+        return lam, curv, None
+    res = np.full(shape, np.nan)
+    res[:, 1:-1] = grid.ricci_residual_column[:, None]
+    return lam, curv, res
 
 
 class TestGridSpec:
@@ -64,29 +77,22 @@ class TestGridSpec:
 class TestSampleGrid:
     def test_trivial_two_by_two(self, ref_params):
         g = sample_grid(ref_params, GridSpec(-0.1, 0.1, -0.1, 0.1, 2, 2))
-        assert g.lambda_field.shape == (2, 2)
-        assert np.all(g.lambda_field[:, 0] == g.lambda_field[:, 1])
+        assert g.lambda_column.shape == g.curvature_column.shape == (2,)
+        assert g.ricci_residual_column is None
 
     def test_symmetric_about_middle_column(self, ref_params):
         g = sample_grid(ref_params, GridSpec(-0.5, 0.5, -0.5, 0.5, 101, 101))
-        assert np.max(np.abs(g.lambda_field - g.lambda_field[::-1, :])) < 1e-12
+        assert np.max(np.abs(g.lambda_column - g.lambda_column[::-1])) < 1e-12
 
     def test_curvature_bounds(self, ref_params):
         g = sample_grid(ref_params, GridSpec(-0.5, 0.5, -0.5, 0.5, 21, 21))
-        assert np.all(np.isfinite(g.curvature_field))
-        assert np.all(g.curvature_field < -2.0 * ref_params.b**2)
+        assert np.all(np.isfinite(g.curvature_column))
+        assert np.all(g.curvature_column < -2.0 * ref_params.b**2)
 
     def test_rejects_grid_outside_domain(self, ref_params):
         dc = derive_constants(ref_params)
         with pytest.raises(ParameterError, match="inside"):
             sample_grid(ref_params, GridSpec(-dc.u_max, dc.u_max, -dc.u_max, dc.u_max, 11, 11))
-
-    def test_lambda_field_constancy_enforced(self, ref_params):
-        g = sample_grid(ref_params, GridSpec(-0.1, 0.1, -0.1, 0.1, 5, 5))
-        broken = g.lambda_field.copy()
-        broken[2, 3] *= 1.5
-        with pytest.raises(ParameterError, match="constant along v"):
-            MetricGrid(spec=g.spec, lambda_field=broken, curvature_field=g.curvature_field)
 
 
 class TestRicciResidualGrid:
@@ -99,9 +105,10 @@ class TestRicciResidualGrid:
         spec = GridSpec(-0.5, 0.5, -0.5, 0.5, 11, 11)
         grid = sample_grid(ref_params, spec)
         ricci_residual_grid(grid, ref_params.b)
-        field = grid.ricci_residual_field
-        assert np.all(np.isnan(field[0, :])) and np.all(np.isnan(field[:, -1]))
-        assert np.all(np.isfinite(field[1:-1, 1:-1]))
+        col = grid.ricci_residual_column
+        assert col.shape == (11,)
+        assert np.isnan(col[0]) and np.isnan(col[-1])
+        assert np.all(np.isfinite(col[1:-1]))
 
     def test_requires_five_by_five(self, ref_params):
         grid = sample_grid(ref_params, GridSpec(-0.1, 0.1, -0.1, 0.1, 4, 4))
@@ -131,19 +138,19 @@ class TestRicciResidualGrid:
 class TestConvergenceOrder:
     def test_reference_order_two(self, ref_params):
         base = GridSpec(-0.5, 0.5, -0.5, 0.5, 51, 51)  # h = 0.02, refined to 0.005
-        order = convergence_order(ref_params, base, 3)
+        order = refined_order(ref_params, base, 3)
         assert 1.8 <= order <= 2.2
 
     def test_two_levels_matches_log2_formula(self, ref_params):
         base = GridSpec(-0.5, 0.5, -0.5, 0.5, 51, 51)
         r1 = ricci_residual_grid(sample_grid(ref_params, base), ref_params.b)
         r2 = ricci_residual_grid(sample_grid(ref_params, base.refined(2)), ref_params.b)
-        order = convergence_order(ref_params, base, 2)
+        order = refined_order(ref_params, base, 2)
         assert order == pytest.approx(math.log2(r1 / r2), abs=1e-12)
 
     def test_levels_validation(self, ref_params):
-        with pytest.raises(ParameterError):
-            convergence_order(ref_params, GridSpec(-0.5, 0.5, -0.5, 0.5, 51, 51), 1)
+        with pytest.raises(ConvergenceError, match="fewer than 2 levels"):
+            refined_order(ref_params, GridSpec(-0.5, 0.5, -0.5, 0.5, 51, 51), 1)
 
     def test_underflow_levels_excluded(self):
         assert estimate_order([0.02, 0.01, 0.005], [4e-4, 1e-4, 1e-20]) == pytest.approx(
@@ -171,25 +178,21 @@ class TestRicciResidual1d:
         assert maxima[0] < maxima[1] < maxima[2]
 
     def test_matches_grid_on_fixed_row(self, ref_params):
-        # feed the 2-d stencil the same finite-difference curvature the 1-d
-        # path derives, then the interior rows must agree to rounding
-        h = 0.04
-        u = np.arange(-0.4, 0.4 + 1e-12, h)
+        # feed the grid the same finite-difference curvature and lambda = e^phi
+        # the 1-d path derives; both run one kernel, so the rows agree bit for bit
+        u = np.arange(-0.4, 0.4 + 1e-12, 0.04)
+        nv = 5
+        spec = GridSpec(u[1], u[-2], 0.0, (nv - 1) * 0.04, len(u) - 2, nv)
+        h = spec.h  # both paths divide by the grid's own spacing
         lam = conformal_factor(ref_params, u)
         phi = np.log(lam)
         res_1d = ricci_residual_1d(phi, ref_params.b, h)
 
-        curv_fd = -(phi[2:] - 2 * phi[1:-1] + phi[:-2]) / h**2 * np.exp(-2 * phi[1:-1])
-        nv = 5
-        spec = GridSpec(u[1], u[-2], 0.0, (nv - 1) * h, len(u) - 2, nv)
-        grid = MetricGrid(
-            spec=spec,
-            lambda_field=np.repeat(lam[1:-1, None], nv, axis=1),
-            curvature_field=np.repeat(curv_fd[:, None], nv, axis=1),
-        )
+        curv_fd = -((phi[2:] - 2 * phi[1:-1] + phi[:-2]) / (h * h)) * np.exp(-2 * phi[1:-1])
+        grid = MetricGrid(spec, np.exp(phi[1:-1]), curv_fd)
         ricci_residual_grid(grid, ref_params.b)
-        row = grid.ricci_residual_field[1:-1, 2]
-        assert np.max(np.abs(row - res_1d)) < 1e-12
+        row = grid.ricci_residual_column[1:-1]
+        assert np.array_equal(row, res_1d)
 
     def test_flat_metric_rejected(self):
         with pytest.raises(NotInFamilyError, match="sampled resolution"):
@@ -267,7 +270,9 @@ def test_stencil_spacing_must_be_finite_and_positive(ref_params, fn, h):
 
 class TestVerdictAndExport:
     def test_verdict_rule(self):
+        assert residual_floor(0.01) == 10.0 * 0.01 * 0.01 and residual_floor(1e-4) == 1e-6
         assert in_family_verdict(1e-7, 2.0, 0.01)
+        assert not in_family_verdict(residual_floor(0.01), 2.0, 0.01)
         assert not in_family_verdict(1e-2, 2.0, 0.01)
         assert not in_family_verdict(1e-7, 1.0, 0.01)
 
@@ -291,7 +296,7 @@ class TestVerdictAndExport:
 def test_sweep_invariant_order_two_everywhere():
     base = GridSpec(-0.5, 0.5, -0.5, 0.5, 26, 26)  # h = 0.04, three levels to 0.01
     for p in sweep_params()[::5]:
-        order = convergence_order(p, base, 3)
+        order = refined_order(p, base, 3)
         assert 1.8 <= order <= 2.2, (p, order)
 
 
@@ -317,9 +322,10 @@ class TestColumnGridMatchesFullGrid:
         grid = sample_grid(p, spec)
         got = ricci_residual_grid(grid, p.b)
         assert got.hex() == max_res.hex()
-        assert np.array_equal(grid.lambda_field, lam)
-        assert np.array_equal(grid.curvature_field, curv)
-        assert np.array_equal(grid.ricci_residual_field, res, equal_nan=True)
+        got_lam, got_curv, got_res = full_fields(grid)
+        assert np.array_equal(got_lam, lam)
+        assert np.array_equal(got_curv, curv)
+        assert np.array_equal(got_res, res, equal_nan=True)
         assert grid_to_csv(grid).encode() == reference_grid_csv(spec, lam, curv, res).encode()
 
     @pytest.mark.parametrize("p", ORACLE_TRIPLES, ids=["ref", "b.5c4", "b1c.25"])
@@ -327,35 +333,36 @@ class TestColumnGridMatchesFullGrid:
         spec = GridSpec(-0.3, 0.3, 0.0, 0.1, 13, 3)
         lam, curv, _, _ = reference_full_grid(p, spec)
         grid = sample_grid(p, spec)
-        assert grid.ricci_residual_field is None
+        assert grid.ricci_residual_column is None
+        got_lam, got_curv, _ = full_fields(grid)
+        assert np.array_equal(got_lam, lam) and np.array_equal(got_curv, curv)
         assert grid_to_csv(grid).encode() == reference_grid_csv(spec, lam, curv, None).encode()
 
     def test_full_fields_reduce_to_the_sampled_columns(self, ref_params):
         spec = ORACLE_SPECS[1]
         lam, curv, res, max_res = reference_full_grid(ref_params, spec)
-        grid = MetricGrid(spec=spec, lambda_field=lam, curvature_field=curv)
+        assert np.array_equal(lam, np.broadcast_to(lam[:, :1], lam.shape))
+        assert np.array_equal(curv, np.broadcast_to(curv[:, :1], curv.shape))
+        grid = MetricGrid(spec, lam[:, 0], curv[:, 0])
         sampled = sample_grid(ref_params, spec)
         assert np.array_equal(grid.lambda_column, sampled.lambda_column)
         assert np.array_equal(grid.curvature_column, sampled.curvature_column)
         assert ricci_residual_grid(grid, ref_params.b) == max_res
 
-    def test_fields_are_read_only_views(self, ref_params):
-        grid = sample_grid(ref_params, ORACLE_SPECS[0])
-        ricci_residual_grid(grid, ref_params.b)
-        for f in (grid.lambda_field, grid.curvature_field, grid.ricci_residual_field):
-            assert f.shape == (5, 5) and not f.flags.writeable
-        assert grid.lambda_column.shape == grid.ricci_residual_column.shape == (5,)
-
     def test_curvature_varying_along_v_rejected(self, ref_params):
         lam, curv, _, _ = reference_full_grid(ref_params, ORACLE_SPECS[0])
         curv[2, 3] *= 1.5
-        with pytest.raises(ParameterError, match="curvature_field must be constant along v"):
-            MetricGrid(spec=ORACLE_SPECS[0], lambda_field=lam, curvature_field=curv)
+        with pytest.raises(ParameterError, match=r"column shapes must equal \(5,\)"):
+            MetricGrid(ORACLE_SPECS[0], lam, curv)
+        with pytest.raises(ParameterError, match=r"column shapes must equal \(5,\)"):
+            MetricGrid(ORACLE_SPECS[0], lam[:, 0], curv)
 
     def test_wrong_shape_rejected(self, ref_params):
         lam, curv, _, _ = reference_full_grid(ref_params, ORACLE_SPECS[0])
-        with pytest.raises(ParameterError, match="field shapes"):
-            MetricGrid(spec=ORACLE_SPECS[0], lambda_field=lam[:, 0], curvature_field=curv)
+        for bad_lam, bad_curv in ((lam[:-1, 0], curv[:-1, 0]), (lam[:, 0], curv[1:, 0]),
+                                  (lam[0, 0], curv[0, 0])):
+            with pytest.raises(ParameterError, match="column shapes"):
+                MetricGrid(ORACLE_SPECS[0], bad_lam, bad_curv)
 
 
 class TestRefinementStudy:
@@ -365,7 +372,7 @@ class TestRefinementStudy:
         hs, rs, order, grid = refinement_study(ref_params, specs)
         assert hs == [s.h for s in specs]
         assert rs == [ricci_residual_grid(sample_grid(ref_params, s), ref_params.b) for s in specs]
-        assert order == estimate_order(hs, rs) == convergence_order(ref_params, base, 3)
+        assert order == estimate_order(hs, rs)
         assert grid.spec == base and np.nanmax(np.abs(grid.ricci_residual_column)) == rs[0]
 
     def test_errors_surface_in_grid_order(self, ref_params):
