@@ -30,14 +30,19 @@ _SWEEP_DEFAULT_B = (DEFAULT_B, 0.5, 1.0)
 _SWEEP_DEFAULT_C1 = (0.25, 1.0, 4.0)
 _SWEEP_DEFAULT_C2 = (-2.0, 0.0, 3.0)
 _SWEEP_DEFAULT_H = (0.02, 0.01, 0.005)
-# Largest point count verify accepts for each of its two big arrays: the
-# finest refinement column, (nu - 1) 2^(levels - 1) + 1 samples, and the
-# base grid's CSV, nu nv rows (2^21 rows is about 0.2 GB of text).
-VERIFY_POINT_BUDGET = 1 << 21
+# Largest point count one array of any command may hold, checked before it is
+# allocated (2^21 CSV rows is about 0.2 GB of text).
+POINT_BUDGET = 1 << 21
 
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _check_budget(points: int, request: str) -> None:
+    """Reject ``request`` (naming its flags) before it allocates over POINT_BUDGET points."""
+    if points > POINT_BUDGET:
+        raise ParameterError(f"{request}, over the budget of {POINT_BUDGET}")
 
 
 def _check_range(lo: float, hi: float, name: str) -> None:
@@ -131,18 +136,15 @@ def cmd_verify(args) -> int:
             "verify needs at least 7 along u and 5 along v"
         )
     # the shift is capped so that a huge --levels builds no huge integer
-    shift = min(args.levels - 1, VERIFY_POINT_BUDGET.bit_length())
-    if ((spec.nu - 1) << shift) + 1 > VERIFY_POINT_BUDGET:
-        raise ParameterError(
-            f"--levels {args.levels} with --h {args.h!r} asks for a finest column of "
-            f"{spec.nu - 1} * 2^{args.levels - 1} + 1 points, over the budget of "
-            f"{VERIFY_POINT_BUDGET}"
-        )
-    if spec.nu * spec.nv > VERIFY_POINT_BUDGET:
-        raise ParameterError(
-            f"--h {args.h!r} gives a CSV of {spec.nu} x {spec.nv} rows, over the budget "
-            f"of {VERIFY_POINT_BUDGET}"
-        )
+    shift = min(args.levels - 1, POINT_BUDGET.bit_length())
+    _check_budget(
+        ((spec.nu - 1) << shift) + 1,
+        f"--levels {args.levels} with --h {args.h!r} asks for a finest column of "
+        f"{spec.nu - 1} * 2^{args.levels - 1} + 1 points",
+    )
+    _check_budget(
+        spec.nu * spec.nv, f"--h {args.h!r} gives a CSV of {spec.nu} x {spec.nv} rows"
+    )
 
     _, rs, order, grid = refinement_study(
         p, (spec.refined(2**lev) for lev in range(args.levels))
@@ -182,6 +184,11 @@ def cmd_mesh(args) -> int:
     from .revolution import mesh_to_obj, mesh_to_ply, profile_from_metric, tessellate
 
     p = MetricParams(b=args.b, c1=args.c1, c2=args.c2)
+    _check_budget(args.nu, f"--nu {args.nu} asks for {args.nu} profile samples")
+    _check_budget(
+        args.nu * args.nv,
+        f"--nu {args.nu} with --nv {args.nv} asks for {args.nu} x {args.nv} mesh vertices",
+    )
     profile = profile_from_metric(
         p, (args.u_lo, args.u_hi), tol=args.tol, n=args.nu
     )
@@ -246,6 +253,9 @@ def cmd_classify(args) -> int:
     from .revolution import metric_from_profile
     from .verify import fit_normalization, in_family_verdict, ricci_order_1d
 
+    _check_budget(
+        args.resample_n, f"--resample-n {args.resample_n} asks for {args.resample_n} samples"
+    )
     s, x, y = _read_profile_csv(args.profile)
     outdir = Path(args.outdir)
     verdict_path = outdir / "verdict.json"
@@ -330,6 +340,7 @@ def cmd_sweep(args) -> int:
             raise ParameterError(f"--h-levels must be finite and positive, got {h!r}")
         steps = _check_steps(args.u_lo, args.u_hi, h, "u", "--h-levels value")
         sizes.append(int(round(steps)) + 1)
+        _check_budget(sizes[-1], f"--h-levels value {h!r} asks for a column of {sizes[-1]} points")
     if len(set(sizes)) < 2:
         raise ParameterError(
             f"--h-levels needs at least two spacings that give distinct grids for the "
@@ -384,6 +395,7 @@ def cmd_pmc(args) -> int:
         raise ParameterError("need --u-lo < --u-hi for the residual stencil")
     if args.n < 5:
         raise ParameterError(f"--n must be at least 5 for the residual stencil, got {args.n}")
+    _check_budget(args.n, f"--n {args.n} asks for {args.n} samples")
     branch = SubfamilyBranch(c1=args.c1)
     report = pmc_report(branch, (args.u_lo, args.u_hi), args.n)
     outdir = Path(args.outdir)
@@ -435,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--h", type=float, required=True, help="grid spacing (square cells)")
     sp.add_argument("--levels", type=int, default=3,
                     help="refinement levels for the order fit; the finest column and the "
-                    f"CSV rows may each hold at most {VERIFY_POINT_BUDGET} points")
+                    f"CSV rows may each hold at most {POINT_BUDGET} points")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("mesh", help="tessellate the revolution surface, OBJ or binary PLY")

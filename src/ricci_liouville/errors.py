@@ -13,7 +13,7 @@ class ParameterError(ValueError):
     """Invalid constructor argument or operation parameter."""
 
 
-class DomainError(ValueError):
+class DomainError(ParameterError):
     """Evaluation point lies outside the domain of definition."""
 
 

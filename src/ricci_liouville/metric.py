@@ -10,10 +10,11 @@ The Gaussian curvature of these metrics satisfies
 lambda^4 (-2 b^2 - K) = c1, hence K < -2 b^2 everywhere.
 
 The metric lives on the open interval |u| < u_max = K(k)/s centred at the
-minimum of lambda; evaluation functions raise DomainError at or beyond the
-pole of cn.  All functions are pure and accept scalar or ndarray ``u``.
-NumPy is imported inside the functions that evaluate at ``u``, so
-MetricParams and derive_constants load without it.
+minimum of lambda.  Every evaluation at ``u``, here and in pmc, passes one
+domain check that keeps |u| below u_max by DEFAULT_EPS_DOM and raises
+DomainError, a ParameterError, otherwise.  All functions are pure and
+accept scalar or ndarray ``u``.  NumPy is imported inside the functions
+that evaluate at ``u``, so MetricParams and derive_constants load without it.
 """
 
 from __future__ import annotations
@@ -124,69 +125,66 @@ def derive_constants(p: MetricParams) -> DerivedConstants:
     )
 
 
-def _check_domain(u, dc: DerivedConstants, eps_dom: float):
-    import numpy as np
+def _scaled_argument(p: MetricParams, u):
+    """Derived constants and s u, after the domain check of every closed-form evaluation.
 
-    # NaN fails the comparison, so one pass rejects it with the boundary
-    if not np.all(np.abs(u) < dc.u_max - eps_dom):
-        if np.isnan(u).any():
-            raise DomainError(
-                f"u is NaN; the conformal factor is defined only for "
-                f"|u| < u_max = {dc.u_max:.17g}"
-            )
-        worst = float(np.max(np.abs(u)))
-        raise DomainError(
-            f"|u| = {worst:.17g} reaches the singular boundary u_max = "
-            f"{dc.u_max:.17g} where cn(s u, k) vanishes and the conformal "
-            f"factor has a pole"
-        )
-
-
-def conformal_factor(p: MetricParams, u, *, eps_dom: float = DEFAULT_EPS_DOM):
-    """Conformal factor lambda(u) = sqrt(lambda_plus) / cn(s u, k).
-
-    Even in u, minimal at u = 0 with lambda(0) = sqrt(lambda_plus), and
-    increasing towards +inf at the domain boundary.
+    NaN fails the comparison, so one pass rejects it with the boundary.
+    Inside the domain |s u| < K(k): am(s u, k) needs no half-period shift,
+    and sn = sin am, cn = cos am.
     """
     import numpy as np
 
     dc = derive_constants(p)
     u = np.asarray(u, dtype=float)
-    _check_domain(u, dc, eps_dom)
-    _, cn, _ = jacobi_sn_cn_dn(dc.s * u, dc.k)
-    lam = math.sqrt(dc.lambda_plus) / cn
-    return float(lam) if np.ndim(lam) == 0 else lam
+    inside = np.abs(u) < dc.u_max - DEFAULT_EPS_DOM
+    if not np.all(inside):
+        worst = float(np.max(np.abs(u[~inside])))
+        raise DomainError(
+            f"|u| = {worst:.17g} is NaN or not inside the metric domain "
+            f"|u| < u_max - {DEFAULT_EPS_DOM:g} with u_max = {dc.u_max:.17g}, "
+            f"where cn(s u, k) vanishes and the conformal factor has a pole"
+        )
+    return dc, dc.s * u
 
 
-def conformal_factor_derivatives(p: MetricParams, u, *, eps_dom: float = DEFAULT_EPS_DOM):
+def _sn_cn_dn(p: MetricParams, u):
+    """Derived constants and (sn, cn, dn)(s u, k) for u inside the metric domain."""
+    dc, su = _scaled_argument(p, u)
+    return (dc, *jacobi_sn_cn_dn(su, dc.k))
+
+
+def conformal_factor(p: MetricParams, u):
+    """Conformal factor lambda(u) = sqrt(lambda_plus) / cn(s u, k).
+
+    Even in u, minimal at u = 0 with lambda(0) = sqrt(lambda_plus), and
+    increasing towards +inf at the domain boundary.
+    """
+    dc, _, cn, _ = _sn_cn_dn(p, u)
+    return math.sqrt(dc.lambda_plus) / cn
+
+
+def conformal_factor_derivatives(p: MetricParams, u):
     """Return (lambda, lambda', lambda'') at u.
 
     lambda'  = sqrt(lambda_plus) s sn(s u) dn(s u) / cn(s u)^2,
     lambda'' = c2 lambda + 4 b^2 lambda^3  (from differentiating the ODE,
     exact wherever the first integral holds, removable at u = 0).
     """
-    import numpy as np
-
-    dc = derive_constants(p)
-    u = np.asarray(u, dtype=float)
-    _check_domain(u, dc, eps_dom)
-    sn, cn, dn = jacobi_sn_cn_dn(dc.s * u, dc.k)
+    dc, sn, cn, dn = _sn_cn_dn(p, u)
     root = math.sqrt(dc.lambda_plus)
     lam = root / cn
     dlam = root * dc.s * sn * dn / (cn * cn)
     d2lam = p.c2 * lam + 4.0 * p.b * p.b * lam**3
-    if np.ndim(lam) == 0:
-        return float(lam), float(dlam), float(d2lam)
     return lam, dlam, d2lam
 
 
-def gaussian_curvature(p: MetricParams, u, *, eps_dom: float = DEFAULT_EPS_DOM):
+def gaussian_curvature(p: MetricParams, u):
     """Gaussian curvature K(u) = -2 b^2 - c1 / lambda(u)^4.
 
     Strictly below -2 b^2 everywhere, even in u, and approaching -2 b^2 as
     |u| -> u_max.
     """
-    curv = _curvature_from_factor(p, conformal_factor(p, u, eps_dom=eps_dom))
+    curv = _curvature_from_factor(p, conformal_factor(p, u))
     return float(curv) if curv.ndim == 0 else curv
 
 
@@ -198,22 +196,17 @@ def _curvature_from_factor(p: MetricParams, lam):
     return -2.0 * p.b * p.b - p.c1 / lam**4
 
 
-def theta(p: MetricParams, u, *, eps_dom: float = DEFAULT_EPS_DOM):
+def theta(p: MetricParams, u):
     """Amplitude angle theta(u) = am(s u, k), odd in u.
 
     Satisfies cos(theta) = sqrt(lambda_plus) / lambda(u) and
     theta'^2 = sqrt(disc) - ((c2 + sqrt(disc))/2) sin^2 theta.
     """
-    import numpy as np
-
-    dc = derive_constants(p)
-    u = np.asarray(u, dtype=float)
-    _check_domain(u, dc, eps_dom)
-    ang = jacobi_am(dc.s * u, dc.k)
-    return float(ang) if np.ndim(ang) == 0 else ang
+    dc, su = _scaled_argument(p, u)
+    return jacobi_am(su, dc.k)
 
 
-def ode_residual(p: MetricParams, u, *, eps_dom: float = DEFAULT_EPS_DOM):
+def ode_residual(p: MetricParams, u):
     """Residual lambda'^2 - (-c1 + c2 lambda^2 + 2 b^2 lambda^4).
 
     Vanishes identically for the closed form; the numerical value stays
@@ -221,7 +214,7 @@ def ode_residual(p: MetricParams, u, *, eps_dom: float = DEFAULT_EPS_DOM):
     """
     import numpy as np
 
-    lam, dlam, _ = conformal_factor_derivatives(p, u, eps_dom=eps_dom)
+    lam, dlam, _ = conformal_factor_derivatives(p, u)
     lam = np.asarray(lam, dtype=float)
     dlam = np.asarray(dlam, dtype=float)
     res = dlam**2 - (-p.c1 + p.c2 * lam**2 + 2.0 * p.b * p.b * lam**4)

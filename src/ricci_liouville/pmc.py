@@ -20,15 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import jacobi_sn_cn_dn
 from .errors import DomainError, ParameterError
-from .metric import (
-    DEFAULT_EPS_DOM,
-    MetricParams,
-    _curvature_from_factor,
-    derive_constants,
-    theta,
-)
+from .metric import MetricParams, _curvature_from_factor, _scaled_argument, _sn_cn_dn
 from .verify import _residual_column, residual_floor
 
 __all__ = [
@@ -113,21 +106,19 @@ def subfamily_params(s: SubfamilyBranch) -> MetricParams:
     return MetricParams(b=PMC_B, c1=s.c1, c2=c2)
 
 
-def amplitude_equation_check(s: SubfamilyBranch, u, *, eps_dom: float = DEFAULT_EPS_DOM):
+def amplitude_equation_check(s: SubfamilyBranch, u):
     """Residual of the branch amplitude equation at u.
 
     Low branch: theta'^2 - (2 + c1/6 - (c1/6) sin^2 theta), with
     theta' = s dn(s u, k).  High branch: the same specialization evaluated
     through the derived constants, theta'^2 - (sqrt(disc)
-    - ((c2 + sqrt(disc))/2) sin^2 theta).
+    - ((c2 + sqrt(disc))/2) sin^2 theta).  One Jacobi call gives both,
+    with sin theta = sn(s u, k).
     """
     p = subfamily_params(s)
-    dc = derive_constants(p)
-    u = np.asarray(u, dtype=float)
-    ang = theta(p, u, eps_dom=eps_dom)
-    _, _, dn = jacobi_sn_cn_dn(dc.s * u, dc.k)
+    dc, sn, _, dn = _sn_cn_dn(p, u)
     dtheta2 = (dc.s * np.asarray(dn)) ** 2
-    sin2 = np.sin(ang) ** 2
+    sin2 = np.asarray(sn) ** 2
     if s.branch == "low":
         rhs = 2.0 + s.c1 / 6.0 - (s.c1 / 6.0) * sin2
     else:
@@ -137,17 +128,16 @@ def amplitude_equation_check(s: SubfamilyBranch, u, *, eps_dom: float = DEFAULT_
     return float(res) if np.ndim(res) == 0 else res
 
 
-def kaehler_angle(s: SubfamilyBranch, u, *, eps_dom: float = DEFAULT_EPS_DOM):
+def kaehler_angle(s: SubfamilyBranch, u):
     """Kaehler angle alpha(u) in (0, pi) with 3 cos(alpha) = -sin(theta(u)).
 
-    Defined on the low branch.  |cos alpha| <= 1/3, so sin(alpha) >=
-    sqrt(8)/3 > 0 along the whole metric domain.
+    Defined on the low branch, with sin theta = sn(s u, k).  |cos alpha|
+    <= 1/3, so sin(alpha) >= sqrt(8)/3 > 0 along the whole metric domain.
     """
     if s.branch != "low":
         raise ParameterError("Kaehler angle relation is stated on the low branch")
-    p = subfamily_params(s)
-    ang = theta(p, u, eps_dom=eps_dom)
-    alpha = np.arccos(-np.sin(np.asarray(ang)) / 3.0)
+    _, sn, _, _ = _sn_cn_dn(subfamily_params(s), u)
+    alpha = np.arccos(-np.asarray(sn) / 3.0)
     return float(alpha) if alpha.ndim == 0 else alpha
 
 
@@ -166,7 +156,7 @@ def second_fundamental_norm(K, b: float):
     return float(out) if out.ndim == 0 else out
 
 
-def pmc_report(s: SubfamilyBranch, u_interval, n: int, *, eps_dom: float = DEFAULT_EPS_DOM) -> PmcReport:
+def pmc_report(s: SubfamilyBranch, u_interval, n: int) -> PmcReport:
     """Sampled report over a u-interval for one subfamily member.
 
     Collects the derived constants, the curvature / Kaehler angle /
@@ -177,23 +167,18 @@ def pmc_report(s: SubfamilyBranch, u_interval, n: int, *, eps_dom: float = DEFAU
 
     One Jacobi evaluation per sample gives everything: lambda =
     sqrt(lambda_plus) / cn, K from lambda, and alpha = arccos(-sn / 3).
-    Inside the metric domain |s u| < K(k), so am(s u) needs no half-period
-    shift and cn = cos am, sn = sin am bit for bit.
+    The interval ends pass the metric's domain check before the samples
+    are allocated.
     """
     p = subfamily_params(s)
-    dc = derive_constants(p)
     u_lo, u_hi = float(u_interval[0]), float(u_interval[1])
     if u_lo > u_hi:
         raise ParameterError("interval must satisfy u_lo <= u_hi")
     if n < 1:
         raise ParameterError("need at least one sample")
-    # written so that a NaN bound fails the check as well
-    if not (abs(u_lo) < dc.u_max - eps_dom and abs(u_hi) < dc.u_max - eps_dom):
-        raise ParameterError(
-            f"interval must lie inside the metric domain (-{dc.u_max:.6g}, {dc.u_max:.6g})"
-        )
+    _scaled_argument(p, (u_lo, u_hi))
     u = np.linspace(u_lo, u_hi, n) if n > 1 else np.asarray([u_lo])
-    sn, cn, _ = jacobi_sn_cn_dn(dc.s * u, dc.k)
+    dc, sn, cn, _ = _sn_cn_dn(p, u)
     lam = math.sqrt(dc.lambda_plus) / cn
     curv = _curvature_from_factor(p, lam)
     alpha = np.arccos(-sn / 3.0)

@@ -248,20 +248,20 @@ def adaptive_simpson(f, a: float, b: float, tol: float):
     return float(_simpson_segments(f, [a, b], tol)[0])
 
 
-def embeddable_interval(p: MetricParams, *, eps_dom: float = DEFAULT_EPS_DOM):
+def embeddable_interval(p: MetricParams):
     """Maximal symmetric interval around 0 where lambda^2 >= lambda'^2, in closed form.
 
     With theta = am(s u, k), lambda = sqrt(lambda_plus) / cos(theta) and
     lambda' = lambda s sin(theta) dn / cos(theta), so the gap vanishes where
     cos^2 = s^2 sin^2 (1 - k^2 sin^2): x = sin^2 theta is the smaller root
     of s^2 k^2 x^2 - (s^2 + 1) x + 1 = 0.  The boundary is
-    u* = F(theta*, k) / s, clipped to u_max - max(eps_dom, 1e-12 u_max).
+    u* = F(theta*, k) / s, clipped to u_max - max(DEFAULT_EPS_DOM, 1e-12 u_max).
     The root depends on s and k alone, and with R = hypot(s^2 - 1, 2 s k')
     the amplitude is theta* = atan2(sqrt(2), sqrt(s^2 - 1 + R)), where
     s^2 - 1 + R = 4 s^2 k'^2 / (R + 1 - s^2) for s < 1, so no form cancels.
     """
     dc = derive_constants(p)
-    hi = dc.u_max - max(eps_dom, 1e-12 * dc.u_max)
+    hi = dc.u_max - max(DEFAULT_EPS_DOM, 1e-12 * dc.u_max)
     s2, kc = dc.s * dc.s, dc.k.complement
     r = math.hypot(s2 - 1.0, 2.0 * dc.s * kc)
     cos_part = s2 - 1.0 + r if s2 >= 1.0 else 4.0 * s2 * kc * kc / (r + 1.0 - s2)
@@ -315,14 +315,7 @@ def profile_from_conformal(lam, dlam, interval, *, tol: float = 1e-10, n: int = 
     return _profile(lambda t: (lam(t), dlam(t)), interval, tol, n)
 
 
-def profile_from_metric(
-    p: MetricParams,
-    interval,
-    *,
-    tol: float = 1e-10,
-    n: int = 801,
-    eps_dom: float = DEFAULT_EPS_DOM,
-):
+def profile_from_metric(p: MetricParams, interval, *, tol: float = 1e-10, n: int = 801):
     """Profile curve of the revolution realization of a family metric.
 
     The interval must sit inside both the metric domain and the
@@ -330,7 +323,7 @@ def profile_from_metric(
     takes lambda and lambda' from one closed-form call.
     """
     u_lo, u_hi = float(interval[0]), float(interval[1])
-    emb_lo, emb_hi = embeddable_interval(p, eps_dom=eps_dom)
+    emb_lo, emb_hi = embeddable_interval(p)
     if u_lo < emb_lo - 1e-12 or u_hi > emb_hi + 1e-12:
         raise ParameterError(
             f"interval [{u_lo}, {u_hi}] exceeds the embeddable interval "
@@ -338,7 +331,7 @@ def profile_from_metric(
         )
 
     def factor(t):
-        return conformal_factor_derivatives(p, t, eps_dom=eps_dom)[:2]
+        return conformal_factor_derivatives(p, t)[:2]
 
     return _profile(factor, (u_lo, u_hi), tol, n, params=p)
 

@@ -26,13 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NotInFamilyError, ParameterError
-from .metric import (
-    DEFAULT_EPS_DOM,
-    MetricParams,
-    _curvature_from_factor,
-    conformal_factor,
-    derive_constants,
-)
+from .metric import MetricParams, _curvature_from_factor, conformal_factor
 
 __all__ = [
     "GridSpec",
@@ -53,6 +47,8 @@ __all__ = [
 ]
 
 RESIDUAL_UNDERFLOW = 1e-13
+# coarsening strides of ricci_order_1d, finest first
+ORDER_STRIDES = (1, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -147,20 +143,14 @@ class NormalizationFit:
             raise ParameterError("max_affine_residual must be nonnegative")
 
 
-def sample_grid(p: MetricParams, g: GridSpec, *, eps_dom: float = DEFAULT_EPS_DOM) -> MetricGrid:
+def sample_grid(p: MetricParams, g: GridSpec) -> MetricGrid:
     """Sample the lambda and K columns at the grid's u-nodes.
 
     One closed-form call gives lambda; K = -2 b^2 - c1 / lambda^4 is formed
     from it exactly as gaussian_curvature does.  The u-range must sit
-    strictly inside the metric domain.
+    inside the metric domain (DomainError otherwise).
     """
-    dc = derive_constants(p)
-    if not (-dc.u_max + eps_dom < g.u_lo and g.u_hi < dc.u_max - eps_dom):
-        raise ParameterError(
-            f"grid u-range [{g.u_lo}, {g.u_hi}] must lie strictly inside "
-            f"(-{dc.u_max:.6g}, {dc.u_max:.6g})"
-        )
-    lam = conformal_factor(p, g.u_nodes(), eps_dom=eps_dom)
+    lam = conformal_factor(p, g.u_nodes())
     return MetricGrid(g, lam, _curvature_from_factor(p, lam))
 
 
@@ -282,8 +272,8 @@ def ricci_residual_1d(phi, b: float, h: float) -> np.ndarray:
     return _residual_column(np.exp(phi[1:-1]), curv, b, h)
 
 
-def ricci_order_1d(phi, b: float, h: float, strides=(1, 2, 4)):
-    """Convergence order of the 1-d residual under coarsening strides.
+def ricci_order_1d(phi, b: float, h: float):
+    """Convergence order of the 1-d residual under the ORDER_STRIDES coarsenings.
 
     Residuals are compared at the physical points common to all strides
     (the interior of the coarsest grid), which removes the drift that the
@@ -291,8 +281,7 @@ def ricci_order_1d(phi, b: float, h: float, strides=(1, 2, 4)):
     (order, residuals) with one max per stride.
     """
     phi = np.asarray(phi, dtype=float)
-    strides = sorted(int(s) for s in strides)
-    coarsest = strides[-1]
+    coarsest = ORDER_STRIDES[-1]
     if phi.size < 4 * coarsest + 3:
         raise ParameterError(
             f"need at least {4 * coarsest + 3} samples for stride {coarsest}"
@@ -300,7 +289,7 @@ def ricci_order_1d(phi, b: float, h: float, strides=(1, 2, 4)):
     n_sub = (phi.size - 1) // coarsest + 1
     common = coarsest * np.arange(2, n_sub - 2)  # interior of the coarsest grid
     hs, maxima = [], []
-    for stride in strides:
+    for stride in ORDER_STRIDES:
         res = ricci_residual_1d(phi[::stride], b, h * stride)
         # residual index i corresponds to sample index stride * (i + 2)
         idx = common // stride - 2

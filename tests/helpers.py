@@ -449,6 +449,39 @@ def reference_pmc_report(s, u_interval, n):
     }
 
 
+# theta-based references for the subfamily quantities: sin(theta) comes from
+# theta, not from the sn of the one Jacobi call, so tests can demand equal
+# bits from the single-call path.
+
+def reference_amplitude_equation_check(s, u):
+    """amplitude_equation_check with sin(theta) taken from theta and dn from a second Jacobi call."""
+    from ricci_liouville import jacobi_sn_cn_dn, subfamily_params, theta
+
+    p = subfamily_params(s)
+    dc = derive_constants(p)
+    u = np.asarray(u, dtype=float)
+    ang = theta(p, u)
+    _, _, dn = jacobi_sn_cn_dn(dc.s * u, dc.k)
+    dtheta2 = (dc.s * np.asarray(dn)) ** 2
+    sin2 = np.sin(ang) ** 2
+    if s.branch == "low":
+        rhs = 2.0 + s.c1 / 6.0 - (s.c1 / 6.0) * sin2
+    else:
+        sqrt_disc = math.sqrt(dc.disc)
+        rhs = sqrt_disc - 0.5 * (p.c2 + sqrt_disc) * sin2
+    res = dtheta2 - rhs
+    return float(res) if np.ndim(res) == 0 else res
+
+
+def reference_kaehler_angle(s, u):
+    """kaehler_angle with sin(theta) taken from theta (low branch)."""
+    from ricci_liouville import subfamily_params, theta
+
+    ang = theta(subfamily_params(s), u)
+    alpha = np.arccos(-np.sin(np.asarray(ang)) / 3.0)
+    return float(alpha) if alpha.ndim == 0 else alpha
+
+
 def reference_metric_from_profile(s, x, y, resample_n: int):
     """metric_from_profile as written on SciPy's CubicSpline and PchipInterpolator.
 

@@ -175,6 +175,12 @@ MESH_ARGS = [
 ]
 
 
+def with_value(args, flag, value):
+    """A copy of ``args`` with the value after ``flag`` replaced."""
+    i = args.index(flag) + 1
+    return args[:i] + [value] + args[i + 1:]
+
+
 class TestMesh:
     def test_obj_output(self, tmp_path):
         rc = run_cli(MESH_ARGS + ["--format", "obj", "--outdir", tmp_path])
@@ -661,15 +667,46 @@ class TestInputValidation:
             tmp_path, capsys, ["--u-lo", -0.4, "--u-hi", 0.4] + args
         )
         assert err.startswith(f"error: {message}")
-        assert err.endswith(f"over the budget of {cli.VERIFY_POINT_BUDGET}\n")
+        assert err.endswith(f"over the budget of {cli.POINT_BUDGET}\n")
 
     @pytest.mark.parametrize("budget, rc", [(205, 0), (204, 2), (80, 2)])
     def test_verify_point_budget_is_inclusive(self, tmp_path, monkeypatch, budget, rc):
         # 41 x 5 CSV rows and a finest column of 81 points
-        monkeypatch.setattr(cli, "VERIFY_POINT_BUDGET", budget)
+        monkeypatch.setattr(cli, "POINT_BUDGET", budget)
         args = ["--u-lo", -0.4, "--u-hi", 0.4, "--v-lo", 0, "--v-hi", 0.08,
                 "--h", 0.02, "--levels", 2, "--outdir", tmp_path]
         assert run_cli(self.REF_VERIFY + args) == rc
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["pmc", "--c1", 1, "--u-lo", -0.4, "--u-hi", 0.4, "--n", 10**12],
+             f"--n {10**12} asks for {10**12} samples"),
+            (with_value(MESH_ARGS, "--nu", 10**12) + ["--format", "ply"],
+             f"--nu {10**12} asks for {10**12} profile samples"),
+            (with_value(MESH_ARGS, "--nv", 10**12) + ["--format", "obj"],
+             f"--nu 31 with --nv {10**12} asks for 31 x {10**12} mesh vertices"),
+            (SWEEP + ["--h-levels=1e-12,2e-12"],
+             "--h-levels value 1e-12 asks for a column of 1000000000001 points"),
+        ],
+    )
+    def test_point_budget(self, tmp_path, capsys, args, message):
+        # 10^12 samples cannot be allocated, so only the budget check can exit 2
+        rc = run_cli(args + ["--outdir", tmp_path])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err == f"error: {message}, over the budget of {cli.POINT_BUDGET}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_classify_point_budget(self, tmp_path, capsys, trumpet_csv):
+        rc = run_cli(["classify", "--profile", trumpet_csv, "--resample-n", 10**12,
+                      "--outdir", tmp_path])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --resample-n {10**12} asks for {10**12} samples, "
+            f"over the budget of {cli.POINT_BUDGET}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "v_range", [["--v-hi", "inf"], ["--v-lo=-inf"], ["--v-lo=-1e308", "--v-hi", "1e308"]]

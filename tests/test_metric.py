@@ -7,15 +7,23 @@ from hypothesis import strategies as st
 
 from ricci_liouville import (
     DomainError,
+    GridSpec,
     MetricParams,
     ParameterError,
+    SubfamilyBranch,
+    amplitude_equation_check,
     conformal_factor,
     conformal_factor_derivatives,
     derive_constants,
     gaussian_curvature,
+    kaehler_angle,
     ode_residual,
+    pmc_report,
+    sample_grid,
+    subfamily_params,
     theta,
 )
+from ricci_liouville.metric import DEFAULT_EPS_DOM
 
 from helpers import lambda_ode_oracle, sweep_params
 
@@ -136,12 +144,35 @@ class TestConformalFactor:
         with pytest.raises(DomainError, match="NaN"):
             conformal_factor(ref_params, np.array([0.1, math.nan, -0.2]))
 
-    def test_eps_dom_margin(self, ref_params):
-        dc = derive_constants(ref_params)
-        u = dc.u_max - 1e-6
-        assert conformal_factor(ref_params, u) > 0.0  # default margin 1e-9
-        with pytest.raises(DomainError):
-            conformal_factor(ref_params, u, eps_dom=1e-5)
+
+
+# the low-branch subfamily member with c1 = 1 is the reference metric
+REF_BRANCH = SubfamilyBranch(1.0)
+CLOSED_FORM_ENTRY_POINTS = {
+    "conformal_factor": conformal_factor,
+    "conformal_factor_derivatives": conformal_factor_derivatives,
+    "gaussian_curvature": gaussian_curvature,
+    "theta": theta,
+    "ode_residual": ode_residual,
+    "kaehler_angle": lambda _, u: kaehler_angle(REF_BRANCH, u),
+    "amplitude_equation_check": lambda _, u: amplitude_equation_check(REF_BRANCH, u),
+    "sample_grid": lambda p, u: sample_grid(p, GridSpec(-u, u, -u, u, 5, 5)),
+    # two samples, the interval ends: at 2 DEFAULT_EPS_DOM from the pole K
+    # rounds to -2 b^2, where the residual stencil is undefined
+    "pmc_report": lambda _, u: pmc_report(REF_BRANCH, (-u, u), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_ENTRY_POINTS))
+def test_fixed_domain_margin(ref_params, name):
+    # every closed-form evaluation keeps the margin DEFAULT_EPS_DOM from the pole
+    assert subfamily_params(REF_BRANCH) == ref_params
+    evaluate = CLOSED_FORM_ENTRY_POINTS[name]
+    u_max = derive_constants(ref_params).u_max
+    evaluate(ref_params, u_max - 2.0 * DEFAULT_EPS_DOM)
+    with pytest.raises(DomainError, match="inside the metric domain") as info:
+        evaluate(ref_params, u_max - 0.5 * DEFAULT_EPS_DOM)
+    assert isinstance(info.value, ParameterError)
 
 
 class TestDerivatives:

@@ -22,7 +22,11 @@ from ricci_liouville import (
     subfamily_params,
 )
 
-from helpers import reference_pmc_report
+from helpers import (
+    reference_amplitude_equation_check,
+    reference_kaehler_angle,
+    reference_pmc_report,
+)
 
 
 class TestSubfamilyBranch:
@@ -224,6 +228,29 @@ def test_report_matches_three_call_path(c1, share, n):
     assert sorted(got) == sorted(want)
     for field, value in want.items():
         assert _bits(got[field]) == _bits(value), field
+
+
+@pytest.mark.parametrize("c1", [0.1, 1.0, 1.45, 1.6, 6.0, 30.0])
+def test_one_jacobi_call_matches_theta_path(c1):
+    # inside the metric domain sn = sin(am), so the amplitude check and the
+    # Kaehler angle keep the bits of the theta-based path
+    s = SubfamilyBranch(c1)
+    u_max = derive_constants(subfamily_params(s)).u_max
+    points = [
+        np.linspace(-0.999 * u_max, 0.999 * u_max, 2001),
+        np.array([0.0, -0.0]),
+        0.0,
+        -0.0,
+        0.5 * u_max,
+        -0.999 * u_max,
+    ]
+    checks = [(amplitude_equation_check, reference_amplitude_equation_check)]
+    if s.branch == "low":
+        checks.append((kaehler_angle, reference_kaehler_angle))
+    for u in points:
+        for got, want in ((f(s, u), ref(s, u)) for f, ref in checks):
+            assert type(got) is type(want)
+            assert np.array_equal(got, want)
 
 
 def test_log_c_norm_residual_equals_curvature_condition_residual():
