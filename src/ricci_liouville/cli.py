@@ -1,9 +1,14 @@
 """Command line front end.
 
 Subcommands: derive, verify, mesh, classify, sweep, pmc.  Exit codes:
-0 success, 1 negative verification verdict, 2 usage or parameter error,
-3 numerical failure.  Every run writes exactly one manifest.json next to
-its outputs; data outputs are byte-deterministic for identical inputs.
+0 success, 1 negative verification verdict, 2 usage or parameter error
+(a data file or manifest that cannot be written included), 3 numerical
+failure.  Each cmd_* returns (exit code, {file name: data}, summary) and
+writes nothing; main writes the data files, then manifest.json, for a run
+that ends with a result (exit 0, or exit 1 with a verdict file).  A run
+that ends with an error message writes no file.  The manifest records
+every parsed flag except --outdir, with defaults resolved.  Data outputs
+are byte-deterministic for identical inputs.
 
 A start pays only for what its subcommand runs: each command imports the
 library modules it calls, and NumPy, inside its body.  derive, --help and
@@ -23,7 +28,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ConvergenceError, NotInFamilyError, ParameterError
-from .fileio import source_date_epoch, write_atomic, write_manifest
+from .fileio import json_text, source_date_epoch, write_atomic, write_manifest
 
 DEFAULT_B = 1.0 / math.sqrt(6.0)
 _SWEEP_DEFAULT_B = (DEFAULT_B, 0.5, 1.0)
@@ -84,9 +89,7 @@ def _grid_from_args(args):
     return GridSpec(args.u_lo, args.u_hi, v_lo, v_hi, nu, nv)
 
 
-def cmd_derive(args) -> int:
-    import json
-
+def cmd_derive(args):
     from .metric import MetricParams, derive_constants
 
     p = MetricParams(b=args.b, c1=args.c1, c2=args.c2)
@@ -103,20 +106,11 @@ def cmd_derive(args) -> int:
         "lambda_minus": dc.lambda_minus,
         "u_max": dc.u_max,
     }
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    print(text)
-    write_manifest(
-        args.outdir,
-        "derive",
-        {"b": p.b, "c1": p.c1, "c2": p.c2},
-        [],
-        payload,
-        __version__,
-    )
-    return 0
+    print(json_text(payload), end="")
+    return 0, {}, payload
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args):
     from .metric import MetricParams
     from .verify import (
         fit_normalization,
@@ -152,38 +146,23 @@ def cmd_verify(args) -> int:
     max_res = rs[0]
     fit = fit_normalization(grid.lambda_column, p.b, spec.h, u0=spec.u_lo)
     verdict = in_family_verdict(max_res, order, spec.h)
-
-    outdir = Path(args.outdir)
-    csv_path = outdir / "residuals.csv"
-    json_path = outdir / "summary.json"
-    write_atomic(csv_path, grid_to_csv(grid))
-    write_atomic(json_path, summary_to_json(max_res, order, fit, spec.h, verdict))
-    write_manifest(
-        args.outdir,
-        "verify",
-        {
-            "b": p.b,
-            "c1": p.c1,
-            "c2": p.c2,
-            "u_lo": spec.u_lo,
-            "u_hi": spec.u_hi,
-            "v_lo": spec.v_lo,
-            "v_hi": spec.v_hi,
-            "h": spec.h,
-            "levels": args.levels,
-        },
-        [csv_path.name, json_path.name],
-        {"max_residual": max_res, "order": order, "verdict": verdict},
-        __version__,
-    )
-    return 0 if verdict else 1
+    # the manifest records the grid's v range and spacing
+    args.v_lo, args.v_hi, args.h = spec.v_lo, spec.v_hi, spec.h
+    files = {
+        "residuals.csv": grid_to_csv(grid),
+        "summary.json": summary_to_json(max_res, order, fit, spec.h, verdict),
+    }
+    summary = {"max_residual": max_res, "order": order, "verdict": verdict}
+    return 0 if verdict else 1, files, summary
 
 
-def cmd_mesh(args) -> int:
+def cmd_mesh(args):
     from .metric import MetricParams
     from .revolution import mesh_to_obj, mesh_to_ply, profile_from_metric, tessellate
 
     p = MetricParams(b=args.b, c1=args.c1, c2=args.c2)
+    # tessellate checks the v range itself
+    _check_range(args.u_lo, args.u_hi, "u")
     _check_budget(args.nu, f"--nu {args.nu} asks for {args.nu} profile samples")
     _check_budget(
         args.nu * args.nv,
@@ -193,33 +172,9 @@ def cmd_mesh(args) -> int:
         p, (args.u_lo, args.u_hi), tol=args.tol, n=args.nu
     )
     mesh = tessellate(profile, args.v_lo, args.v_hi, args.nv)
-    outdir = Path(args.outdir)
-    out_path = outdir / f"surface.{args.format}"
-    if args.format == "obj":
-        write_atomic(out_path, mesh_to_obj(mesh))
-    else:
-        write_atomic(out_path, mesh_to_ply(mesh))
-    write_manifest(
-        args.outdir,
-        "mesh",
-        {
-            "b": p.b,
-            "c1": p.c1,
-            "c2": p.c2,
-            "u_lo": args.u_lo,
-            "u_hi": args.u_hi,
-            "v_lo": args.v_lo,
-            "v_hi": args.v_hi,
-            "nu": args.nu,
-            "nv": args.nv,
-            "tol": args.tol,
-            "format": args.format,
-        },
-        [out_path.name],
-        {"vertices": len(mesh.vertices), "faces": mesh.face_count, "closed": mesh.closed},
-        __version__,
-    )
-    return 0
+    data = mesh_to_obj(mesh) if args.format == "obj" else mesh_to_ply(mesh)
+    summary = {"vertices": len(mesh.vertices), "faces": mesh.face_count, "closed": mesh.closed}
+    return 0, {f"surface.{args.format}": data}, summary
 
 
 def _read_profile_csv(path):
@@ -245,9 +200,7 @@ def _read_profile_csv(path):
     return data[:, 0], data[:, 1], data[:, 2]
 
 
-def cmd_classify(args) -> int:
-    import json
-
+def cmd_classify(args):
     import numpy as np
 
     from .revolution import metric_from_profile
@@ -257,36 +210,18 @@ def cmd_classify(args) -> int:
         args.resample_n, f"--resample-n {args.resample_n} asks for {args.resample_n} samples"
     )
     s, x, y = _read_profile_csv(args.profile)
-    outdir = Path(args.outdir)
-    verdict_path = outdir / "verdict.json"
-
-    def emit(payload) -> None:
-        write_atomic(
-            verdict_path, json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        )
-        write_manifest(
-            args.outdir,
-            "classify",
-            {"profile": str(args.profile), "b": args.b, "resample_n": args.resample_n},
-            [verdict_path.name],
-            payload,
-            __version__,
-        )
-
     u_grid, lam = metric_from_profile(s, x, y, args.resample_n)
     h = u_grid[1] - u_grid[0]
     try:
         order, maxima = ricci_order_1d(np.log(lam), args.b, h)
         fit = fit_normalization(lam, args.b, h, u0=float(u_grid[0]))
     except NotInFamilyError as exc:
-        emit({"verdict": f"rejected: {exc}", "sample_index": exc.index})
-        return 1
-
-    # the affine deviation of F = log(lambda^2 sqrt(-2 b^2 - K)) carries one
-    # stencil layer instead of two, so its O(h^2) constant suits the floor
-    ok = in_family_verdict(fit.max_affine_residual, order, h)
-    emit(
-        {
+        code, payload = 1, {"verdict": f"rejected: {exc}", "sample_index": exc.index}
+    else:
+        # the affine deviation of F = log(lambda^2 sqrt(-2 b^2 - K)) carries one
+        # stencil layer instead of two, so its O(h^2) constant suits the floor
+        ok = in_family_verdict(fit.max_affine_residual, order, h)
+        code, payload = 0 if ok else 1, {
             "verdict": "in family" if ok else "not in family at sampled resolution",
             "max_residual": maxima[0],
             "order": order,
@@ -295,8 +230,7 @@ def cmd_classify(args) -> int:
             "c2_fit": fit.c2_fit,
             "max_affine_residual": fit.max_affine_residual,
         }
-    )
-    return 0 if ok else 1
+    return code, {"verdict.json": json_text(payload)}, payload
 
 
 def _parse_values(text: str, name: str):
@@ -324,18 +258,20 @@ def _sweep_point(b, c1, c2, u_lo, u_hi, sizes):
     return {**row, "residual": rs[-1], "order": order, "status": "ok"}
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     import io
 
-    bs = _parse_values(args.b_values, "--b-values")
-    c1s = _parse_values(args.c1_values, "--c1-values")
-    c2s = _parse_values(args.c2_values, "--c2-values")
-    h_levels = _parse_values(args.h_levels, "--h-levels")
+    h_text = args.h_levels
+    # the manifest records the parsed value lists
+    args.b_values = _parse_values(args.b_values, "--b-values")
+    args.c1_values = _parse_values(args.c1_values, "--c1-values")
+    args.c2_values = _parse_values(args.c2_values, "--c2-values")
+    args.h_levels = _parse_values(h_text, "--h-levels")
     _check_range(args.u_lo, args.u_hi, "u")
     if args.u_lo >= args.u_hi:
         raise ParameterError("need --u-lo < --u-hi")
     sizes = []
-    for h in h_levels:
+    for h in args.h_levels:
         if not (math.isfinite(h) and h > 0.0):
             raise ParameterError(f"--h-levels must be finite and positive, got {h!r}")
         steps = _check_steps(args.u_lo, args.u_hi, h, "u", "--h-levels value")
@@ -344,14 +280,14 @@ def cmd_sweep(args) -> int:
     if len(set(sizes)) < 2:
         raise ParameterError(
             f"--h-levels needs at least two spacings that give distinct grids for the "
-            f"order fit, got {args.h_levels!r}"
+            f"order fit, got {h_text!r}"
         )
 
     rows = [
         _sweep_point(b, c1, c2, args.u_lo, args.u_hi, sizes)
-        for c1 in c1s
-        for c2 in c2s
-        for b in bs
+        for c1 in args.c1_values
+        for c2 in args.c2_values
+        for b in args.b_values
     ]
 
     buf = io.StringIO()
@@ -365,29 +301,11 @@ def cmd_sweep(args) -> int:
         buf.write(
             f"{_fmt(row['c1'])},{_fmt(row['c2'])},{_fmt(row['b'])},{res},{order},{status}\r\n"
         )
-    outdir = Path(args.outdir)
-    csv_path = outdir / "sweep.csv"
-    write_atomic(csv_path, buf.getvalue())
     n_ok = sum(1 for r in rows if r["status"] == "ok")
-    write_manifest(
-        args.outdir,
-        "sweep",
-        {
-            "b_values": bs,
-            "c1_values": c1s,
-            "c2_values": c2s,
-            "u_lo": args.u_lo,
-            "u_hi": args.u_hi,
-            "h_levels": h_levels,
-        },
-        [csv_path.name],
-        {"rows": len(rows), "ok": n_ok},
-        __version__,
-    )
-    return 0
+    return 0, {"sweep.csv": buf.getvalue()}, {"rows": len(rows), "ok": n_ok}
 
 
-def cmd_pmc(args) -> int:
+def cmd_pmc(args):
     from .pmc import SubfamilyBranch, pmc_report
 
     _check_range(args.u_lo, args.u_hi, "u")
@@ -398,20 +316,10 @@ def cmd_pmc(args) -> int:
     _check_budget(args.n, f"--n {args.n} asks for {args.n} samples")
     branch = SubfamilyBranch(c1=args.c1)
     report = pmc_report(branch, (args.u_lo, args.u_hi), args.n)
-    outdir = Path(args.outdir)
-    json_path = outdir / "pmc_report.json"
     text = report.to_json()
-    write_atomic(json_path, text)
     print(text, end="")
-    write_manifest(
-        args.outdir,
-        "pmc",
-        {"c1": args.c1, "u_lo": args.u_lo, "u_hi": args.u_hi, "n": args.n},
-        [json_path.name],
-        {"verdict": report.verdict},
-        __version__,
-    )
-    return 0 if report.verdict.startswith("hypotheses satisfied") else 1
+    code = 0 if report.verdict.startswith("hypotheses satisfied") else 1
+    return code, {"pmc_report.json": text}, {"verdict": report.verdict}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,15 +403,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         source_date_epoch()  # a bad value must fail before any output is written
-        return args.func(args)
+        code, files, summary = args.func(args)
+        for name, data in files.items():
+            write_atomic(Path(args.outdir) / name, data)
+        parameters = {
+            k: v for k, v in vars(args).items() if k not in ("command", "func", "outdir")
+        }
+        write_manifest(args.outdir, args.command, parameters, files, summary, __version__)
+        return code
     except NotInFamilyError as exc:
         print(f"verdict: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # ParameterError, DomainError and friends: usage errors
+    except (ValueError, OSError) as exc:
+        # ParameterError, DomainError and friends are usage errors; an
+        # OSError is an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

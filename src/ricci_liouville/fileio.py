@@ -1,11 +1,12 @@
-"""Atomic file output and the per-run manifest.
+"""Atomic file output, the JSON layout and the per-run manifest.
 
 Outputs are written to a temporary file in the target directory and moved
-into place, so failed runs never leave partial files behind.  Every CLI
-run records exactly one manifest (command, parameters, version, timestamp,
-outputs, summary).  The timestamp honours SOURCE_DATE_EPOCH for
-byte-reproducible manifests; the CLI checks that variable before any
-command runs, so a bad value writes no files.
+into place, so failed runs never leave partial files behind.  A CLI run
+that ends with a result records one manifest (command, parameters,
+version, timestamp, outputs, summary) after its data files.  The
+timestamp honours SOURCE_DATE_EPOCH for byte-reproducible manifests; the
+CLI checks that variable before any command runs, so a bad value writes
+no files.
 """
 
 from __future__ import annotations
@@ -18,6 +19,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import ParameterError
+
+
+def json_text(payload) -> str:
+    """``payload`` as JSON text: sorted keys, indent 2, trailing newline."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def write_atomic(path, data):
@@ -71,5 +77,5 @@ def write_manifest(outdir, command: str, parameters: dict, outputs, summary: dic
         "summary": summary,
     }
     path = Path(outdir) / "manifest.json"
-    write_atomic(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_atomic(path, json_text(manifest))
     return path

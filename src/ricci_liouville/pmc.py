@@ -14,13 +14,13 @@ theta'^2 = 2 + c1/6 - (c1/6) sin^2(theta).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ParameterError
+from .fileio import json_text
 from .metric import MetricParams, _curvature_from_factor, _scaled_argument, _sn_cn_dn
 from .verify import _residual_column, residual_floor
 
@@ -75,7 +75,7 @@ class PmcReport:
     verdict: str
 
     def to_json(self) -> str:
-        payload = {
+        return json_text({
             "c1": self.params.c1,
             "branch": self.branch,
             "b": self.params.b,
@@ -93,8 +93,7 @@ class PmcReport:
                 None if math.isnan(self.ricci_max_residual) else self.ricci_max_residual
             ),
             "verdict": self.verdict,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        })
 
 
 def subfamily_params(s: SubfamilyBranch) -> MetricParams:

@@ -19,13 +19,13 @@ O(h^2) error model.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, NotInFamilyError, ParameterError
+from .fileio import json_text
 from .metric import MetricParams, _curvature_from_factor, conformal_factor
 
 __all__ = [
@@ -236,11 +236,13 @@ def _fd_curvature(phi: np.ndarray, b: float, h: float):
     """K = -phi'' e^{-2 phi} by 3-point differences of phi = log(lambda).
 
     Returns (K, -2 b^2 - K) on the interior samples; raises
-    ParameterError unless the spacing h is finite and positive, and
+    ParameterError unless the spacing h and b are finite and positive, and
     NotInFamilyError naming the first sample where -2 b^2 - K <= 0.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ParameterError(f"spacing h must be finite and positive, got {h!r}")
+    if not (math.isfinite(b) and b > 0.0):
+        raise ParameterError(f"b must be finite and positive, got {b!r}")
     curv = -((phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / (h * h)) * np.exp(-2.0 * phi[1:-1])
     w = -2.0 * b * b - curv
     if np.any(w <= 0.0):
@@ -373,20 +375,15 @@ def _fmt17(values: np.ndarray) -> list[str]:
 
 
 def summary_to_json(
-    max_residual: float,
-    order: float | None,
-    fit: NormalizationFit | None,
-    h: float,
-    verdict: bool | None = None,
+    max_residual: float, order: float, fit: NormalizationFit, h: float, verdict: bool
 ) -> str:
     """JSON summary with stable key order."""
-    payload = {
+    return json_text({
         "max_residual": max_residual,
         "order": order,
         "h": h,
-        "c1_fit": fit.c1_fit if fit is not None else None,
-        "c2_fit": fit.c2_fit if fit is not None else None,
-        "max_affine_residual": fit.max_affine_residual if fit is not None else None,
+        "c1_fit": fit.c1_fit,
+        "c2_fit": fit.c2_fit,
+        "max_affine_residual": fit.max_affine_residual,
         "verdict": verdict,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    })

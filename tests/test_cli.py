@@ -478,16 +478,90 @@ class TestImportGraph:
         assert (tmp_path / "surface.obj").read_text() == "# replaced\n"
 
 
+SWEEP_ARGS = ["sweep", "--b-values", "1.0", "--c1-values", "1.0", "--c2-values", "0.0"]
+PMC_ARGS = ["pmc", "--c1", 1, "--u-lo", -0.4, "--u-hi", 0.4, "--n", 41]
+
+
+def every_command(profile):
+    """argv (without --outdir) of one run per subcommand, by subcommand name."""
+    return {
+        "derive": ["derive", "--c1", 1, "--c2", 0],
+        "verify": VERIFY_ARGS,
+        "mesh": MESH_ARGS + ["--format", "obj"],
+        "classify": ["classify", "--profile", profile, "--resample-n", 51],
+        "sweep": SWEEP_ARGS,
+        "pmc": PMC_ARGS,
+    }
+
+
 class TestManifest:
-    def test_every_command_writes_manifest(self, tmp_path, capsys):
-        run_cli(["derive", "--c1", 1, "--c2", 0, "--outdir", tmp_path / "d"])
-        run_cli(VERIFY_ARGS + ["--outdir", tmp_path / "v"])
-        run_cli(MESH_ARGS + ["--format", "obj", "--outdir", tmp_path / "m"])
-        for sub in ("d", "v", "m"):
-            manifest = json.loads((tmp_path / sub / "manifest.json").read_text())
+    def test_every_command_writes_manifest(self, tmp_path, capsys, trumpet_csv):
+        b, c2 = 0.4082482904638631, -1.8333333333333333
+        # every flag except --outdir, defaults resolved; then outputs and summary keys
+        expected = {
+            "derive": (
+                {"b": cli.DEFAULT_B, "c1": 1.0, "c2": 0.0},
+                [],
+                {"b", "c1", "c2", "disc", "s", "k", "k2", "lambda_plus", "lambda_minus",
+                 "u_max"},
+            ),
+            "verify": (
+                {"b": b, "c1": 1.0, "c2": c2, "u_lo": -0.4, "u_hi": 0.4, "v_lo": -0.4,
+                 "v_hi": 0.4, "h": 0.02, "levels": 2},
+                ["residuals.csv", "summary.json"],
+                {"max_residual", "order", "verdict"},
+            ),
+            "mesh": (
+                {"b": b, "c1": 1.0, "c2": c2, "u_lo": -0.3, "u_hi": 0.3, "nu": 31,
+                 "v_lo": 0.0, "v_hi": 6.283185307179586, "nv": 24, "format": "obj",
+                 "tol": 1e-10},
+                ["surface.obj"],
+                {"vertices", "faces", "closed"},
+            ),
+            "classify": (
+                {"b": cli.DEFAULT_B, "profile": str(trumpet_csv), "resample_n": 51},
+                ["verdict.json"],
+                {"verdict", "max_residual", "order", "h", "c1_fit", "c2_fit",
+                 "max_affine_residual"},
+            ),
+            "sweep": (
+                {"b_values": [1.0], "c1_values": [1.0], "c2_values": [0.0], "u_lo": -0.5,
+                 "u_hi": 0.5, "h_levels": [0.02, 0.01, 0.005]},
+                ["sweep.csv"],
+                {"rows", "ok"},
+            ),
+            "pmc": (
+                {"c1": 1.0, "u_lo": -0.4, "u_hi": 0.4, "n": 41},
+                ["pmc_report.json"],
+                {"verdict"},
+            ),
+        }
+        for command, argv in every_command(trumpet_csv).items():
+            outdir = tmp_path / command
+            assert run_cli(argv + ["--outdir", outdir]) == 0, command
+            manifest = json.loads((outdir / "manifest.json").read_text())
             assert set(manifest) == {
                 "command", "parameters", "version", "timestamp", "outputs", "summary",
             }
+            parameters, outputs, summary_keys = expected[command]
+            assert manifest["command"] == command
+            assert manifest["parameters"] == parameters, command
+            assert manifest["outputs"] == outputs, command
+            assert set(manifest["summary"]) == summary_keys, command
+            assert sorted(p.name for p in outdir.iterdir()) == sorted(outputs + ["manifest.json"])
+
+    @pytest.mark.parametrize(
+        "command", ["derive", "verify", "mesh", "classify", "sweep", "pmc"]
+    )
+    def test_unwritable_outdir_exits_two(self, tmp_path, capsys, trumpet_csv, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        rc = run_cli(every_command(trumpet_csv)[command] + ["--outdir", blocker / "out"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [blocker]
 
     def test_source_date_epoch_makes_manifest_deterministic(self, tmp_path):
         env = child_env(SOURCE_DATE_EPOCH="1700000000")
@@ -707,6 +781,30 @@ class TestInputValidation:
             f"over the budget of {cli.POINT_BUDGET}\n"
         )
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "u_range, message",
+        [
+            (["--u-lo", "nan"], "--u-lo must be finite, got nan"),
+            (["--u-hi", "inf"], "--u-hi must be finite, got inf"),
+            (["--u-lo=-1e308", "--u-hi", "1e308"], "the u range [-1e+308, 1e+308] is too wide"),
+        ],
+    )
+    def test_mesh_u_range_must_be_finite(self, tmp_path, capsys, u_range, message):
+        rc = run_cli(MESH_ARGS + u_range + ["--format", "obj", "--outdir", tmp_path])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("b", ["0", "-1", "inf", "nan"])
+    def test_classify_b_must_be_finite_and_positive(self, tmp_path, capsys, trumpet_csv, b):
+        out = tmp_path / "out"
+        rc = run_cli(["classify", "--profile", trumpet_csv, "--resample-n", 51, f"--b={b}",
+                      "--outdir", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: b must be finite and positive, got {float(b)!r}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "v_range", [["--v-hi", "inf"], ["--v-lo=-inf"], ["--v-lo=-1e308", "--v-hi", "1e308"]]

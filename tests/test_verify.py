@@ -268,6 +268,15 @@ def test_stencil_spacing_must_be_finite_and_positive(ref_params, fn, h):
         fn(samples, ref_params.b, h)
 
 
+@pytest.mark.parametrize("b", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("fn", [ricci_residual_1d, fit_normalization])
+def test_b_must_be_finite_and_positive(ref_params, fn, b):
+    lam = conformal_factor(ref_params, np.linspace(-0.3, 0.3, 41))
+    samples = np.log(lam) if fn is ricci_residual_1d else lam
+    with pytest.raises(ParameterError, match="b must be finite and positive"):
+        fn(samples, b, 0.015)
+
+
 class TestVerdictAndExport:
     def test_verdict_rule(self):
         assert residual_floor(0.01) == 10.0 * 0.01 * 0.01 and residual_floor(1e-4) == 1e-6
