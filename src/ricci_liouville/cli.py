@@ -3,12 +3,21 @@
 Subcommands: derive, verify, mesh, classify, sweep, pmc.  Exit codes:
 0 success, 1 negative verification verdict, 2 usage or parameter error
 (a data file or manifest that cannot be written included), 3 numerical
-failure.  Each cmd_* returns (exit code, {file name: data}, summary) and
-writes nothing; main writes the data files, then manifest.json, for a run
-that ends with a result (exit 0, or exit 1 with a verdict file).  A run
-that ends with an error message writes no file.  The manifest records
-every parsed flag except --outdir, with defaults resolved.  Data outputs
-are byte-deterministic for identical inputs.
+failure.  Each cmd_* returns (exit code, {file name: data}, summary,
+stdout text) and writes nothing; main writes the data files, then
+manifest.json, for a run that ends with a result (exit 0, or exit 1 with
+a verdict file), and prints the stdout text only after them.  A run
+that ends with an error message writes no file and prints nothing on
+stdout.  The manifest records every parsed flag except --outdir, with
+defaults resolved.  Data outputs are byte-deterministic for identical
+inputs.
+
+sweep studies all its triples together (verify.refinement_rows): each
+refinement level is one closed-form call, one residual pass and one max
+over one row per triple.  A triple that fails keeps its row, with the
+status "domain: ..." (invalid parameters, a grid outside its domain or
+too small for the stencil, K >= -2 b^2) or "numerical: ..." (no order
+fit); such rows leave the exit code at 0.
 
 A start pays only for what its subcommand runs: each command imports the
 library modules it calls, and NumPy, inside its body.  derive, --help and
@@ -106,8 +115,7 @@ def cmd_derive(args):
         "lambda_minus": dc.lambda_minus,
         "u_max": dc.u_max,
     }
-    print(json_text(payload), end="")
-    return 0, {}, payload
+    return 0, {}, payload, json_text(payload)
 
 
 def cmd_verify(args):
@@ -153,7 +161,7 @@ def cmd_verify(args):
         "summary.json": summary_to_json(max_res, order, fit, spec.h, verdict),
     }
     summary = {"max_residual": max_res, "order": order, "verdict": verdict}
-    return 0 if verdict else 1, files, summary
+    return 0 if verdict else 1, files, summary, ""
 
 
 def cmd_mesh(args):
@@ -161,8 +169,12 @@ def cmd_mesh(args):
     from .revolution import mesh_to_obj, mesh_to_ply, profile_from_metric, tessellate
 
     p = MetricParams(b=args.b, c1=args.c1, c2=args.c2)
-    # tessellate checks the v range itself
     _check_range(args.u_lo, args.u_hi, "u")
+    v_lo, v_hi = args.v_lo, args.v_hi
+    if not (math.isfinite(v_lo) and math.isfinite(v_hi) and math.isfinite(v_hi - v_lo)):
+        raise ParameterError(
+            f"--v-lo {v_lo!r} and --v-hi {v_hi!r} must be finite with a finite span"
+        )
     _check_budget(args.nu, f"--nu {args.nu} asks for {args.nu} profile samples")
     _check_budget(
         args.nu * args.nv,
@@ -174,7 +186,7 @@ def cmd_mesh(args):
     mesh = tessellate(profile, args.v_lo, args.v_hi, args.nv)
     data = mesh_to_obj(mesh) if args.format == "obj" else mesh_to_ply(mesh)
     summary = {"vertices": len(mesh.vertices), "faces": mesh.face_count, "closed": mesh.closed}
-    return 0, {f"surface.{args.format}": data}, summary
+    return 0, {f"surface.{args.format}": data}, summary, ""
 
 
 def _read_profile_csv(path):
@@ -230,7 +242,7 @@ def cmd_classify(args):
             "c2_fit": fit.c2_fit,
             "max_affine_residual": fit.max_affine_residual,
         }
-    return code, {"verdict.json": json_text(payload)}, payload
+    return code, {"verdict.json": json_text(payload)}, payload, ""
 
 
 def _parse_values(text: str, name: str):
@@ -242,24 +254,10 @@ def _parse_values(text: str, name: str):
         raise ParameterError(f"cannot parse {name} value list {text!r}") from exc
 
 
-def _sweep_point(b, c1, c2, u_lo, u_hi, sizes):
-    """Evaluate one sweep triple on square grids of ``sizes`` points a side; returns a row dict."""
-
-    from .metric import MetricParams
-    from .verify import GridSpec, refinement_study
-
-    row = {"c1": c1, "c2": c2, "b": b}
-    try:
-        p = MetricParams(b=b, c1=c1, c2=c2)
-        specs = (GridSpec(u_lo, u_hi, u_lo, u_hi, n, n) for n in sizes)
-        _, rs, order, _ = refinement_study(p, specs)
-    except (ParameterError, NotInFamilyError) as exc:
-        return {**row, "residual": None, "order": None, "status": f"domain: {exc}"}
-    return {**row, "residual": rs[-1], "order": order, "status": "ok"}
-
-
 def cmd_sweep(args):
     import io
+
+    from .verify import GridSpec, refinement_rows
 
     h_text = args.h_levels
     # the manifest records the parsed value lists
@@ -283,26 +281,26 @@ def cmd_sweep(args):
             f"order fit, got {h_text!r}"
         )
 
-    rows = [
-        _sweep_point(b, c1, c2, args.u_lo, args.u_hi, sizes)
-        for c1 in args.c1_values
-        for c2 in args.c2_values
-        for b in args.b_values
+    triples = [
+        (b, c1, c2) for c1 in args.c1_values for c2 in args.c2_values for b in args.b_values
     ]
-
+    # square grids of each size, one row per triple on each
+    specs = (GridSpec(args.u_lo, args.u_hi, args.u_lo, args.u_hi, n, n) for n in sizes)
     buf = io.StringIO()
     buf.write("c1,c2,b,residual,order,status\r\n")
-    for row in rows:
-        res = "" if row["residual"] is None else _fmt(row["residual"])
-        order = "" if row["order"] is None else _fmt(row["order"])
-        status = str(row["status"]).replace('"', "'")
-        if "," in status:
-            status = f'"{status}"'
-        buf.write(
-            f"{_fmt(row['c1'])},{_fmt(row['c2'])},{_fmt(row['b'])},{res},{order},{status}\r\n"
-        )
-    n_ok = sum(1 for r in rows if r["status"] == "ok")
-    return 0, {"sweep.csv": buf.getvalue()}, {"rows": len(rows), "ok": n_ok}
+    n_ok = 0
+    for (b, c1, c2), result in zip(triples, refinement_rows(triples, specs)):
+        if isinstance(result, Exception):
+            kind = "numerical" if isinstance(result, ConvergenceError) else "domain"
+            res = order = ""
+            status = f"{kind}: {result}".replace('"', "'")
+            if "," in status:
+                status = f'"{status}"'
+        else:
+            res, order, status = _fmt(result[0][-1]), _fmt(result[1]), "ok"
+            n_ok += 1
+        buf.write(f"{_fmt(c1)},{_fmt(c2)},{_fmt(b)},{res},{order},{status}\r\n")
+    return 0, {"sweep.csv": buf.getvalue()}, {"rows": len(triples), "ok": n_ok}, ""
 
 
 def cmd_pmc(args):
@@ -317,9 +315,8 @@ def cmd_pmc(args):
     branch = SubfamilyBranch(c1=args.c1)
     report = pmc_report(branch, (args.u_lo, args.u_hi), args.n)
     text = report.to_json()
-    print(text, end="")
     code = 0 if report.verdict.startswith("hypotheses satisfied") else 1
-    return code, {"pmc_report.json": text}, {"verdict": report.verdict}
+    return code, {"pmc_report.json": text}, {"verdict": report.verdict}, text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,13 +400,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         source_date_epoch()  # a bad value must fail before any output is written
-        code, files, summary = args.func(args)
+        code, files, summary, stdout = args.func(args)
         for name, data in files.items():
             write_atomic(Path(args.outdir) / name, data)
         parameters = {
             k: v for k, v in vars(args).items() if k not in ("command", "func", "outdir")
         }
         write_manifest(args.outdir, args.command, parameters, files, summary, __version__)
+        print(stdout, end="")
         return code
     except NotInFamilyError as exc:
         print(f"verdict: {exc}", file=sys.stderr)

@@ -7,7 +7,8 @@ transformation, cf. A&S 17.6 and DLMF 22.20(ii).  Everything takes the
 modulus k, never the parameter m = k^2.
 
 The Jacobi functions accept a scalar or an ndarray for the argument ``u``,
-F takes a scalar amplitude; the modulus is always scalar.  All functions
+F takes a scalar amplitude.  The modulus is scalar, except that
+jacobi_sn_cn_dn also takes one modulus per row of a 2-d ``u``.  All functions
 are pure (thread-safe).  Only the Jacobi functions import NumPy, inside
 their bodies, so K(k) and F(phi, k) load without it.
 """
@@ -18,7 +19,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, ParameterError
 
 __all__ = [
     "Modulus",
@@ -117,30 +118,74 @@ def incomplete_elliptic_f(phi: float, k) -> float:
     return math.ldexp(phi, -n) / aa[n]
 
 
-def _amplitude_reduced(ur, k: Modulus):
-    """Jacobi amplitude on the reduced range |ur| <= K(k), k < 1.
+def _scale_table(moduli, ks):
+    """Descending Landen scales of ``moduli`` (Modulus objects) at one depth.
+
+    ``ks`` is their k as _moduli gives it.  Returns a, c indexed by step:
+    lists of floats for one float k, else arrays of shape
+    (N_max + 1, *ks.shape).  A modulus with N < N_max steps is padded on
+    top with (a_N, c = 0): a padded backward step halves phi exactly, so
+    each row of _amplitude_reduced keeps the bits of its own N-step
+    recursion.  k = 1 gets the k = 0 scale, whose result jacobi_sn_cn_dn
+    replaces.
+    """
+    import numpy as np
+
+    scales = [_agm_scale(k) if k.k < 1.0 else ([1.0], [0.0]) for k in moduli]
+    depth = max((len(aa) for aa, _ in scales), default=1)
+    a = [aa + aa[-1:] * (depth - len(aa)) for aa, _ in scales]
+    c = [cc + [0.0] * (depth - len(cc)) for _, cc in scales]
+    if isinstance(ks, float):
+        return a[0], c[0]
+    return np.array(a).T.reshape(depth, *ks.shape), np.array(c).T.reshape(depth, *ks.shape)
+
+
+def _amplitude_reduced(ur, a, c):
+    """Jacobi amplitude on the reduced range |ur| <= K(k), k < 1, for a _scale_table.
 
     Backward phi recursion of the descending Landen transformation:
     phi_N = 2^N a_N u, then phi_{n-1} = (phi_n + asin(c_n sin(phi_n)/a_n))/2.
     """
     import numpy as np
 
-    aa, cc = _agm_scale(k)
-    n = len(aa) - 1
-    phi = math.ldexp(aa[n], n) * ur
+    n = len(a) - 1
+    phi = a[n] * 2.0**n * ur
     for i in range(n, 0, -1):
-        arg = np.clip(cc[i] / aa[i] * np.sin(phi), -1.0, 1.0)
+        arg = np.clip(c[i] / a[i] * np.sin(phi), -1.0, 1.0)
         phi = 0.5 * (phi + np.arcsin(arg))
     return phi
 
 
-def _reduce(u, k: Modulus):
-    """Split u = 2 n K + ur with |ur| <= K, exploiting am(u + 2K) = am(u) + pi."""
+def _reduce(u, a):
+    """Split u = 2 n K + ur with |ur| <= K, exploiting am(u + 2K) = am(u) + pi.
+
+    K = pi / (2 a_N) comes from the _scale_table ``a``, as in complete_elliptic_k.
+    """
     import numpy as np
 
-    quarter = complete_elliptic_k(k)
+    quarter = math.pi / (2.0 * a[-1])
     n = np.round(u / (2.0 * quarter))
     return n, u - 2.0 * n * quarter
+
+
+def _moduli(k, u):
+    """The Modulus objects of ``k`` and k as a value that broadcasts against ``u``.
+
+    One modulus gives a float; a sequence of moduli, one per row of a 2-d
+    ``u``, gives a (rows, 1) column.  Each must lie in [0, 1].
+    """
+    import numpy as np
+
+    if isinstance(k, (Modulus, float, int)) or np.ndim(k) == 0:
+        k = _as_modulus(k)
+        return [k], k.k
+    if np.ndim(k) != 1 or u.ndim != 2 or len(k) != u.shape[0]:
+        raise ParameterError(
+            f"one modulus per row needs a sequence of moduli and a 2-d u with one row "
+            f"each, got {np.ndim(k)}-d moduli and u of shape {u.shape}"
+        )
+    moduli = [_as_modulus(x) for x in k]
+    return moduli, np.array([m.k for m in moduli]).reshape(-1, 1)
 
 
 def jacobi_am(u, k):
@@ -157,8 +202,9 @@ def jacobi_am(u, k):
     if k.k == 1.0:
         out = 2.0 * np.arctan(np.tanh(0.5 * u))
     else:
-        n, ur = _reduce(u, k)
-        out = n * math.pi + _amplitude_reduced(ur, k)
+        a, c = _scale_table([k], k.k)
+        n, ur = _reduce(u, a)
+        out = n * math.pi + _amplitude_reduced(ur, a, c)
     return float(out) if out.ndim == 0 else out
 
 
@@ -168,22 +214,26 @@ def jacobi_sn_cn_dn(u, k):
     sn = sin am, cn = cos am with the amplitude obtained from the Landen
     recursion (after reduction by the half period 2K), and
     dn = sqrt(1 - k^2 sn^2).  At k = 1: (tanh u, sech u, sech u).
+
+    ``k`` is one modulus, or a sequence of moduli, one per row of a 2-d
+    ``u``; each row then carries the bits of a call with its own modulus.
     """
     import numpy as np
 
-    k = _as_modulus(k)
     u = np.asarray(u, dtype=float)
-    if k.k == 1.0:
-        sn = np.tanh(u)
-        cn = 1.0 / np.cosh(u)
-        dn = cn
-    else:
-        n, ur = _reduce(u, k)
-        phi = _amplitude_reduced(ur, k)
-        sign = np.where(n % 2.0 == 0.0, 1.0, -1.0)
-        sn = sign * np.sin(phi)
-        cn = sign * np.cos(phi)
-        dn = np.sqrt(1.0 - k.k2 * sn * sn)
+    moduli, ks = _moduli(k, u)
+    a, c = _scale_table(moduli, ks)
+    n, ur = _reduce(u, a)
+    phi = _amplitude_reduced(ur, a, c)
+    sign = np.where(n % 2.0 == 0.0, 1.0, -1.0)
+    sn = sign * np.sin(phi)
+    cn = sign * np.cos(phi)
+    dn = np.sqrt(1.0 - ks * ks * sn * sn)
+    if any(m.k == 1.0 for m in moduli):
+        one = np.equal(ks, 1.0)
+        sn = np.where(one, np.tanh(u), sn)
+        cn = np.where(one, 1.0 / np.cosh(u), cn)
+        dn = np.where(one, cn, dn)
     if sn.ndim == 0:
         return float(sn), float(cn), float(dn)
     return sn, cn, dn

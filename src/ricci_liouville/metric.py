@@ -138,13 +138,50 @@ def _scaled_argument(p: MetricParams, u):
     u = np.asarray(u, dtype=float)
     inside = np.abs(u) < dc.u_max - DEFAULT_EPS_DOM
     if not np.all(inside):
-        worst = float(np.max(np.abs(u[~inside])))
-        raise DomainError(
-            f"|u| = {worst:.17g} is NaN or not inside the metric domain "
-            f"|u| < u_max - {DEFAULT_EPS_DOM:g} with u_max = {dc.u_max:.17g}, "
-            f"where cn(s u, k) vanishes and the conformal factor has a pole"
-        )
+        raise _domain_error(float(np.max(np.abs(u[~inside]))), dc.u_max)
     return dc, dc.s * u
+
+
+def _domain_error(worst: float, u_max: float) -> DomainError:
+    """The error of the domain check at the farthest point |u| = ``worst`` outside it."""
+    return DomainError(
+        f"|u| = {worst:.17g} is NaN or not inside the metric domain "
+        f"|u| < u_max - {DEFAULT_EPS_DOM:g} with u_max = {u_max:.17g}, "
+        f"where cn(s u, k) vanishes and the conformal factor has a pole"
+    )
+
+
+def _domain_rows(constants, u):
+    """The domain check of the shared nodes ``u`` for one row per DerivedConstants.
+
+    Returns one entry per row: None when every node lies inside that row's
+    domain, else the DomainError _scaled_argument raises for it.
+    """
+    import numpy as np
+
+    absu = np.abs(np.asarray(u, dtype=float)).ravel()
+    u_max = np.array([dc.u_max for dc in constants])
+    outside = ~(absu < (u_max - DEFAULT_EPS_DOM)[:, None])
+    worst = np.max(np.where(outside, absu, -np.inf), axis=1, initial=-np.inf)
+    return [
+        _domain_error(w, dc.u_max) if out else None
+        for dc, w, out in zip(constants, worst.tolist(), outside.any(axis=1).tolist())
+    ]
+
+
+def _factor_rows(constants, u):
+    """lambda at the shared nodes ``u`` (1-d) for one row per DerivedConstants.
+
+    Every row must have passed _domain_rows.  One Jacobi call with one
+    modulus per row gives the (rows, len(u)) array, each row bit-identical
+    to conformal_factor of its own triple.
+    """
+    import numpy as np
+
+    s = np.array([dc.s for dc in constants])[:, None]
+    root = np.sqrt(np.array([dc.lambda_plus for dc in constants]))[:, None]
+    _, cn, _ = jacobi_sn_cn_dn(s * u, [dc.k for dc in constants])
+    return root / cn
 
 
 def _sn_cn_dn(p: MetricParams, u):
@@ -184,16 +221,19 @@ def gaussian_curvature(p: MetricParams, u):
     Strictly below -2 b^2 everywhere, even in u, and approaching -2 b^2 as
     |u| -> u_max.
     """
-    curv = _curvature_from_factor(p, conformal_factor(p, u))
+    curv = _curvature_from_factor(p.b, p.c1, conformal_factor(p, u))
     return float(curv) if curv.ndim == 0 else curv
 
 
-def _curvature_from_factor(p: MetricParams, lam):
-    """K = -2 b^2 - c1 / lambda^4 from conformal-factor samples (an array)."""
+def _curvature_from_factor(b, c1, lam):
+    """K = -2 b^2 - c1 / lambda^4 from conformal-factor samples (an array).
+
+    b and c1 are floats, or columns with one entry per row of ``lam``.
+    """
     import numpy as np
 
     lam = np.asarray(lam, dtype=float)
-    return -2.0 * p.b * p.b - p.c1 / lam**4
+    return -2.0 * b * b - c1 / lam**4
 
 
 def theta(p: MetricParams, u):

@@ -179,7 +179,7 @@ def pmc_report(s: SubfamilyBranch, u_interval, n: int) -> PmcReport:
     u = np.linspace(u_lo, u_hi, n) if n > 1 else np.asarray([u_lo])
     dc, sn, cn, _ = _sn_cn_dn(p, u)
     lam = math.sqrt(dc.lambda_plus) / cn
-    curv = _curvature_from_factor(p, lam)
+    curv = _curvature_from_factor(p.b, p.c1, lam)
     alpha = np.arccos(-sn / 3.0)
     c_norm = second_fundamental_norm(curv, p.b)
 

@@ -26,7 +26,14 @@ import numpy as np
 
 from .errors import ConvergenceError, NotInFamilyError, ParameterError
 from .fileio import json_text
-from .metric import MetricParams, _curvature_from_factor, conformal_factor
+from .metric import (
+    MetricParams,
+    _curvature_from_factor,
+    _domain_rows,
+    _factor_rows,
+    conformal_factor,
+    derive_constants,
+)
 
 __all__ = [
     "GridSpec",
@@ -35,6 +42,7 @@ __all__ = [
     "sample_grid",
     "ricci_residual_grid",
     "refinement_study",
+    "refinement_rows",
     "estimate_order",
     "ricci_residual_1d",
     "ricci_order_1d",
@@ -151,31 +159,50 @@ def sample_grid(p: MetricParams, g: GridSpec) -> MetricGrid:
     inside the metric domain (DomainError otherwise).
     """
     lam = conformal_factor(p, g.u_nodes())
-    return MetricGrid(g, lam, _curvature_from_factor(p, lam))
+    return MetricGrid(g, lam, _curvature_from_factor(p.b, p.c1, lam))
 
 
-def _residual_column(lam, curv, b: float, h: float) -> np.ndarray:
-    """Delta log sqrt(-2 b^2 - K) - 2 K on the interior of one u-column.
-
-    ``lam`` and ``curv`` hold lambda and K at uniform spacing h; the result
-    drops the first and last sample.  Every certification path runs this
-    kernel.  The sum f[2:] + f[:-2] + c + c - 4 c is the 5-point stencil of
-    a v-independent f (both v-neighbours equal the centre) in the 2-d order
-    of operations, so it is bit-identical to the full-grid stencil.
-    Requires K < -2 b^2 at every sample.
-    """
+def _curvature_gap(curv, b):
+    """w = -2 b^2 - K, and whether each row (along the last axis) has w <= 0 somewhere."""
     w = -2.0 * b * b - curv
-    if np.any(w <= 0.0):
-        i = int(np.argmin(w))
-        raise NotInFamilyError(
-            f"K >= -2 b^2 at grid point ({i}, 0); "
-            "log sqrt(-2 b^2 - K) is undefined there",
-            index=(i, 0),
-        )
+    return w, np.any(w <= 0.0, axis=-1)
+
+
+def _not_in_family(w) -> NotInFamilyError:
+    """The error of a u-column whose w = -2 b^2 - K is not positive, at its minimum."""
+    i = int(np.argmin(w))
+    return NotInFamilyError(
+        f"K >= -2 b^2 at grid point ({i}, 0); log sqrt(-2 b^2 - K) is undefined there",
+        index=(i, 0),
+    )
+
+
+def _residual_column(lam, curv, b, h: float) -> np.ndarray:
+    """Delta log sqrt(-2 b^2 - K) - 2 K on the interior of each u-column.
+
+    ``lam`` and ``curv`` hold lambda and K at uniform spacing h along the
+    last axis, one column per row of a 2-d input; ``b`` is a float or a
+    column with one entry per row.  The result drops the first and last
+    sample.  Every certification path runs this kernel.  The sum
+    f[2:] + f[:-2] + c + c - 4 c is the 5-point stencil of a v-independent
+    f (both v-neighbours equal the centre) in the 2-d order of operations,
+    so it is bit-identical to the full-grid stencil.  Requires K < -2 b^2
+    at every sample (NotInFamilyError for the first column that breaks it).
+    """
+    w, bad = _curvature_gap(curv, b)
+    if np.any(bad):
+        raise _not_in_family(np.atleast_2d(w)[np.argmax(bad)])
     f = 0.5 * np.log(w)
-    c = f[1:-1]
-    lap = (f[2:] + f[:-2] + c + c - 4.0 * c) / (h * h)
-    return lap / lam[1:-1] ** 2 - 2.0 * curv[1:-1]
+    c = f[..., 1:-1]
+    lap = (f[..., 2:] + f[..., :-2] + c + c - 4.0 * c) / (h * h)
+    return lap / lam[..., 1:-1] ** 2 - 2.0 * curv[..., 1:-1]
+
+
+def _stencil_error(g: GridSpec) -> ParameterError | None:
+    """The error of a grid too small for the residual stencil, or None."""
+    if g.nu < 5 or g.nv < 5:
+        return ParameterError("residual stencil needs a grid of at least 5x5")
+    return None
 
 
 def ricci_residual_grid(m: MetricGrid, b: float) -> float:
@@ -188,8 +215,9 @@ def ricci_residual_grid(m: MetricGrid, b: float) -> float:
     grid point.
     """
     g = m.spec
-    if g.nu < 5 or g.nv < 5:
-        raise ParameterError("residual stencil needs a grid of at least 5x5")
+    exc = _stencil_error(g)
+    if exc is not None:
+        raise exc
     res = _residual_column(m.lambda_column, m.curvature_column, b, g.h)
     m.ricci_residual_column = np.full(g.nu, np.nan)
     m.ricci_residual_column[1:-1] = res
@@ -214,22 +242,118 @@ def estimate_order(hs, residuals) -> float:
     return float(slope)
 
 
+def _study(params, specs):
+    """The refinement loop of every certification run, one row per MetricParams.
+
+    Each level makes one closed-form call for all rows still running, one
+    residual pass and one max.  A row stops at its first error, in the
+    order a study of its triple alone meets them: a ParameterError of the
+    spec iterator, its derived constants, the domain check, the 5x5
+    stencil minimum, then K >= -2 b^2.  ``specs`` is consumed lazily and
+    only while a row runs.  Returns (hs, maxima, errors, base): the
+    spacings, each row's list of interior max residuals, the exception it
+    stopped with (None when it ran every level), and the first level's
+    (spec, lambda, K, residual) arrays for the rows that ran it.
+    """
+    errors = [None] * len(params)
+    maxima = [[] for _ in params]
+    hs, base, constants = [], None, None
+    live = list(range(len(params)))
+    specs = iter(specs)
+    while live:
+        try:
+            spec = next(specs)
+        except StopIteration:
+            break
+        except ParameterError as exc:
+            for r in live:
+                errors[r] = exc
+            break
+        if constants is None:
+            constants = [None] * len(params)
+            for r in live:
+                try:
+                    constants[r] = derive_constants(params[r])
+                except ParameterError as exc:
+                    errors[r] = exc
+            live = [r for r in live if errors[r] is None]
+        u = spec.u_nodes()
+        for r, exc in zip(live, _domain_rows([constants[r] for r in live], u)):
+            errors[r] = exc
+        live = [r for r in live if errors[r] is None]
+        exc = _stencil_error(spec)
+        if exc is not None or not live:
+            for r in live:
+                errors[r] = exc
+            break
+        lam = _factor_rows([constants[r] for r in live], u)
+        b = np.array([params[r].b for r in live])[:, None]
+        c1 = np.array([params[r].c1 for r in live])[:, None]
+        curv = _curvature_from_factor(b, c1, lam)
+        w, bad = _curvature_gap(curv, b)
+        for j in np.flatnonzero(bad).tolist():
+            errors[live[j]] = _not_in_family(w[j])
+        if bad.any():
+            keep = ~bad
+            live = [r for r, ok in zip(live, keep.tolist()) if ok]
+            lam, curv, b = lam[keep], curv[keep], b[keep]
+        res = _residual_column(lam, curv, b, spec.h)
+        for r, m in zip(live, np.max(np.abs(res), axis=1).tolist()):
+            maxima[r].append(m)
+        hs.append(spec.h)
+        if base is None:
+            base = (spec, lam, curv, res)
+    return hs, maxima, errors, base
+
+
 def refinement_study(p: MetricParams, specs):
     """Ricci residual on each grid of ``specs`` and the fitted order.
 
-    Samples each grid in turn, takes its interior max residual with
-    ricci_residual_grid and fits the log-log slope with estimate_order.
-    ``specs`` is consumed lazily, so a generator raises its errors in grid
-    order.  Returns (hs, residuals, order, base), where base is the first
-    sampled grid with its residual stored.
+    Samples each grid in turn, takes its interior max residual and fits the
+    log-log slope with estimate_order; the residual column kernel and the
+    level loop are those of refinement_rows, for one triple.  ``specs`` is
+    consumed lazily, so a generator raises its errors in grid order.
+    Returns (hs, residuals, order, base), where base is the first sampled
+    grid with its residual stored.
     """
-    hs, rs, base = [], [], None
-    for spec in specs:
-        grid = sample_grid(p, spec)
-        rs.append(ricci_residual_grid(grid, p.b))
-        hs.append(spec.h)
-        base = grid if base is None else base
-    return hs, rs, estimate_order(hs, rs), base
+    hs, maxima, errors, base = _study([p], specs)
+    if errors[0] is not None:
+        raise errors[0]
+    order = estimate_order(hs, maxima[0])
+    spec, lam, curv, res = base
+    grid = MetricGrid(spec, lam[0], curv[0])
+    grid.ricci_residual_column = np.full(spec.nu, np.nan)
+    grid.ricci_residual_column[1:-1] = res[0]
+    return hs, maxima[0], order, grid
+
+
+def refinement_rows(triples, specs):
+    """refinement_study of every (b, c1, c2) in ``triples`` at once.
+
+    Each level evaluates all triples with one Jacobi call, one residual
+    pass and one max, one row per triple.  Returns one entry per triple:
+    (residuals, order) as refinement_study gives them, or the exception
+    its study of that triple alone would raise (ParameterError,
+    NotInFamilyError or ConvergenceError).
+    """
+    results, params, rows = [], [], []
+    for b, c1, c2 in triples:
+        try:
+            params.append(MetricParams(b=b, c1=c1, c2=c2))
+        except ParameterError as exc:
+            results.append(exc)
+            continue
+        rows.append(len(results))
+        results.append(None)
+    hs, maxima, errors, _ = _study(params, specs)
+    for r, rs, exc in zip(rows, maxima, errors):
+        results[r] = exc
+        if exc is None:
+            try:
+                results[r] = (rs, estimate_order(hs, rs))
+            except ConvergenceError as failure:
+                results[r] = failure
+    return results
 
 
 def _fd_curvature(phi: np.ndarray, b: float, h: float):
@@ -341,13 +465,14 @@ def in_family_verdict(max_residual: float, order: float, h: float) -> bool:
     return max_residual < residual_floor(h) and 1.8 <= order <= 2.2
 
 
-def grid_to_csv(m: MetricGrid) -> str:
+def grid_to_csv(m: MetricGrid) -> bytes:
     """Render the grid as RFC-4180 CSV with columns u, v, lambda, K, residual.
 
-    One row per grid point, u-major.  Floats carry 17 significant digits;
-    the residual column is empty where the stencil is undefined.  Each
-    distinct value is formatted once, and the nv lines of one u share all
-    fields but v, so they are joined in one call.
+    One row per grid point, u-major, as ASCII bytes.  Floats carry 17
+    significant digits; the residual column is empty where the stencil is
+    undefined.  Each distinct value is formatted once, and the nv lines of
+    one u share all fields but v, so they are joined in one call and
+    encoded together; the text is never held whole as a str.
     """
     u = _fmt17(m.spec.u_nodes())
     lam = _fmt17(m.lambda_column)
@@ -358,16 +483,14 @@ def grid_to_csv(m: MetricGrid) -> str:
     else:
         res = ["" if math.isnan(x) else f"{x:.17g}" for x in res.tolist()]
     first, *inner, last = _fmt17(m.spec.v_nodes())
-    parts = ["u,v,lambda,K,residual\r\n"]
+    parts = [b"u,v,lambda,K,residual\r\n"]
     for ui, li, ki, ri in zip(u, lam, curv, res):
         head = ui + ","
         edge = f",{li},{ki},\r\n"  # first and last v: no residual
         tail = f",{li},{ki},{ri}\r\n"
-        parts.append(head + first + edge)
-        if inner:
-            parts.append(head + (tail + head).join(inner) + tail)
-        parts.append(head + last + edge)
-    return "".join(parts)
+        middle = head + (tail + head).join(inner) + tail if inner else ""
+        parts.append(f"{head}{first}{edge}{middle}{head}{last}{edge}".encode("ascii"))
+    return b"".join(parts)
 
 
 def _fmt17(values: np.ndarray) -> list[str]:

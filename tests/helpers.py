@@ -400,6 +400,55 @@ def reference_grid_csv(spec, lam, curv, res):
     return "".join(out)
 
 
+def reference_sweep_row(b, c1, c2, u_lo, u_hi, sizes):
+    """One sweep triple studied alone, level by level: (residual, order, status).
+
+    Each level samples one square grid with sample_grid and takes its max
+    with ricci_residual_grid, with no batching across triples; residual and
+    order are None unless the status is "ok".
+    """
+    from ricci_liouville import (
+        ConvergenceError,
+        GridSpec,
+        NotInFamilyError,
+        estimate_order,
+        ricci_residual_grid,
+        sample_grid,
+    )
+
+    try:
+        p = MetricParams(b=b, c1=c1, c2=c2)
+        hs, rs = [], []
+        for n in sizes:
+            spec = GridSpec(u_lo, u_hi, u_lo, u_hi, n, n)
+            rs.append(ricci_residual_grid(sample_grid(p, spec), p.b))
+            hs.append(spec.h)
+        order = estimate_order(hs, rs)
+    except (ParameterError, NotInFamilyError) as exc:
+        return None, None, f"domain: {exc}"
+    except ConvergenceError as exc:
+        return None, None, f"numerical: {exc}"
+    return rs[-1], order, "ok"
+
+
+def reference_sweep_csv(b_values, c1_values, c2_values, u_lo, u_hi, sizes):
+    """sweep.csv bytes built row by row from reference_sweep_row, c1-major."""
+
+    def cell(x):
+        return "" if x is None else f"{x:.17g}"
+
+    lines = ["c1,c2,b,residual,order,status"]
+    for c1 in c1_values:
+        for c2 in c2_values:
+            for b in b_values:
+                res, order, status = reference_sweep_row(b, c1, c2, u_lo, u_hi, sizes)
+                status = status.replace('"', "'")
+                if "," in status:
+                    status = f'"{status}"'
+                lines.append(",".join([cell(c1), cell(c2), cell(b), cell(res), cell(order), status]))
+    return ("\r\n".join(lines) + "\r\n").encode("ascii")
+
+
 def reference_pmc_report(s, u_interval, n):
     """pmc_report's fields by three closed-form calls and the full-grid stencil.
 

@@ -1,16 +1,21 @@
+import hashlib
 import json
 import math
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ricci_liouville import cli, embeddable_interval, profile_from_metric
 from ricci_liouville.cli import main
 from ricci_liouville.fileio import write_atomic
 
-from helpers import arc_length_resample, child_env
+from helpers import arc_length_resample, child_env, reference_sweep_csv
 
 
 def run_cli(args):
@@ -325,6 +330,22 @@ class TestSweep:
         assert manifest["summary"] == {"rows": 2, "ok": 1}
 
 
+    def test_underflowing_residual_is_a_numerical_row(self, tmp_path):
+        # at b = 0.001 every level's residual sits below RESIDUAL_UNDERFLOW
+        rc = run_cli(
+            ["sweep", "--b-values=0.001,0.5", "--c1-values=1", "--c2-values=0",
+             "--outdir", tmp_path]
+        )
+        assert rc == 0
+        lines = (tmp_path / "sweep.csv").read_bytes().decode().split("\r\n")
+        assert lines[1] == (
+            "1,0,0.001,,,numerical: fewer than 2 levels with residual above the "
+            "underflow floor 1e-13"
+        )
+        assert lines[2].startswith("1,0,0.5,") and lines[2].endswith(",ok")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["summary"] == {"rows": 2, "ok": 1}
+
     @pytest.mark.parametrize("levels", ["0.01,0.01", "0.01", "0.3,0.35"])
     def test_h_levels_need_two_distinct_grids(self, tmp_path, capsys, levels):
         # 0.3 and 0.35 both round to a 4-point grid on [-0.5, 0.5]
@@ -339,6 +360,94 @@ class TestSweep:
             f"the order fit, got {levels!r}\n"
         )
         assert list(tmp_path.iterdir()) == []
+
+
+def sweep_csv(argv):
+    """sweep.csv of one in-process sweep run that must exit 0."""
+    with tempfile.TemporaryDirectory() as out:
+        assert run_cli(argv + ["--outdir", out]) == 0
+        return (Path(out) / "sweep.csv").read_bytes()
+
+
+def sweep_argv(b_values, c1_values, c2_values, u_lo, u_hi, h_levels):
+    return [
+        "sweep", "--b-values=" + ",".join(map(repr, b_values)),
+        "--c1-values=" + ",".join(map(repr, c1_values)),
+        "--c2-values=" + ",".join(map(repr, c2_values)),
+        f"--u-lo={u_lo!r}", f"--u-hi={u_hi!r}", "--h-levels=" + ",".join(map(repr, h_levels)),
+    ]
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+# the row cases the per-triple oracle distinguishes: K >= -2 b^2 at some level,
+# past the pole, failed derived constants, invalid parameters, underflow, and
+# grids too small for the stencil or for a GridSpec
+ORACLE_SWEEPS = {
+    "default": (cli._SWEEP_DEFAULT_B, cli._SWEEP_DEFAULT_C1, cli._SWEEP_DEFAULT_C2,
+                -0.5, 0.5, cli._SWEEP_DEFAULT_H),
+    "curvature": ((1.0, 0.9, 0.5), (1.0, 1e-6), (0.0, 1.0), -1.10243939, 1.10243939,
+                  (0.1, 0.05, 0.025)),
+    "near pole": ((0.05, 0.3, 1.0), (1e-4, 1.0, 1e4), (-50.0, 0.0, 50.0), -0.9, 0.9,
+                  (0.1, 0.05, 0.025)),
+    "invalid": ((3.0, 1.0, 1e-200, 0.5, 0.001), (4.0, -1.0, 1.0), (0.0, 5.0, -1e4), -0.5,
+                0.5, (0.02, 0.01)),
+    "stencil": ((1.0, 3.0), (1.0,), (0.0,), -0.5, 0.5, (0.3, 0.1)),
+    "one point": ((1.0, 3.0), (1.0,), (0.0,), -0.5, 0.5, (2.0, 0.5)),
+}
+
+
+def grid_sizes(u_lo, u_hi, h_levels):
+    return [int(round((u_hi - u_lo) / h)) + 1 for h in h_levels]
+
+
+class TestBatchedSweep:
+    """The batched sweep against one refinement study per triple, byte for byte."""
+
+    # sha256 of the default sweep.csv written one triple at a time
+    DEFAULT_SHA256 = "32ed0b6d971a0545a72c3e6762caa6fd81523fe6f6a6bb84166f8e5459dab51e"
+
+    def test_default_sweep_csv_is_pinned(self):
+        csv = sweep_csv(["sweep"])
+        assert hashlib.sha256(csv).hexdigest() == self.DEFAULT_SHA256
+
+    @pytest.mark.parametrize("case", ORACLE_SWEEPS)
+    def test_fixed_sweeps_match_the_oracle(self, case):
+        b, c1, c2, u_lo, u_hi, h_levels = ORACLE_SWEEPS[case]
+        want = reference_sweep_csv(b, c1, c2, u_lo, u_hi, grid_sizes(u_lo, u_hi, h_levels))
+        assert sweep_csv(sweep_argv(b, c1, c2, u_lo, u_hi, h_levels)) == want
+
+    def test_fixed_sweeps_cover_every_row_status(self):
+        statuses = set()
+        for b, c1, c2, u_lo, u_hi, h_levels in ORACLE_SWEEPS.values():
+            csv = reference_sweep_csv(b, c1, c2, u_lo, u_hi, grid_sizes(u_lo, u_hi, h_levels))
+            statuses |= {line.split(b",", 5)[5] for line in csv.split(b"\r\n")[1:-1]}
+        for marker in (b"ok", b"K >= -2 b^2", b"not inside the metric domain",
+                       b"factorization", b"c1 must be positive", b"b = 1e-200 is too small",
+                       b"numerical: fewer than 2 levels", b"at least 5x5",
+                       b"at least 2 points"):
+            assert any(marker in s for s in statuses), marker
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        b=st.lists(log_uniform(1e-3, 10.0), min_size=1, max_size=3),
+        c1=st.lists(log_uniform(1e-4, 1e4), min_size=1, max_size=2),
+        c2=st.lists(
+            st.one_of(st.just(0.0), log_uniform(1e-4, 1e4), log_uniform(1e-4, 1e4).map(
+                lambda x: -x)), min_size=1, max_size=2,
+        ),
+        u_lo=st.floats(0.05, 1.5).map(lambda x: -x),
+        u_hi=st.floats(0.05, 1.5),
+        sizes=st.lists(st.sampled_from([2, 3, 4, 5, 6, 9, 17, 33]), min_size=2, max_size=3,
+                       unique=True),
+    )
+    def test_batched_rows_match_the_oracle(self, b, c1, c2, u_lo, u_hi, sizes):
+        h_levels = [(u_hi - u_lo) / (n - 1) for n in sizes]
+        assert grid_sizes(u_lo, u_hi, h_levels) == sizes
+        want = reference_sweep_csv(b, c1, c2, u_lo, u_hi, sizes)
+        assert sweep_csv(sweep_argv(b, c1, c2, u_lo, u_hi, h_levels)) == want
 
 
 class TestPmcCommand:
@@ -557,8 +666,9 @@ class TestManifest:
         blocker = tmp_path / "file"
         blocker.write_text("")
         rc = run_cli(every_command(trumpet_csv)[command] + ["--outdir", blocker / "out"])
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert rc == 2
+        assert out == ""  # derive and pmc print their result only once it is written
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [blocker]
@@ -736,7 +846,7 @@ class TestInputValidation:
         def no_sampling(*_):
             raise AssertionError("sampled a grid over the point budget")
 
-        monkeypatch.setattr("ricci_liouville.verify.sample_grid", no_sampling)
+        monkeypatch.setattr("ricci_liouville.verify.refinement_study", no_sampling)
         err = self.run_verify_usage_error(
             tmp_path, capsys, ["--u-lo", -0.4, "--u-hi", 0.4] + args
         )
@@ -815,3 +925,14 @@ class TestInputValidation:
         assert rc == 2
         assert "must be finite with a finite span" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_mesh_v_range_is_checked_before_the_quadrature(self, tmp_path, capsys, monkeypatch):
+        def no_profile(*_, **__):
+            raise AssertionError("integrated the profile of a run with a bad v range")
+
+        monkeypatch.setattr("ricci_liouville.revolution.profile_from_metric", no_profile)
+        args = MESH_ARGS[:MESH_ARGS.index("--v-lo")] + ["--v-lo", 0, "--v-hi", "nan", "--nv", 4]
+        assert run_cli(args + ["--format", "obj", "--outdir", tmp_path]) == 2
+        assert capsys.readouterr().err == (
+            "error: --v-lo 0.0 and --v-hi nan must be finite with a finite span\n"
+        )

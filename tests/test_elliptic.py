@@ -10,11 +10,13 @@ from scipy.special import ellipj, ellipk, ellipkinc
 from ricci_liouville import (
     DomainError,
     Modulus,
+    ParameterError,
     complete_elliptic_k,
     incomplete_elliptic_f,
     jacobi_am,
     jacobi_sn_cn_dn,
 )
+from ricci_liouville.elliptic import _agm_scale
 
 from helpers import amplitude_ode_oracle
 
@@ -230,3 +232,50 @@ def test_identities_hold_for_random_arguments(u, k):
     assert abs(sn * sn + cn * cn - 1.0) < 1e-12
     assert abs(dn * dn + k * k * sn * sn - 1.0) < 1e-12
     assert jacobi_am(0.0, k) == 0.0
+
+
+def same_bits(a, b):
+    return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestOneModulusPerRow:
+    # k' from 1 down to 1e-15 needs from 1 to 7 Landen steps; k = 1 takes the gudermannian
+    MIXED = [0.0, 1e-8, 0.3, 0.9, 0.999999, 1.0 - 1e-15, 1.0]
+
+    def test_rows_differ_in_landen_depth(self):
+        depths = {len(_agm_scale(Modulus(k))[0]) for k in self.MIXED[:-1]}
+        assert len(depths) >= 4
+
+    def test_rows_match_one_call_per_modulus_bitwise(self):
+        u = np.random.default_rng(5).uniform(-12.0, 12.0, (len(self.MIXED), 257))
+        rows = jacobi_sn_cn_dn(u, self.MIXED)
+        for i, k in enumerate(self.MIXED):
+            for got, want in zip(rows, jacobi_sn_cn_dn(u[i], k)):
+                assert same_bits(got[i], want), k
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        moduli=st.lists(
+            st.one_of(MODULI, st.sampled_from([0.0, 1.0 - 1e-12, 1.0])), min_size=1, max_size=5
+        ),
+        u=st.lists(st.floats(min_value=-30.0, max_value=30.0), min_size=1, max_size=6),
+    )
+    def test_any_moduli_match_one_call_each(self, moduli, u):
+        grid = np.array([u] * len(moduli)) * np.arange(1, len(moduli) + 1)[:, None]
+        rows = jacobi_sn_cn_dn(grid, [Modulus(k) for k in moduli])
+        for i, k in enumerate(moduli):
+            for got, want in zip(rows, jacobi_sn_cn_dn(grid[i], k)):
+                assert same_bits(got[i], want), k
+
+    @pytest.mark.parametrize(
+        "u, moduli", [(np.zeros(3), [0.1, 0.2, 0.3]), (np.zeros((2, 3)), [0.1, 0.2, 0.3]),
+                      (np.zeros((2, 3)), [[0.1], [0.2]])],
+        ids=["1-d u", "row count", "2-d moduli"],
+    )
+    def test_shape_mismatch_rejected(self, u, moduli):
+        with pytest.raises(ParameterError, match="one modulus per row"):
+            jacobi_sn_cn_dn(u, moduli)
+
+    def test_modulus_outside_unit_interval_rejected(self):
+        with pytest.raises(DomainError, match="modulus k must lie in"):
+            jacobi_sn_cn_dn(np.zeros((2, 3)), [0.5, 1.5])

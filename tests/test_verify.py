@@ -289,7 +289,7 @@ class TestVerdictAndExport:
         spec = GridSpec(-0.2, 0.2, -0.2, 0.2, 5, 5)
         grid = sample_grid(ref_params, spec)
         ricci_residual_grid(grid, ref_params.b)
-        text = grid_to_csv(grid)
+        text = grid_to_csv(grid).decode("ascii")
         lines = text.strip().split("\r\n")
         assert lines[0] == "u,v,lambda,K,residual"
         assert len(lines) == 1 + 25
@@ -335,7 +335,7 @@ class TestColumnGridMatchesFullGrid:
         assert np.array_equal(got_lam, lam)
         assert np.array_equal(got_curv, curv)
         assert np.array_equal(got_res, res, equal_nan=True)
-        assert grid_to_csv(grid).encode() == reference_grid_csv(spec, lam, curv, res).encode()
+        assert grid_to_csv(grid) == reference_grid_csv(spec, lam, curv, res).encode()
 
     @pytest.mark.parametrize("p", ORACLE_TRIPLES, ids=["ref", "b.5c4", "b1c.25"])
     def test_csv_without_residual_on_three_columns(self, p):
@@ -345,7 +345,7 @@ class TestColumnGridMatchesFullGrid:
         assert grid.ricci_residual_column is None
         got_lam, got_curv, _ = full_fields(grid)
         assert np.array_equal(got_lam, lam) and np.array_equal(got_curv, curv)
-        assert grid_to_csv(grid).encode() == reference_grid_csv(spec, lam, curv, None).encode()
+        assert grid_to_csv(grid) == reference_grid_csv(spec, lam, curv, None).encode()
 
     def test_full_fields_reduce_to_the_sampled_columns(self, ref_params):
         spec = ORACLE_SPECS[1]
