@@ -222,14 +222,20 @@ def jacobi_sn_cn_dn(u, k):
 
     u = np.asarray(u, dtype=float)
     moduli, ks = _moduli(k, u)
-    a, c = _scale_table(moduli, ks)
-    n, ur = _reduce(u, a)
-    phi = _amplitude_reduced(ur, a, c)
-    sign = np.where(n % 2.0 == 0.0, 1.0, -1.0)
-    sn = sign * np.sin(phi)
-    cn = sign * np.cos(phi)
-    dn = np.sqrt(1.0 - ks * ks * sn * sn)
-    if any(m.k == 1.0 for m in moduli):
+    ones = sum(m.k == 1.0 for m in moduli)
+    if ones == len(moduli):
+        sn = np.tanh(u)
+        cn = 1.0 / np.cosh(u)
+        dn = cn
+    else:
+        a, c = _scale_table(moduli, ks)
+        n, ur = _reduce(u, a)
+        phi = _amplitude_reduced(ur, a, c)
+        sign = np.where(n % 2.0 == 0.0, 1.0, -1.0)
+        sn = sign * np.sin(phi)
+        cn = sign * np.cos(phi)
+        dn = np.sqrt(1.0 - ks * ks * sn * sn)
+    if 0 < ones < len(moduli):
         one = np.equal(ks, 1.0)
         sn = np.where(one, np.tanh(u), sn)
         cn = np.where(one, 1.0 / np.cosh(u), cn)

@@ -126,9 +126,8 @@ def derive_constants(p: MetricParams) -> DerivedConstants:
 
 
 def _scaled_argument(p: MetricParams, u):
-    """Derived constants and s u, after the domain check of every closed-form evaluation.
+    """Derived constants and s u, after the domain check (_domain_rows, one row).
 
-    NaN fails the comparison, so one pass rejects it with the boundary.
     Inside the domain |s u| < K(k): am(s u, k) needs no half-period shift,
     and sn = sin am, cn = cos am.
     """
@@ -136,35 +135,36 @@ def _scaled_argument(p: MetricParams, u):
 
     dc = derive_constants(p)
     u = np.asarray(u, dtype=float)
-    inside = np.abs(u) < dc.u_max - DEFAULT_EPS_DOM
-    if not np.all(inside):
-        raise _domain_error(float(np.max(np.abs(u[~inside]))), dc.u_max)
+    exc = _domain_rows([dc], u)[0]
+    if exc is not None:
+        raise exc
     return dc, dc.s * u
 
 
-def _domain_error(worst: float, u_max: float) -> DomainError:
-    """The error of the domain check at the farthest point |u| = ``worst`` outside it."""
-    return DomainError(
-        f"|u| = {worst:.17g} is NaN or not inside the metric domain "
-        f"|u| < u_max - {DEFAULT_EPS_DOM:g} with u_max = {u_max:.17g}, "
-        f"where cn(s u, k) vanishes and the conformal factor has a pole"
-    )
-
-
 def _domain_rows(constants, u):
-    """The domain check of the shared nodes ``u`` for one row per DerivedConstants.
+    """The domain check of the nodes ``u`` (any shape) for one row per DerivedConstants.
 
     Returns one entry per row: None when every node lies inside that row's
-    domain, else the DomainError _scaled_argument raises for it.
+    domain, else the DomainError at the farthest node outside it (NaN
+    fails the comparison, so it is rejected with the boundary).  Every
+    closed-form evaluation runs this check.
     """
     import numpy as np
 
     absu = np.abs(np.asarray(u, dtype=float)).ravel()
     u_max = np.array([dc.u_max for dc in constants])
     outside = ~(absu < (u_max - DEFAULT_EPS_DOM)[:, None])
+    if not outside.any():
+        return [None] * len(constants)
     worst = np.max(np.where(outside, absu, -np.inf), axis=1, initial=-np.inf)
     return [
-        _domain_error(w, dc.u_max) if out else None
+        DomainError(
+            f"|u| = {w:.17g} is NaN or not inside the metric domain "
+            f"|u| < u_max - {DEFAULT_EPS_DOM:g} with u_max = {dc.u_max:.17g}, "
+            f"where cn(s u, k) vanishes and the conformal factor has a pole"
+        )
+        if out
+        else None
         for dc, w, out in zip(constants, worst.tolist(), outside.any(axis=1).tolist())
     ]
 

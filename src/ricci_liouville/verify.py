@@ -230,35 +230,83 @@ def estimate_order(hs, residuals) -> float:
     Levels whose residual underflows below RESIDUAL_UNDERFLOW are excluded;
     fewer than two usable levels is an error.
     """
-    hs = np.asarray(hs, dtype=float)
-    rs = np.asarray(residuals, dtype=float)
-    keep = rs > RESIDUAL_UNDERFLOW
-    if int(np.count_nonzero(keep)) < 2:
-        raise ConvergenceError(
-            "fewer than 2 levels with residual above the underflow floor "
-            f"{RESIDUAL_UNDERFLOW}"
-        )
-    slope, _ = np.polyfit(np.log(hs[keep]), np.log(rs[keep]), 1)
-    return float(slope)
+    order = _orders(hs, [residuals])[0]
+    if isinstance(order, ConvergenceError):
+        raise order
+    return order
 
 
-def _study(params, specs):
-    """The refinement loop of every certification run, one row per MetricParams.
+def _orders(hs, rows) -> list:
+    """estimate_order of each residual list in ``rows``, or its ConvergenceError.
 
-    Each level makes one closed-form call for all rows still running, one
-    residual pass and one max.  A row stops at its first error, in the
-    order a study of its triple alone meets them: a ParameterError of the
-    spec iterator, its derived constants, the domain check, the 5x5
-    stencil minimum, then K >= -2 b^2.  ``specs`` is consumed lazily and
-    only while a row runs.  Returns (hs, maxima, errors, base): the
-    spacings, each row's list of interior max residuals, the exception it
-    stopped with (None when it ran every level), and the first level's
-    (spec, lambda, K, residual) arrays for the rows that ran it.
+    Rows that keep the same levels share one polyfit with one column per
+    row; each column carries the bits of a fit of its row alone.
     """
-    errors = [None] * len(params)
-    maxima = [[] for _ in params]
-    hs, base, constants = [], None, None
-    live = list(range(len(params)))
+    hs = np.asarray(hs, dtype=float)
+    rs = np.asarray(rows, dtype=float)
+    keep = rs > RESIDUAL_UNDERFLOW
+    orders = [None] * len(rows)
+    for mask in {tuple(k) for k in keep.tolist()}:
+        same = np.flatnonzero((keep == mask).all(axis=1)).tolist()
+        mask = np.array(mask, dtype=bool)
+        if int(np.count_nonzero(mask)) < 2:
+            for i in same:
+                orders[i] = ConvergenceError(
+                    "fewer than 2 levels with residual above the underflow floor "
+                    f"{RESIDUAL_UNDERFLOW}"
+                )
+            continue
+        slopes, _ = np.polyfit(np.log(hs[mask]), np.log(rs[same][:, mask]).T, 1)
+        for i, slope in zip(same, slopes.tolist()):
+            orders[i] = slope
+    return orders
+
+
+def refinement_study(p: MetricParams, specs):
+    """Ricci residual on each grid of ``specs`` and the fitted order.
+
+    Samples each grid in turn, takes its interior max residual with
+    ricci_residual_grid and fits the log-log slope with estimate_order.
+    ``specs`` is consumed lazily, so a generator raises its errors in grid
+    order.  Returns (hs, residuals, order, base), where base is the first
+    sampled grid with its residual stored.
+    """
+    hs, rs, base = [], [], None
+    for spec in specs:
+        grid = sample_grid(p, spec)
+        rs.append(ricci_residual_grid(grid, p.b))
+        hs.append(spec.h)
+        base = grid if base is None else base
+    return hs, rs, estimate_order(hs, rs), base
+
+
+def refinement_rows(triples, specs):
+    """refinement_study of every (b, c1, c2) in ``triples`` at once.
+
+    Each level evaluates all triples still running with one Jacobi call,
+    one residual pass (_residual_column) and one max, one row per triple,
+    and the orders are fitted together (_orders).  When a level halves the
+    previous spacing and its even nodes equal the previous nodes, lambda
+    there is taken from the previous level and only the odd nodes are
+    evaluated.
+
+    A row stops at its first error, in the order a study of its triple
+    alone meets them: MetricParams, a ParameterError of the spec iterator,
+    derive_constants, the domain check, the 5x5 stencil minimum,
+    K >= -2 b^2, then estimate_order.  ``specs`` is consumed lazily and
+    only while a row runs.  Returns one entry per triple: (residuals,
+    order) as refinement_study gives them, or the exception its study
+    would raise (ParameterError, NotInFamilyError or ConvergenceError).
+    """
+    results = [None] * len(triples)
+    live = []  # (row, MetricParams), then (row, MetricParams, DerivedConstants)
+    for r, (b, c1, c2) in enumerate(triples):
+        try:
+            live.append((r, MetricParams(b=b, c1=c1, c2=c2)))
+        except ParameterError as exc:
+            results[r] = exc
+    hs, maxima = [], [[] for _ in triples]
+    last = None  # the previous level's nodes, lambda rows and their row indices
     specs = iter(specs)
     while live:
         try:
@@ -266,93 +314,53 @@ def _study(params, specs):
         except StopIteration:
             break
         except ParameterError as exc:
-            for r in live:
-                errors[r] = exc
+            for r, *_ in live:
+                results[r] = exc
             break
-        if constants is None:
-            constants = [None] * len(params)
-            for r in live:
+        if not hs:  # the first level derives the constants
+            pending, live = live, []
+            for r, p in pending:
                 try:
-                    constants[r] = derive_constants(params[r])
+                    live.append((r, p, derive_constants(p)))
                 except ParameterError as exc:
-                    errors[r] = exc
-            live = [r for r in live if errors[r] is None]
+                    results[r] = exc
         u = spec.u_nodes()
-        for r, exc in zip(live, _domain_rows([constants[r] for r in live], u)):
-            errors[r] = exc
-        live = [r for r in live if errors[r] is None]
+        for (r, *_), exc in zip(live, _domain_rows([dc for *_, dc in live], u)):
+            results[r] = exc
+        live = [row for row in live if results[row[0]] is None]
         exc = _stencil_error(spec)
         if exc is not None or not live:
-            for r in live:
-                errors[r] = exc
+            for r, *_ in live:
+                results[r] = exc
             break
-        lam = _factor_rows([constants[r] for r in live], u)
-        b = np.array([params[r].b for r in live])[:, None]
-        c1 = np.array([params[r].c1 for r in live])[:, None]
-        curv = _curvature_from_factor(b, c1, lam)
+        constants = [dc for *_, dc in live]
+        rows = [r for r, *_ in live]
+        nested = last is not None and len(u) == 2 * len(last[0]) - 1
+        if nested and np.array_equal(u[::2], last[0]):
+            # a halved spacing whose even nodes are the previous level's, bit for bit:
+            # lambda is elementwise, so only the new odd nodes are evaluated
+            lam = np.empty((len(rows), len(u)))
+            lam[:, ::2] = last[1][np.isin(last[2], rows)]
+            lam[:, 1::2] = _factor_rows(constants, u[1::2])
+        else:
+            lam = _factor_rows(constants, u)
+        last = (u, lam, rows)
+        b = np.array([p.b for _, p, _ in live])[:, None]
+        curv = _curvature_from_factor(b, np.array([p.c1 for _, p, _ in live])[:, None], lam)
         w, bad = _curvature_gap(curv, b)
-        for j in np.flatnonzero(bad).tolist():
-            errors[live[j]] = _not_in_family(w[j])
         if bad.any():
+            for j in np.flatnonzero(bad).tolist():
+                results[live[j][0]] = _not_in_family(w[j])
             keep = ~bad
-            live = [r for r, ok in zip(live, keep.tolist()) if ok]
+            live = [row for row, ok in zip(live, keep.tolist()) if ok]
             lam, curv, b = lam[keep], curv[keep], b[keep]
         res = _residual_column(lam, curv, b, spec.h)
-        for r, m in zip(live, np.max(np.abs(res), axis=1).tolist()):
+        for (r, *_), m in zip(live, np.max(np.abs(res), axis=1).tolist()):
             maxima[r].append(m)
         hs.append(spec.h)
-        if base is None:
-            base = (spec, lam, curv, res)
-    return hs, maxima, errors, base
-
-
-def refinement_study(p: MetricParams, specs):
-    """Ricci residual on each grid of ``specs`` and the fitted order.
-
-    Samples each grid in turn, takes its interior max residual and fits the
-    log-log slope with estimate_order; the residual column kernel and the
-    level loop are those of refinement_rows, for one triple.  ``specs`` is
-    consumed lazily, so a generator raises its errors in grid order.
-    Returns (hs, residuals, order, base), where base is the first sampled
-    grid with its residual stored.
-    """
-    hs, maxima, errors, base = _study([p], specs)
-    if errors[0] is not None:
-        raise errors[0]
-    order = estimate_order(hs, maxima[0])
-    spec, lam, curv, res = base
-    grid = MetricGrid(spec, lam[0], curv[0])
-    grid.ricci_residual_column = np.full(spec.nu, np.nan)
-    grid.ricci_residual_column[1:-1] = res[0]
-    return hs, maxima[0], order, grid
-
-
-def refinement_rows(triples, specs):
-    """refinement_study of every (b, c1, c2) in ``triples`` at once.
-
-    Each level evaluates all triples with one Jacobi call, one residual
-    pass and one max, one row per triple.  Returns one entry per triple:
-    (residuals, order) as refinement_study gives them, or the exception
-    its study of that triple alone would raise (ParameterError,
-    NotInFamilyError or ConvergenceError).
-    """
-    results, params, rows = [], [], []
-    for b, c1, c2 in triples:
-        try:
-            params.append(MetricParams(b=b, c1=c1, c2=c2))
-        except ParameterError as exc:
-            results.append(exc)
-            continue
-        rows.append(len(results))
-        results.append(None)
-    hs, maxima, errors, _ = _study(params, specs)
-    for r, rs, exc in zip(rows, maxima, errors):
-        results[r] = exc
-        if exc is None:
-            try:
-                results[r] = (rs, estimate_order(hs, rs))
-            except ConvergenceError as failure:
-                results[r] = failure
+    ok = [r for r, result in enumerate(results) if result is None]
+    for r, order in zip(ok, _orders(hs, [maxima[r] for r in ok])):
+        results[r] = order if isinstance(order, ConvergenceError) else (maxima[r], order)
     return results
 
 

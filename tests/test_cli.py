@@ -413,6 +413,21 @@ class TestBatchedSweep:
         csv = sweep_csv(["sweep"])
         assert hashlib.sha256(csv).hexdigest() == self.DEFAULT_SHA256
 
+    def test_nested_levels_evaluate_each_node_once(self, monkeypatch):
+        # the default levels 51, 101, 201 halve the spacing: 51 + 50 + 100 nodes per triple
+        from ricci_liouville import metric
+
+        points = []
+
+        def counted(u, k):
+            points.append(np.size(u))
+            return jacobi_sn_cn_dn(u, k)
+
+        jacobi_sn_cn_dn = metric.jacobi_sn_cn_dn
+        monkeypatch.setattr(metric, "jacobi_sn_cn_dn", counted)
+        sweep_csv(["sweep"])
+        assert points == [27 * 51, 27 * 50, 27 * 100]
+
     @pytest.mark.parametrize("case", ORACLE_SWEEPS)
     def test_fixed_sweeps_match_the_oracle(self, case):
         b, c1, c2, u_lo, u_hi, h_levels = ORACLE_SWEEPS[case]
@@ -846,7 +861,7 @@ class TestInputValidation:
         def no_sampling(*_):
             raise AssertionError("sampled a grid over the point budget")
 
-        monkeypatch.setattr("ricci_liouville.verify.refinement_study", no_sampling)
+        monkeypatch.setattr("ricci_liouville.verify.sample_grid", no_sampling)
         err = self.run_verify_usage_error(
             tmp_path, capsys, ["--u-lo", -0.4, "--u-hi", 0.4] + args
         )

@@ -276,6 +276,13 @@ class TestOneModulusPerRow:
         with pytest.raises(ParameterError, match="one modulus per row"):
             jacobi_sn_cn_dn(u, moduli)
 
+    @pytest.mark.parametrize("u", [math.inf, -math.inf, [math.inf, 1.0]])
+    def test_k_one_at_infinity_is_the_limit(self, u):
+        # k = 1 runs no Landen reduction, so an infinite u raises no warning
+        sn, cn, dn = jacobi_sn_cn_dn(u, 1.0)
+        assert np.array_equal(sn, np.tanh(u))
+        assert np.array_equal(cn, 1.0 / np.cosh(u)) and np.array_equal(dn, cn)
+
     def test_modulus_outside_unit_interval_rejected(self):
         with pytest.raises(DomainError, match="modulus k must lie in"):
             jacobi_sn_cn_dn(np.zeros((2, 3)), [0.5, 1.5])

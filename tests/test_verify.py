@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ricci_liouville import (
     ConvergenceError,
@@ -23,6 +25,8 @@ from ricci_liouville import (
     ricci_residual_grid,
     sample_grid,
 )
+
+from ricci_liouville.verify import RESIDUAL_UNDERFLOW, _orders
 
 from helpers import (
     perturbed_metric_grid,
@@ -158,6 +162,27 @@ class TestConvergenceOrder:
         )
         with pytest.raises(ConvergenceError):
             estimate_order([0.02, 0.01], [1e-20, 1e-20])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        levels=st.integers(1, 5),
+        rows=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_rows_fitted_together_keep_each_fit_bits(self, levels, rows, data):
+        # one fit per row: the least-squares slope over the levels above the floor
+        spacings = st.floats(1e-4, 0.5).map(lambda h: float(f"{h:.3g}"))
+        hs = data.draw(st.lists(spacings, min_size=levels, max_size=levels, unique=True))
+        residual = st.one_of(st.floats(1e-12, 10.0), st.sampled_from([1e-20, 0.0]))
+        rs = [data.draw(st.lists(residual, min_size=levels, max_size=levels))
+              for _ in range(rows)]
+        for got, r in zip(_orders(hs, rs), rs):
+            keep = np.asarray(r) > RESIDUAL_UNDERFLOW
+            if np.count_nonzero(keep) < 2:
+                assert isinstance(got, ConvergenceError)
+                continue
+            want = np.polyfit(np.log(np.asarray(hs)[keep]), np.log(np.asarray(r)[keep]), 1)[0]
+            assert got == float(want) and estimate_order(hs, r) == got
 
     def test_perturbed_metric_plateaus(self, ref_params):
         hs, rs = [], []
