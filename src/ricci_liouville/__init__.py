@@ -34,11 +34,9 @@ __all__ = [
     "theta",
     "ode_residual",
     "GridSpec",
-    "MetricGrid",
     "NormalizationFit",
-    "sample_grid",
-    "ricci_residual_grid",
-    "refinement_study",
+    "ricci_residual_column",
+    "refinement_rows",
     "estimate_order",
     "ricci_residual_1d",
     "ricci_order_1d",

@@ -12,12 +12,14 @@ stdout.  The manifest records every parsed flag except --outdir, with
 defaults resolved.  Data outputs are byte-deterministic for identical
 inputs.
 
-sweep studies all its triples together (verify.refinement_rows): each
-refinement level is one closed-form call, one residual pass and one max
-over one row per triple.  A triple that fails keeps its row, with the
-status "domain: ..." (invalid parameters, a grid outside its domain or
-too small for the stencil, K >= -2 b^2) or "numerical: ..." (no order
-fit); such rows leave the exit code at 0.
+verify and sweep share one refinement loop, verify.refinement_rows:
+each refinement level is one closed-form call, one residual pass and
+one max over one row per triple.  verify runs it on its one triple and
+writes the first level's columns; sweep studies all its triples
+together.  A sweep triple that fails keeps its row, with the status
+"domain: ..." (invalid parameters, a grid outside its domain or too
+small for the stencil, K >= -2 b^2) or "numerical: ..." (no order fit);
+such rows leave the exit code at 0.
 
 A start pays only for what its subcommand runs: each command imports the
 library modules it calls, and NumPy, inside its body.  derive, --help and
@@ -124,7 +126,7 @@ def cmd_verify(args):
         fit_normalization,
         grid_to_csv,
         in_family_verdict,
-        refinement_study,
+        refinement_rows,
         summary_to_json,
     )
 
@@ -148,16 +150,18 @@ def cmd_verify(args):
         spec.nu * spec.nv, f"--h {args.h!r} gives a CSV of {spec.nu} x {spec.nv} rows"
     )
 
-    _, rs, order, grid = refinement_study(
-        p, (spec.refined(2**lev) for lev in range(args.levels))
-    )
-    max_res = rs[0]
-    fit = fit_normalization(grid.lambda_column, p.b, spec.h, u0=spec.u_lo)
+    result = refinement_rows(
+        [(p.b, p.c1, p.c2)], (spec.refined(2**lev) for lev in range(args.levels))
+    )[0]
+    if isinstance(result, Exception):
+        raise result
+    (max_res, *_), order, lam, curv, res = result
+    fit = fit_normalization(lam, p.b, spec.h, u0=spec.u_lo)
     verdict = in_family_verdict(max_res, order, spec.h)
     # the manifest records the grid's v range and spacing
     args.v_lo, args.v_hi, args.h = spec.v_lo, spec.v_hi, spec.h
     files = {
-        "residuals.csv": grid_to_csv(grid),
+        "residuals.csv": grid_to_csv(spec, lam, curv, res),
         "summary.json": summary_to_json(max_res, order, fit, spec.h, verdict),
     }
     summary = {"max_residual": max_res, "order": order, "verdict": verdict}

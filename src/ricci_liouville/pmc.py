@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, ParameterError
 from .fileio import json_text
 from .metric import MetricParams, _curvature_from_factor, _scaled_argument, _sn_cn_dn
-from .verify import _residual_column, residual_floor
+from .verify import residual_floor, ricci_residual_column
 
 __all__ = [
     "PMC_B",
@@ -186,7 +186,7 @@ def pmc_report(s: SubfamilyBranch, u_interval, n: int) -> PmcReport:
     residual = math.nan
     h = (u_hi - u_lo) / (n - 1) if n > 1 else math.nan
     if n >= 5 and u_hi > u_lo:
-        residual = float(np.max(np.abs(_residual_column(lam, curv, p.b, h))))
+        residual = float(np.max(np.abs(ricci_residual_column(lam, curv, p.b, h))))
 
     curvature_ok = bool(np.all(curv < -1.0 / 3.0))
     residual_ok = not math.isnan(residual) and residual < residual_floor(h)

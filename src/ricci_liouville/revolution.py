@@ -49,6 +49,7 @@ __all__ = [
 ARC_LENGTH_TOL = 1e-6
 _INTEGRAND_FLOOR = -1e-12
 _SIMPSON_MAX_DEPTH = 20  # subdivision cap 2**20 intervals
+_EPS = float(np.finfo(float).eps)
 # vertices per row band of the angle defect and the induced-metric check.
 # The ~30 live temporaries of a band then total about 2 MB: they stay in a
 # 4 MiB L2, and malloc hands the same heap pages to band after band.  At
@@ -174,6 +175,7 @@ def _interleave(first, second):
 def _simpson_segments(f, nodes, tol: float) -> np.ndarray:
     """Adaptive Simpson integrals of f over every segment [nodes[i], nodes[i+1]].
 
+    ``tol`` is the total tolerance, split evenly over the segments.
     ``f`` maps an array of abscissae to an array of values.  All segments
     are refined together, breadth first: each level holds the frontier of
     intervals not yet accepted and evaluates all their quarter points in
@@ -183,10 +185,14 @@ def _simpson_segments(f, nodes, tol: float) -> np.ndarray:
     estimate.  The accepted leaves are then summed bottom-up in the order
     the recursion adds them (left + right at every node), so each segment
     value is exactly what the depth-first recursion returns.  A frontier
-    still open after _SIMPSON_MAX_DEPTH levels raises ConvergenceError.
+    still open after _SIMPSON_MAX_DEPTH levels raises ConvergenceError, at
+    once when after the first level an open segment's tolerance lies below
+    eps |S| / 2**_SIMPSON_MAX_DEPTH, S its Simpson value: the rounding of
+    the error estimate keeps every leaf above that before the cap.
     """
     nodes = np.asarray(nodes, dtype=float)
     n = nodes.size
+    seg_tol = tol / (n - 1)
     x0, x2 = nodes[:-1], nodes[1:]
     vals = f(np.concatenate([nodes, 0.5 * (x0 + x2)]))
     f0, f1, f2 = vals[: n - 1], vals[n:], vals[1:n]
@@ -199,10 +205,15 @@ def _simpson_segments(f, nodes, tol: float) -> np.ndarray:
         left = _simpson(x0, x1, f0, fl, f1)
         right = _simpson(x1, x2, f1, fr, f2)
         err = (left + right - whole) / 15.0
-        done = np.abs(err) <= tol
+        done = np.abs(err) <= seg_tol
         levels.append((done, left + right + err))
         if done.all():
             break
+        if depth == 0 and seg_tol < _EPS * np.max(np.abs(whole[~done])) / 2**_SIMPSON_MAX_DEPTH:
+            raise ConvergenceError(
+                f"quadrature tolerance {tol!r} is below the rounding floor of adaptive "
+                f"Simpson; {_SIMPSON_MAX_DEPTH} subdivision levels cannot meet it"
+            )
         if depth == _SIMPSON_MAX_DEPTH:
             worst = int(np.argmin(done))
             raise ConvergenceError(
@@ -292,7 +303,7 @@ def _profile(factor, interval, tol: float, n: int, params=None) -> ProfileCurve:
         return np.sqrt(np.maximum(gap, 0.0))
 
     u = np.linspace(u_lo, u_hi, n)
-    x = np.cumsum(np.concatenate([[0.0], _simpson_segments(integrand, u, tol / (n - 1))]))
+    x = np.cumsum(np.concatenate([[0.0], _simpson_segments(integrand, u, tol)]))
     y = np.asarray(factor(u)[0], dtype=float)
     monotone = bool(np.all(np.diff(x) >= 0.0))
     return ProfileCurve(u=u, x=x, y=y, monotone=monotone, params=params)

@@ -31,17 +31,13 @@ from .metric import (
     _curvature_from_factor,
     _domain_rows,
     _factor_rows,
-    conformal_factor,
     derive_constants,
 )
 
 __all__ = [
     "GridSpec",
-    "MetricGrid",
     "NormalizationFit",
-    "sample_grid",
-    "ricci_residual_grid",
-    "refinement_study",
+    "ricci_residual_column",
     "refinement_rows",
     "estimate_order",
     "ricci_residual_1d",
@@ -108,29 +104,6 @@ class GridSpec:
         )
 
 
-class MetricGrid:
-    """Sampled conformal factor and curvature over a GridSpec.
-
-    A special Liouville metric does not depend on v, so the grid holds 1-d
-    columns of length nu along u: lambda_column, curvature_column and, once
-    ricci_residual_grid has run, ricci_residual_column (NaN on the first
-    and last rows).  v enters only through the spec: the square-cell
-    spacing and the rows of grid_to_csv.
-    """
-
-    def __init__(self, spec: GridSpec, lambda_column, curvature_column):
-        lam = np.asarray(lambda_column, dtype=float)
-        curv = np.asarray(curvature_column, dtype=float)
-        if not lam.shape == curv.shape == (spec.nu,):
-            raise ParameterError(
-                f"column shapes must equal ({spec.nu},), got {lam.shape} and {curv.shape}"
-            )
-        self.spec = spec
-        self.lambda_column = lam
-        self.curvature_column = curv
-        self.ricci_residual_column: np.ndarray | None = None
-
-
 @dataclass(frozen=True)
 class NormalizationFit:
     """Affine fit of F(u) = log(lambda^2 sqrt(-2 b^2 - K)).
@@ -151,17 +124,6 @@ class NormalizationFit:
             raise ParameterError("max_affine_residual must be nonnegative")
 
 
-def sample_grid(p: MetricParams, g: GridSpec) -> MetricGrid:
-    """Sample the lambda and K columns at the grid's u-nodes.
-
-    One closed-form call gives lambda; K = -2 b^2 - c1 / lambda^4 is formed
-    from it exactly as gaussian_curvature does.  The u-range must sit
-    inside the metric domain (DomainError otherwise).
-    """
-    lam = conformal_factor(p, g.u_nodes())
-    return MetricGrid(g, lam, _curvature_from_factor(p.b, p.c1, lam))
-
-
 def _curvature_gap(curv, b):
     """w = -2 b^2 - K, and whether each row (along the last axis) has w <= 0 somewhere."""
     w = -2.0 * b * b - curv
@@ -172,12 +134,11 @@ def _not_in_family(w) -> NotInFamilyError:
     """The error of a u-column whose w = -2 b^2 - K is not positive, at its minimum."""
     i = int(np.argmin(w))
     return NotInFamilyError(
-        f"K >= -2 b^2 at grid point ({i}, 0); log sqrt(-2 b^2 - K) is undefined there",
-        index=(i, 0),
+        f"K >= -2 b^2 at u-sample {i}; log sqrt(-2 b^2 - K) is undefined there", index=i
     )
 
 
-def _residual_column(lam, curv, b, h: float) -> np.ndarray:
+def ricci_residual_column(lam, curv, b, h: float) -> np.ndarray:
     """Delta log sqrt(-2 b^2 - K) - 2 K on the interior of each u-column.
 
     ``lam`` and ``curv`` hold lambda and K at uniform spacing h along the
@@ -187,7 +148,8 @@ def _residual_column(lam, curv, b, h: float) -> np.ndarray:
     f[2:] + f[:-2] + c + c - 4 c is the 5-point stencil of a v-independent
     f (both v-neighbours equal the centre) in the 2-d order of operations,
     so it is bit-identical to the full-grid stencil.  Requires K < -2 b^2
-    at every sample (NotInFamilyError for the first column that breaks it).
+    at every sample (NotInFamilyError, naming the u-sample, for the first
+    column that breaks it).
     """
     w, bad = _curvature_gap(curv, b)
     if np.any(bad):
@@ -196,32 +158,6 @@ def _residual_column(lam, curv, b, h: float) -> np.ndarray:
     c = f[..., 1:-1]
     lap = (f[..., 2:] + f[..., :-2] + c + c - 4.0 * c) / (h * h)
     return lap / lam[..., 1:-1] ** 2 - 2.0 * curv[..., 1:-1]
-
-
-def _stencil_error(g: GridSpec) -> ParameterError | None:
-    """The error of a grid too small for the residual stencil, or None."""
-    if g.nu < 5 or g.nv < 5:
-        return ParameterError("residual stencil needs a grid of at least 5x5")
-    return None
-
-
-def ricci_residual_grid(m: MetricGrid, b: float) -> float:
-    """Max |Delta log sqrt(-2 b^2 - K) - 2 K| over interior grid points.
-
-    The 5-point stencil for f_uu + f_vv, divided by lambda^2 for the
-    Laplace-Beltrami operator of the conformal metric, runs on the
-    u-column.  Stores the residual column (NaN on the boundary rows) on
-    the grid and returns the interior max.  Requires K < -2 b^2 at every
-    grid point.
-    """
-    g = m.spec
-    exc = _stencil_error(g)
-    if exc is not None:
-        raise exc
-    res = _residual_column(m.lambda_column, m.curvature_column, b, g.h)
-    m.ricci_residual_column = np.full(g.nu, np.nan)
-    m.ricci_residual_column[1:-1] = res
-    return float(np.max(np.abs(res)))
 
 
 def estimate_order(hs, residuals) -> float:
@@ -262,41 +198,27 @@ def _orders(hs, rows) -> list:
     return orders
 
 
-def refinement_study(p: MetricParams, specs):
-    """Ricci residual on each grid of ``specs`` and the fitted order.
-
-    Samples each grid in turn, takes its interior max residual with
-    ricci_residual_grid and fits the log-log slope with estimate_order.
-    ``specs`` is consumed lazily, so a generator raises its errors in grid
-    order.  Returns (hs, residuals, order, base), where base is the first
-    sampled grid with its residual stored.
-    """
-    hs, rs, base = [], [], None
-    for spec in specs:
-        grid = sample_grid(p, spec)
-        rs.append(ricci_residual_grid(grid, p.b))
-        hs.append(spec.h)
-        base = grid if base is None else base
-    return hs, rs, estimate_order(hs, rs), base
-
-
 def refinement_rows(triples, specs):
-    """refinement_study of every (b, c1, c2) in ``triples`` at once.
+    """Residual maxima and convergence order of every (b, c1, c2) in ``triples``.
 
-    Each level evaluates all triples still running with one Jacobi call,
-    one residual pass (_residual_column) and one max, one row per triple,
-    and the orders are fitted together (_orders).  When a level halves the
-    previous spacing and its even nodes equal the previous nodes, lambda
-    there is taken from the previous level and only the odd nodes are
-    evaluated.
+    The one refinement loop: verify runs it with one triple, sweep with
+    many.  ``specs`` yields the grids, coarsest first.  Each level
+    evaluates all triples still running with one Jacobi call, one residual
+    pass (ricci_residual_column) and one max, one row per triple, and the
+    orders are fitted together (_orders, behind estimate_order).  When a
+    level halves the previous spacing and its even nodes equal the
+    previous nodes, lambda there is taken from the previous level and only
+    the odd nodes are evaluated.
 
-    A row stops at its first error, in the order a study of its triple
-    alone meets them: MetricParams, a ParameterError of the spec iterator,
-    derive_constants, the domain check, the 5x5 stencil minimum,
-    K >= -2 b^2, then estimate_order.  ``specs`` is consumed lazily and
-    only while a row runs.  Returns one entry per triple: (residuals,
-    order) as refinement_study gives them, or the exception its study
-    would raise (ParameterError, NotInFamilyError or ConvergenceError).
+    A row stops at its first error, in the order a level-by-level study
+    of its triple alone meets them: MetricParams, a ParameterError of the
+    spec iterator, derive_constants, the domain check, the 5x5 stencil
+    minimum, K >= -2 b^2, then estimate_order.  ``specs`` is consumed
+    lazily and only while a row runs.  Returns one entry per triple:
+    (maxima, order, lambda, K, residual), where maxima holds the max
+    |residual| of each level and the last three are the first level's
+    u-columns (the residual on its interior), or the exception that ends
+    the row (ParameterError, NotInFamilyError or ConvergenceError).
     """
     results = [None] * len(triples)
     live = []  # (row, MetricParams), then (row, MetricParams, DerivedConstants)
@@ -305,7 +227,7 @@ def refinement_rows(triples, specs):
             live.append((r, MetricParams(b=b, c1=c1, c2=c2)))
         except ParameterError as exc:
             results[r] = exc
-    hs, maxima = [], [[] for _ in triples]
+    hs, maxima, first = [], [[] for _ in triples], {}
     last = None  # the previous level's nodes, lambda rows and their row indices
     specs = iter(specs)
     while live:
@@ -328,10 +250,9 @@ def refinement_rows(triples, specs):
         for (r, *_), exc in zip(live, _domain_rows([dc for *_, dc in live], u)):
             results[r] = exc
         live = [row for row in live if results[row[0]] is None]
-        exc = _stencil_error(spec)
-        if exc is not None or not live:
+        if spec.nu < 5 or spec.nv < 5 or not live:
             for r, *_ in live:
-                results[r] = exc
+                results[r] = ParameterError("residual stencil needs a grid of at least 5x5")
             break
         constants = [dc for *_, dc in live]
         rows = [r for r, *_ in live]
@@ -354,13 +275,18 @@ def refinement_rows(triples, specs):
             keep = ~bad
             live = [row for row, ok in zip(live, keep.tolist()) if ok]
             lam, curv, b = lam[keep], curv[keep], b[keep]
-        res = _residual_column(lam, curv, b, spec.h)
-        for (r, *_), m in zip(live, np.max(np.abs(res), axis=1).tolist()):
-            maxima[r].append(m)
+        res = ricci_residual_column(lam, curv, b, spec.h)
+        for (r, *_), top in zip(live, np.max(np.abs(res), axis=1).tolist()):
+            maxima[r].append(top)
+        if not hs:  # each row's first-level columns, returned with its result
+            first = {r: (lam[j], curv[j], res[j]) for j, (r, *_) in enumerate(live)}
         hs.append(spec.h)
     ok = [r for r, result in enumerate(results) if result is None]
     for r, order in zip(ok, _orders(hs, [maxima[r] for r in ok])):
-        results[r] = order if isinstance(order, ConvergenceError) else (maxima[r], order)
+        if isinstance(order, ConvergenceError):
+            results[r] = order
+        else:
+            results[r] = (maxima[r], order, *first[r])
     return results
 
 
@@ -391,7 +317,7 @@ def ricci_residual_1d(phi, b: float, h: float) -> np.ndarray:
 
     ``phi`` holds log(lambda) on a uniform u-grid with spacing h.  The
     curvature K = -phi'' e^{-2 phi} is formed with the 3-point stencil,
-    then the residual column kernel of ricci_residual_grid runs on K and
+    then the residual kernel ricci_residual_column runs on K and
     lambda = e^phi; two layers are trimmed per side, so the result has
     len(phi) - 4 entries.
 
@@ -403,7 +329,7 @@ def ricci_residual_1d(phi, b: float, h: float) -> np.ndarray:
     if phi.ndim != 1 or phi.size < 7:
         raise ParameterError("need at least 7 samples of log(lambda)")
     curv, _ = _fd_curvature(phi, b, h)
-    return _residual_column(np.exp(phi[1:-1]), curv, b, h)
+    return ricci_residual_column(np.exp(phi[1:-1]), curv, b, h)
 
 
 def ricci_order_1d(phi, b: float, h: float):
@@ -473,24 +399,28 @@ def in_family_verdict(max_residual: float, order: float, h: float) -> bool:
     return max_residual < residual_floor(h) and 1.8 <= order <= 2.2
 
 
-def grid_to_csv(m: MetricGrid) -> bytes:
-    """Render the grid as RFC-4180 CSV with columns u, v, lambda, K, residual.
+def grid_to_csv(spec: GridSpec, lam, curv, res=None) -> bytes:
+    """Render a grid as RFC-4180 CSV with columns u, v, lambda, K, residual.
 
+    A special Liouville metric does not depend on v, so the fields are
+    u-columns: ``lam`` and ``curv`` hold spec.nu samples and ``res`` the
+    spec.nu - 2 interior residuals of ricci_residual_column (or None).
     One row per grid point, u-major, as ASCII bytes.  Floats carry 17
-    significant digits; the residual column is empty where the stencil is
+    significant digits; the residual is empty where the stencil is
     undefined.  Each distinct value is formatted once, and the nv lines of
     one u share all fields but v, so they are joined in one call and
     encoded together; the text is never held whole as a str.
     """
-    u = _fmt17(m.spec.u_nodes())
-    lam = _fmt17(m.lambda_column)
-    curv = _fmt17(m.curvature_column)
-    res = m.ricci_residual_column
-    if res is None:
-        res = [""] * m.spec.nu
-    else:
-        res = ["" if math.isnan(x) else f"{x:.17g}" for x in res.tolist()]
-    first, *inner, last = _fmt17(m.spec.v_nodes())
+    lam, curv = np.asarray(lam, dtype=float), np.asarray(curv, dtype=float)
+    n_res = None if res is None else np.shape(res)
+    if not lam.shape == curv.shape == (spec.nu,) or n_res not in (None, (spec.nu - 2,)):
+        raise ParameterError(
+            f"column shapes must equal ({spec.nu},) and ({spec.nu - 2},) for the residual, "
+            f"got {lam.shape}, {curv.shape} and {n_res}"
+        )
+    u, lam, curv = _fmt17(spec.u_nodes()), _fmt17(lam), _fmt17(curv)
+    res = [""] * spec.nu if res is None else ["", *_fmt17(np.asarray(res)), ""]
+    first, *inner, last = _fmt17(spec.v_nodes())
     parts = [b"u,v,lambda,K,residual\r\n"]
     for ui, li, ki, ri in zip(u, lam, curv, res):
         head = ui + ","

@@ -17,7 +17,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 import ricci_liouville
-from ricci_liouville import MetricGrid, MetricParams, ParameterError, derive_constants
+from ricci_liouville import MetricParams, ParameterError, derive_constants
 from ricci_liouville.revolution import ARC_LENGTH_TOL
 
 
@@ -117,8 +117,8 @@ def arc_length_resample(u, x, y, n):
     return s_uni, x_of_s(s_uni), y_of_s(s_uni)
 
 
-def perturbed_metric_grid(p, spec, q=0.01):
-    """Grid for lambda (1 + q u^2): a metric violating the curvature condition.
+def perturbed_metric_columns(p, spec, q=0.01):
+    """lambda (1 + q u^2) and its K at the grid's u-nodes: a metric violating the condition.
 
     The curvature field is exact for the perturbed factor:
     (log lam~)'' = (c1 + 2 b^2 lam^4) / lam^2 + d^2/du^2 log(1 + q u^2),
@@ -133,7 +133,7 @@ def perturbed_metric_grid(p, spec, q=0.01):
         1.0 - q * u**2
     ) / (1.0 + q * u**2) ** 2
     curv = -log_lam_dd / lam_t**2
-    return MetricGrid(spec, lam_t, curv)
+    return lam_t, curv
 
 
 def ricci_condition_4th_order_oracle(b, y0, half_span, h_sample, substeps=20):
@@ -355,8 +355,8 @@ def reference_ply(mesh):
 
 
 # Full-grid references for the column-based certification code.  They keep
-# the nu x nv arithmetic verify used before MetricGrid stored 1-d columns,
-# so tests can demand equal bits and bytes from the column path.
+# the nu x nv arithmetic verify used before it worked on 1-d u-columns, so
+# tests can demand equal bits and bytes from the column path.
 
 
 def reference_full_grid(p, spec):
@@ -403,17 +403,17 @@ def reference_grid_csv(spec, lam, curv, res):
 def reference_sweep_row(b, c1, c2, u_lo, u_hi, sizes):
     """One sweep triple studied alone, level by level: (residual, order, status).
 
-    Each level samples one square grid with sample_grid and takes its max
-    with ricci_residual_grid, with no batching across triples; residual and
-    order are None unless the status is "ok".
+    Each level samples K with gaussian_curvature and takes the max of the
+    full-grid stencil (reference_full_grid) on one square grid, with no
+    batching across triples; residual and order are None unless the
+    status is "ok".
     """
     from ricci_liouville import (
         ConvergenceError,
         GridSpec,
         NotInFamilyError,
         estimate_order,
-        ricci_residual_grid,
-        sample_grid,
+        gaussian_curvature,
     )
 
     try:
@@ -421,7 +421,15 @@ def reference_sweep_row(b, c1, c2, u_lo, u_hi, sizes):
         hs, rs = [], []
         for n in sizes:
             spec = GridSpec(u_lo, u_hi, u_lo, u_hi, n, n)
-            rs.append(ricci_residual_grid(sample_grid(p, spec), p.b))
+            w = -2.0 * p.b * p.b - gaussian_curvature(p, spec.u_nodes())
+            if n < 5:
+                raise ParameterError("residual stencil needs a grid of at least 5x5")
+            if np.any(w <= 0.0):
+                raise NotInFamilyError(
+                    f"K >= -2 b^2 at u-sample {int(np.argmin(w))}; "
+                    "log sqrt(-2 b^2 - K) is undefined there"
+                )
+            rs.append(reference_full_grid(p, spec)[3])
             hs.append(spec.h)
         order = estimate_order(hs, rs)
     except (ParameterError, NotInFamilyError) as exc:

@@ -30,8 +30,8 @@ from ricci_liouville import (
     jacobi_sn_cn_dn,
     metric_from_profile,
     profile_from_metric,
-    ricci_residual_grid,
-    sample_grid,
+    refinement_rows,
+    ricci_residual_column,
     second_fundamental_norm,
     subfamily_params,
     tessellate,
@@ -41,7 +41,7 @@ from helpers import (
     arc_length_resample,
     child_env,
     lambda_ode_oracle,
-    perturbed_metric_grid,
+    perturbed_metric_columns,
     ricci_condition_4th_order_oracle,
     sweep_params,
 )
@@ -109,24 +109,19 @@ def test_criterion_03_first_integral_constancy():
 
 def test_criterion_04_residual_order_two_with_negative_controls():
     grid = GridSpec(-0.5, 0.5, -0.5, 0.5, 51, 51)  # h = 0.02 -> 0.01 -> 0.005
-    orders = []
-    for p in sweep_params():
-        hs, rs = [], []
-        for lev in range(3):
-            spec = grid.refined(2**lev)
-            rs.append(ricci_residual_grid(sample_grid(p, spec), p.b))
-            hs.append(spec.h)
-        orders.append(estimate_order(hs, rs))
+    specs = [grid.refined(2**lev) for lev in range(3)]
+    rows = refinement_rows([(p.b, p.c1, p.c2) for p in sweep_params()], specs)
+    assert not any(isinstance(row, Exception) for row in rows), rows
+    orders = [order for _, order, *_ in rows]
     assert all(1.8 <= o <= 2.2 for o in orders), orders
 
     control_orders = []
     for p in (REF, MetricParams(b=0.5, c1=1.0, c2=0.0), MetricParams(b=1.0, c1=4.0, c2=-2.0)):
-        hs, rs = [], []
-        for lev in range(3):
-            spec = grid.refined(2**lev)
-            rs.append(ricci_residual_grid(perturbed_metric_grid(p, spec), p.b))
-            hs.append(spec.h)
-        control_orders.append(estimate_order(hs, rs))
+        rs = [
+            float(np.max(np.abs(ricci_residual_column(*perturbed_metric_columns(p, s), p.b, s.h))))
+            for s in specs
+        ]
+        control_orders.append(estimate_order([s.h for s in specs], rs))
     assert all(abs(o) < 0.5 for o in control_orders), control_orders
     report(
         4,

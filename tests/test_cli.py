@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,37 @@ class TestVerify:
         )
         assert rc == 2
 
+    # REF on [-0.4, 0.4] x [0, 0.12] at h = 0.02, refined twice
+    PINNED_ARGS = [
+        "verify", "--c1", 1, "--c2", -1.8333333333333333, "--u-lo", -0.4, "--u-hi", 0.4,
+        "--v-lo", 0, "--v-hi", 0.12, "--h", 0.02, "--levels", 3,
+    ]
+    # sha256 of the outputs written when verify sampled each level through its own grid
+    PINNED_SHA256 = {
+        "residuals.csv": "5e9223e6e2a08b61d04aa79f0554b5d8870f83fc38b9400ca340bb2c8ed6c6a0",
+        "summary.json": "b1549c64f41e98c37f790ba1742187e2d8570555a1f6189f755b0ac02841b24c",
+    }
+
+    def test_outputs_are_pinned(self, tmp_path):
+        assert run_cli(self.PINNED_ARGS + ["--outdir", tmp_path]) == 0
+        for name, digest in self.PINNED_SHA256.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    def test_nested_levels_evaluate_each_node_once(self, tmp_path, monkeypatch):
+        # 41, 81 and 161 nodes along u: 41 + 40 + 80 evaluated
+        from ricci_liouville import metric
+
+        points = []
+
+        def counted(u, k):
+            points.append(np.size(u))
+            return jacobi_sn_cn_dn(u, k)
+
+        jacobi_sn_cn_dn = metric.jacobi_sn_cn_dn
+        monkeypatch.setattr(metric, "jacobi_sn_cn_dn", counted)
+        assert run_cli(self.PINNED_ARGS + ["--outdir", tmp_path]) == 0
+        assert points == [41, 40, 80]
+
     def test_negative_verdict_exits_one_with_outputs(self, tmp_path):
         # wide grid near the domain boundary: residual above the floor
         rc = run_cli(
@@ -229,6 +261,22 @@ class TestMesh:
                                   "--outdir", tmp_path])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_unreachable_tolerance_fails_fast(self, tmp_path, capsys):
+        # no leaf can get under 1e-300 within the subdivision cap: fail at the first level
+        start = time.perf_counter()
+        rc = run_cli(
+            ["mesh", "--c1", 1, "--c2", -1.8333333333333333, "--u-lo", -0.4, "--u-hi", 0.4,
+             "--nu", 801, "--v-lo", 0, "--v-hi", 6.283185307179586, "--nv", 16,
+             "--format", "ply", "--tol", 1e-300, "--outdir", tmp_path]
+        )
+        assert time.perf_counter() - start < 2.0
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: quadrature tolerance 1e-300 is below the rounding floor of "
+            "adaptive Simpson; 20 subdivision levels cannot meet it\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_format_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -476,6 +524,17 @@ class TestPmcCommand:
         assert payload["H_norm"] == pytest.approx(2.0 / math.sqrt(6.0), abs=1e-12)
         assert payload["K_min"] == pytest.approx(-13.0 / 36.0, abs=1e-10)
         assert payload["verdict"] == "hypotheses satisfied at sampled resolution"
+
+    def test_curvature_bound_names_the_u_sample(self, tmp_path, capsys):
+        # the interval ends sit next to the poles, where K rounds to -2 b^2
+        rc = run_cli(
+            ["pmc", "--c1", 1, "--u-lo", -1.0886063864141169, "--u-hi", 1.0886063864141169,
+             "--n", 101, "--outdir", tmp_path]
+        )
+        assert rc == 1
+        assert capsys.readouterr() == (
+            "", "verdict: K >= -2 b^2 at u-sample 0; log sqrt(-2 b^2 - K) is undefined there\n"
+        )
 
     def test_branch_point_rejected(self, tmp_path, capsys):
         rc = run_cli(
@@ -861,7 +920,7 @@ class TestInputValidation:
         def no_sampling(*_):
             raise AssertionError("sampled a grid over the point budget")
 
-        monkeypatch.setattr("ricci_liouville.verify.sample_grid", no_sampling)
+        monkeypatch.setattr("ricci_liouville.verify._factor_rows", no_sampling)
         err = self.run_verify_usage_error(
             tmp_path, capsys, ["--u-lo", -0.4, "--u-hi", 0.4] + args
         )

@@ -1,4 +1,9 @@
-"""Smoke test: every demo script runs to completion in a scratch directory."""
+"""Smoke test: every demo script runs to completion in a scratch directory.
+
+Each demo runs with RuntimeWarning turned into an error, as the suite's
+own filter does, so a log of a nonpositive number or a division by zero
+fails the demo instead of printing a NaN.
+"""
 
 import subprocess
 import sys
@@ -18,7 +23,8 @@ def test_all_five_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)
 def test_demo_runs(demo, tmp_path):
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=child_env(),
+        [sys.executable, str(demo)], cwd=tmp_path,
+        env=child_env(PYTHONWARNINGS="error::RuntimeWarning"),
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

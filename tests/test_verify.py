@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ricci_liouville import (
     ConvergenceError,
     GridSpec,
-    MetricGrid,
     MetricParams,
     NotInFamilyError,
     ParameterError,
@@ -16,20 +15,20 @@ from ricci_liouville import (
     derive_constants,
     estimate_order,
     fit_normalization,
+    gaussian_curvature,
     grid_to_csv,
     in_family_verdict,
-    refinement_study,
+    refinement_rows,
     residual_floor,
     ricci_order_1d,
     ricci_residual_1d,
-    ricci_residual_grid,
-    sample_grid,
+    ricci_residual_column,
 )
 
 from ricci_liouville.verify import RESIDUAL_UNDERFLOW, _orders
 
 from helpers import (
-    perturbed_metric_grid,
+    perturbed_metric_columns,
     reference_full_grid,
     reference_grid_csv,
     ricci_condition_4th_order_oracle,
@@ -37,29 +36,37 @@ from helpers import (
 )
 
 
-def constant_curvature_grid(spec, b_tilde):
+def constant_curvature_columns(spec, b_tilde):
     """Negative control: lambda = 1/(b~ u) on u > 0 has constant K = -b~^2."""
     u = spec.u_nodes()
     lam = 1.0 / (b_tilde * u)
-    curv = np.full_like(lam, -b_tilde * b_tilde)
-    return MetricGrid(spec, lam, curv)
+    return lam, np.full_like(lam, -b_tilde * b_tilde)
+
+
+def max_residual(lam, curv, b, h):
+    return float(np.max(np.abs(ricci_residual_column(lam, curv, b, h))))
+
+
+def study(p, specs):
+    """refinement_rows of the one triple p: (maxima, order, lambda, K, residual), or its error."""
+    result = refinement_rows([(p.b, p.c1, p.c2)], specs)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def refined_order(p, base, levels):
     """Convergence order of the residual over ``base`` and levels - 1 halvings of h."""
-    return refinement_study(p, (base.refined(2**lev) for lev in range(levels)))[2]
+    return study(p, [base.refined(2**lev) for lev in range(levels)])[1]
 
 
-def full_fields(grid):
-    """The grid's columns copied along v: nu x nv lambda, K and residual (NaN when trimmed)."""
-    shape = (grid.spec.nu, grid.spec.nv)
-    lam = np.broadcast_to(grid.lambda_column[:, None], shape)
-    curv = np.broadcast_to(grid.curvature_column[:, None], shape)
-    if grid.ricci_residual_column is None:
-        return lam, curv, None
-    res = np.full(shape, np.nan)
-    res[:, 1:-1] = grid.ricci_residual_column[:, None]
-    return lam, curv, res
+def full_fields(spec, lam, curv, res):
+    """u-columns copied along v: nu x nv lambda, K and residual (NaN when trimmed)."""
+    shape = (spec.nu, spec.nv)
+    full_res = np.full(shape, np.nan)
+    full_res[1:-1, 1:-1] = res[:, None]
+    return (np.broadcast_to(lam[:, None], shape), np.broadcast_to(curv[:, None], shape),
+            full_res)
 
 
 class TestGridSpec:
@@ -79,64 +86,74 @@ class TestGridSpec:
 
 
 class TestSampleGrid:
-    def test_trivial_two_by_two(self, ref_params):
-        g = sample_grid(ref_params, GridSpec(-0.1, 0.1, -0.1, 0.1, 2, 2))
-        assert g.lambda_column.shape == g.curvature_column.shape == (2,)
-        assert g.ricci_residual_column is None
+    """The first-level columns refinement_rows returns."""
+
+    def test_trivial_two_by_two(self, ref_params, monkeypatch):
+        # a grid too small for the stencil fails before anything is sampled
+        def no_sampling(*_):
+            raise AssertionError("sampled a grid too small for the stencil")
+
+        monkeypatch.setattr("ricci_liouville.verify._factor_rows", no_sampling)
+        with pytest.raises(ParameterError, match="5x5"):
+            study(ref_params, [GridSpec(-0.1, 0.1, -0.1, 0.1, 2, 2)])
 
     def test_symmetric_about_middle_column(self, ref_params):
-        g = sample_grid(ref_params, GridSpec(-0.5, 0.5, -0.5, 0.5, 101, 101))
-        assert np.max(np.abs(g.lambda_column - g.lambda_column[::-1])) < 1e-12
+        base = GridSpec(-0.5, 0.5, -0.5, 0.5, 101, 101)
+        _, _, lam, _, res = study(ref_params, [base, base.refined(2)])
+        assert lam.shape == (101,) and res.shape == (99,)
+        assert np.max(np.abs(lam - lam[::-1])) < 1e-12
 
     def test_curvature_bounds(self, ref_params):
-        g = sample_grid(ref_params, GridSpec(-0.5, 0.5, -0.5, 0.5, 21, 21))
-        assert np.all(np.isfinite(g.curvature_column))
-        assert np.all(g.curvature_column < -2.0 * ref_params.b**2)
+        base = GridSpec(-0.5, 0.5, -0.5, 0.5, 21, 21)
+        curv = study(ref_params, [base, base.refined(2)])[3]
+        assert np.all(np.isfinite(curv))
+        assert np.all(curv < -2.0 * ref_params.b**2)
 
     def test_rejects_grid_outside_domain(self, ref_params):
         dc = derive_constants(ref_params)
         with pytest.raises(ParameterError, match="inside"):
-            sample_grid(ref_params, GridSpec(-dc.u_max, dc.u_max, -dc.u_max, dc.u_max, 11, 11))
+            study(ref_params, [GridSpec(-dc.u_max, dc.u_max, -dc.u_max, dc.u_max, 11, 11)])
 
 
 class TestRicciResidualGrid:
     def test_reference_residual_small(self, ref_params):
-        spec = GridSpec(-0.5, 0.5, -0.5, 0.5, 101, 101)
-        res = ricci_residual_grid(sample_grid(ref_params, spec), ref_params.b)
-        assert res < 1e-3
+        base = GridSpec(-0.5, 0.5, -0.5, 0.5, 101, 101)
+        assert study(ref_params, [base, base.refined(2)])[0][0] < 1e-3
 
     def test_residual_field_stored_with_trimmed_boundary(self, ref_params):
         spec = GridSpec(-0.5, 0.5, -0.5, 0.5, 11, 11)
-        grid = sample_grid(ref_params, spec)
-        ricci_residual_grid(grid, ref_params.b)
-        col = grid.ricci_residual_column
-        assert col.shape == (11,)
-        assert np.isnan(col[0]) and np.isnan(col[-1])
-        assert np.all(np.isfinite(col[1:-1]))
+        (top, _), _, lam, curv, res = study(ref_params, [spec, spec.refined(2)])
+        assert res.shape == (9,) and np.all(np.isfinite(res))
+        assert float(np.max(np.abs(res))) == top
+        lines = grid_to_csv(spec, lam, curv, res).decode("ascii").split("\r\n")
+        for i in range(11):  # the first and last u rows carry no residual
+            assert (lines[1 + 11 * i + 5].split(",")[4] == "") == (i in (0, 10))
 
     def test_requires_five_by_five(self, ref_params):
-        grid = sample_grid(ref_params, GridSpec(-0.1, 0.1, -0.1, 0.1, 4, 4))
+        spec = GridSpec(-0.1, 0.1, -0.1, 0.1, 4, 4)
         with pytest.raises(ParameterError, match="5x5"):
-            ricci_residual_grid(grid, ref_params.b)
+            study(ref_params, [spec, spec.refined(2)])
 
     def test_negative_control_stays_positive(self):
         spec = GridSpec(1.0, 2.0, 0.0, 1.0, 41, 41)
-        res = ricci_residual_grid(constant_curvature_grid(spec, 1.0), 0.5)
+        res = max_residual(*constant_curvature_columns(spec, 1.0), 0.5, spec.h)
         assert res == pytest.approx(2.0, rel=1e-9)
-        fine = ricci_residual_grid(constant_curvature_grid(spec.refined(2), 1.0), 0.5)
-        assert fine == pytest.approx(2.0, rel=1e-9)
+        fine = spec.refined(2)
+        assert max_residual(*constant_curvature_columns(fine, 1.0), 0.5, fine.h) == (
+            pytest.approx(2.0, rel=1e-9)
+        )
 
     def test_refinement_quarters_residual(self, ref_params):
         spec = GridSpec(-0.5, 0.5, -0.5, 0.5, 51, 51)
-        r1 = ricci_residual_grid(sample_grid(ref_params, spec), ref_params.b)
-        r2 = ricci_residual_grid(sample_grid(ref_params, spec.refined(2)), ref_params.b)
+        r1, r2 = study(ref_params, [spec, spec.refined(2)])[0]
         assert 3.4 < r1 / r2 < 4.6
 
     def test_rejects_curvature_above_bound(self):
         spec = GridSpec(1.0, 2.0, 0.0, 1.0, 11, 11)
-        grid = constant_curvature_grid(spec, 1.0)
-        with pytest.raises(NotInFamilyError):
-            ricci_residual_grid(grid, 1.0)  # -2 b^2 = -2 < K = -1
+        with pytest.raises(NotInFamilyError, match="u-sample 0;") as err:
+            # -2 b^2 = -2 < K = -1
+            ricci_residual_column(*constant_curvature_columns(spec, 1.0), 1.0, spec.h)
+        assert err.value.index == 0
 
 
 class TestConvergenceOrder:
@@ -147,8 +164,8 @@ class TestConvergenceOrder:
 
     def test_two_levels_matches_log2_formula(self, ref_params):
         base = GridSpec(-0.5, 0.5, -0.5, 0.5, 51, 51)
-        r1 = ricci_residual_grid(sample_grid(ref_params, base), ref_params.b)
-        r2 = ricci_residual_grid(sample_grid(ref_params, base.refined(2)), ref_params.b)
+        r1 = reference_full_grid(ref_params, base)[3]
+        r2 = reference_full_grid(ref_params, base.refined(2))[3]
         order = refined_order(ref_params, base, 2)
         assert order == pytest.approx(math.log2(r1 / r2), abs=1e-12)
 
@@ -189,7 +206,8 @@ class TestConvergenceOrder:
         base = GridSpec(-0.5, 0.5, -0.5, 0.5, 51, 51)
         for lev in range(3):
             spec = base.refined(2**lev)
-            rs.append(ricci_residual_grid(perturbed_metric_grid(ref_params, spec), ref_params.b))
+            rs.append(max_residual(*perturbed_metric_columns(ref_params, spec), ref_params.b,
+                                   spec.h))
             hs.append(spec.h)
         assert abs(estimate_order(hs, rs)) < 0.5
 
@@ -203,8 +221,8 @@ class TestRicciResidual1d:
         assert maxima[0] < maxima[1] < maxima[2]
 
     def test_matches_grid_on_fixed_row(self, ref_params):
-        # feed the grid the same finite-difference curvature and lambda = e^phi
-        # the 1-d path derives; both run one kernel, so the rows agree bit for bit
+        # feed the column kernel the same finite-difference curvature and
+        # lambda = e^phi the 1-d path derives: the rows agree bit for bit
         u = np.arange(-0.4, 0.4 + 1e-12, 0.04)
         nv = 5
         spec = GridSpec(u[1], u[-2], 0.0, (nv - 1) * 0.04, len(u) - 2, nv)
@@ -214,10 +232,8 @@ class TestRicciResidual1d:
         res_1d = ricci_residual_1d(phi, ref_params.b, h)
 
         curv_fd = -((phi[2:] - 2 * phi[1:-1] + phi[:-2]) / (h * h)) * np.exp(-2 * phi[1:-1])
-        grid = MetricGrid(spec, np.exp(phi[1:-1]), curv_fd)
-        ricci_residual_grid(grid, ref_params.b)
-        row = grid.ricci_residual_column[1:-1]
-        assert np.array_equal(row, res_1d)
+        column = ricci_residual_column(np.exp(phi[1:-1]), curv_fd, ref_params.b, h)
+        assert np.array_equal(column, res_1d)
 
     def test_flat_metric_rejected(self):
         with pytest.raises(NotInFamilyError, match="sampled resolution"):
@@ -312,9 +328,8 @@ class TestVerdictAndExport:
 
     def test_csv_round_trip(self, ref_params):
         spec = GridSpec(-0.2, 0.2, -0.2, 0.2, 5, 5)
-        grid = sample_grid(ref_params, spec)
-        ricci_residual_grid(grid, ref_params.b)
-        text = grid_to_csv(grid).decode("ascii")
+        _, _, lam, curv, res = study(ref_params, [spec, spec.refined(2)])
+        text = grid_to_csv(spec, lam, curv, res).decode("ascii")
         lines = text.strip().split("\r\n")
         assert lines[0] == "u,v,lambda,K,residual"
         assert len(lines) == 1 + 25
@@ -347,67 +362,66 @@ ORACLE_SPECS = [
 
 
 class TestColumnGridMatchesFullGrid:
-    """The column model against the full-grid arithmetic it replaced."""
+    """The first-level columns of refinement_rows against the full-grid arithmetic."""
 
     @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda g: f"{g.nu}x{g.nv}")
     @pytest.mark.parametrize("p", ORACLE_TRIPLES, ids=["ref", "b.5c4", "b1c.25"])
     def test_bit_identical_fields_residual_and_csv(self, p, spec):
         lam, curv, res, max_res = reference_full_grid(p, spec)
-        grid = sample_grid(p, spec)
-        got = ricci_residual_grid(grid, p.b)
+        (got, _), _, *columns = study(p, [spec, spec.refined(2)])
         assert got.hex() == max_res.hex()
-        got_lam, got_curv, got_res = full_fields(grid)
+        got_lam, got_curv, got_res = full_fields(spec, *columns)
         assert np.array_equal(got_lam, lam)
         assert np.array_equal(got_curv, curv)
         assert np.array_equal(got_res, res, equal_nan=True)
-        assert grid_to_csv(grid) == reference_grid_csv(spec, lam, curv, res).encode()
+        assert grid_to_csv(spec, *columns) == reference_grid_csv(spec, lam, curv, res).encode()
 
     @pytest.mark.parametrize("p", ORACLE_TRIPLES, ids=["ref", "b.5c4", "b1c.25"])
     def test_csv_without_residual_on_three_columns(self, p):
         spec = GridSpec(-0.3, 0.3, 0.0, 0.1, 13, 3)
         lam, curv, _, _ = reference_full_grid(p, spec)
-        grid = sample_grid(p, spec)
-        assert grid.ricci_residual_column is None
-        got_lam, got_curv, _ = full_fields(grid)
-        assert np.array_equal(got_lam, lam) and np.array_equal(got_curv, curv)
-        assert grid_to_csv(grid) == reference_grid_csv(spec, lam, curv, None).encode()
+        u = spec.u_nodes()
+        got = grid_to_csv(spec, conformal_factor(p, u), gaussian_curvature(p, u))
+        assert got == reference_grid_csv(spec, lam, curv, None).encode()
 
     def test_full_fields_reduce_to_the_sampled_columns(self, ref_params):
         spec = ORACLE_SPECS[1]
         lam, curv, res, max_res = reference_full_grid(ref_params, spec)
         assert np.array_equal(lam, np.broadcast_to(lam[:, :1], lam.shape))
         assert np.array_equal(curv, np.broadcast_to(curv[:, :1], curv.shape))
-        grid = MetricGrid(spec, lam[:, 0], curv[:, 0])
-        sampled = sample_grid(ref_params, spec)
-        assert np.array_equal(grid.lambda_column, sampled.lambda_column)
-        assert np.array_equal(grid.curvature_column, sampled.curvature_column)
-        assert ricci_residual_grid(grid, ref_params.b) == max_res
+        _, _, got_lam, got_curv, _ = study(ref_params, [spec, spec.refined(2)])
+        assert np.array_equal(lam[:, 0], got_lam)
+        assert np.array_equal(curv[:, 0], got_curv)
+        assert max_residual(lam[:, 0], curv[:, 0], ref_params.b, spec.h) == max_res
 
     def test_curvature_varying_along_v_rejected(self, ref_params):
         lam, curv, _, _ = reference_full_grid(ref_params, ORACLE_SPECS[0])
         curv[2, 3] *= 1.5
         with pytest.raises(ParameterError, match=r"column shapes must equal \(5,\)"):
-            MetricGrid(ORACLE_SPECS[0], lam, curv)
+            grid_to_csv(ORACLE_SPECS[0], lam, curv)
         with pytest.raises(ParameterError, match=r"column shapes must equal \(5,\)"):
-            MetricGrid(ORACLE_SPECS[0], lam[:, 0], curv)
+            grid_to_csv(ORACLE_SPECS[0], lam[:, 0], curv)
 
     def test_wrong_shape_rejected(self, ref_params):
-        lam, curv, _, _ = reference_full_grid(ref_params, ORACLE_SPECS[0])
-        for bad_lam, bad_curv in ((lam[:-1, 0], curv[:-1, 0]), (lam[:, 0], curv[1:, 0]),
-                                  (lam[0, 0], curv[0, 0])):
+        lam, curv, res, _ = reference_full_grid(ref_params, ORACLE_SPECS[0])
+        for bad_lam, bad_curv, bad_res in (
+            (lam[:-1, 0], curv[:-1, 0], None), (lam[:, 0], curv[1:, 0], None),
+            (lam[0, 0], curv[0, 0], None), (lam[:, 0], curv[:, 0], res[:, 2]),
+        ):
             with pytest.raises(ParameterError, match="column shapes"):
-                MetricGrid(ORACLE_SPECS[0], bad_lam, bad_curv)
+                grid_to_csv(ORACLE_SPECS[0], bad_lam, bad_curv, bad_res)
 
 
 class TestRefinementStudy:
+    """refinement_rows of one triple against a level-by-level loop."""
+
     def test_matches_level_by_level_loop(self, ref_params):
         base = GridSpec(-0.5, 0.5, -0.5, 0.5, 26, 26)
         specs = [base.refined(2**lev) for lev in range(3)]
-        hs, rs, order, grid = refinement_study(ref_params, specs)
-        assert hs == [s.h for s in specs]
-        assert rs == [ricci_residual_grid(sample_grid(ref_params, s), ref_params.b) for s in specs]
-        assert order == estimate_order(hs, rs)
-        assert grid.spec == base and np.nanmax(np.abs(grid.ricci_residual_column)) == rs[0]
+        rs, order, _, _, res = study(ref_params, specs)
+        assert rs == [reference_full_grid(ref_params, s)[3] for s in specs]
+        assert order == estimate_order([s.h for s in specs], rs)
+        assert res.shape == (base.nu - 2,) and np.max(np.abs(res)) == rs[0]
 
     def test_errors_surface_in_grid_order(self, ref_params):
         def specs():
@@ -415,4 +429,4 @@ class TestRefinementStudy:
             raise AssertionError("consumed past the failing grid")
 
         with pytest.raises(ParameterError, match="inside"):
-            refinement_study(ref_params, specs())
+            study(ref_params, specs())
