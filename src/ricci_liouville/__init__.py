@@ -33,7 +33,6 @@ __all__ = [
     "gaussian_curvature",
     "theta",
     "ode_residual",
-    "GridSpec",
     "NormalizationFit",
     "ricci_residual_column",
     "refinement_rows",

@@ -12,14 +12,15 @@ stdout.  The manifest records every parsed flag except --outdir, with
 defaults resolved.  Data outputs are byte-deterministic for identical
 inputs.
 
-verify and sweep share one refinement loop, verify.refinement_rows:
-each refinement level is one closed-form call, one residual pass and
-one max over one row per triple.  verify runs it on its one triple and
-writes the first level's columns; sweep studies all its triples
-together.  A sweep triple that fails keeps its row, with the status
-"domain: ..." (invalid parameters, a grid outside its domain or too
-small for the stencil, K >= -2 b^2) or "numerical: ..." (no order fit);
-such rows leave the exit code at 0.
+verify and sweep share one refinement loop, verify.refinement_rows,
+which takes the u-interval and the node count of each level: each
+level is one closed-form call, one residual pass and one max over one
+row per triple.  verify runs it on its one triple and writes the first
+level's u-columns over its v-nodes, the only place v is used; sweep
+studies all its triples together.  A sweep triple that fails keeps its
+row, with the status "domain: ..." (invalid parameters, a grid outside
+its domain or too small for the stencil, K >= -2 b^2) or
+"numerical: ..." (no order fit); such rows leave the exit code at 0.
 
 A start pays only for what its subcommand runs: each command imports the
 library modules it calls, and NumPy, inside its body.  derive, --help and
@@ -91,13 +92,15 @@ def _points_for(lo: float, hi: float, h: float, name: str) -> int:
 
 
 def _grid_from_args(args):
-    from .verify import GridSpec
-
+    """(v_lo, v_hi, nu, nv, h) of the verify grid, whose cells must be square."""
     v_lo = args.v_lo if args.v_lo is not None else args.u_lo
     v_hi = args.v_hi if args.v_hi is not None else args.u_hi
     nu = _points_for(args.u_lo, args.u_hi, args.h, "u")
     nv = _points_for(v_lo, v_hi, args.h, "v")
-    return GridSpec(args.u_lo, args.u_hi, v_lo, v_hi, nu, nv)
+    h, hv = (args.u_hi - args.u_lo) / (nu - 1), (v_hi - v_lo) / (nv - 1)
+    if abs(h - hv) > 1e-12:
+        raise ParameterError(f"cells must be square: spacing {h!r} in u vs {hv!r} in v")
+    return v_lo, v_hi, nu, nv, h
 
 
 def cmd_derive(args):
@@ -129,40 +132,41 @@ def cmd_verify(args):
         refinement_rows,
         summary_to_json,
     )
+    # NumPy after the library modules, which load it: importing it first
+    # raised the peak RSS of a 321^2 verify by about 0.5 MB
+    import numpy as np
 
     p = MetricParams(b=args.b, c1=args.c1, c2=args.c2)
-    spec = _grid_from_args(args)
+    v_lo, v_hi, nu, nv, h = _grid_from_args(args)
     if args.levels < 2:
         raise ParameterError("--levels must be at least 2")
-    if spec.nu < 7 or spec.nv < 5:
+    if nu < 7 or nv < 5:
         raise ParameterError(
-            f"--h {args.h!r} gives {spec.nu} points along u and {spec.nv} along v; "
+            f"--h {args.h!r} gives {nu} points along u and {nv} along v; "
             "verify needs at least 7 along u and 5 along v"
         )
     # the shift is capped so that a huge --levels builds no huge integer
     shift = min(args.levels - 1, POINT_BUDGET.bit_length())
     _check_budget(
-        ((spec.nu - 1) << shift) + 1,
+        ((nu - 1) << shift) + 1,
         f"--levels {args.levels} with --h {args.h!r} asks for a finest column of "
-        f"{spec.nu - 1} * 2^{args.levels - 1} + 1 points",
+        f"{nu - 1} * 2^{args.levels - 1} + 1 points",
     )
-    _check_budget(
-        spec.nu * spec.nv, f"--h {args.h!r} gives a CSV of {spec.nu} x {spec.nv} rows"
-    )
+    _check_budget(nu * nv, f"--h {args.h!r} gives a CSV of {nu} x {nv} rows")
 
-    result = refinement_rows(
-        [(p.b, p.c1, p.c2)], (spec.refined(2**lev) for lev in range(args.levels))
-    )[0]
+    sizes = [(nu - 1) * 2**lev + 1 for lev in range(args.levels)]
+    result = refinement_rows([(p.b, p.c1, p.c2)], args.u_lo, args.u_hi, sizes)[0]
     if isinstance(result, Exception):
         raise result
     (max_res, *_), order, lam, curv, res = result
-    fit = fit_normalization(lam, p.b, spec.h, u0=spec.u_lo)
-    verdict = in_family_verdict(max_res, order, spec.h)
+    fit = fit_normalization(lam, p.b, h, u0=args.u_lo)
+    verdict = in_family_verdict(max_res, order, h)
+    u, v = np.linspace(args.u_lo, args.u_hi, nu), np.linspace(v_lo, v_hi, nv)
     # the manifest records the grid's v range and spacing
-    args.v_lo, args.v_hi, args.h = spec.v_lo, spec.v_hi, spec.h
+    args.v_lo, args.v_hi, args.h = v_lo, v_hi, h
     files = {
-        "residuals.csv": grid_to_csv(spec, lam, curv, res),
-        "summary.json": summary_to_json(max_res, order, fit, spec.h, verdict),
+        "residuals.csv": grid_to_csv(u, v, lam, curv, res),
+        "summary.json": summary_to_json(max_res, order, fit, h, verdict),
     }
     summary = {"max_residual": max_res, "order": order, "verdict": verdict}
     return 0 if verdict else 1, files, summary, ""
@@ -205,10 +209,10 @@ def _read_profile_csv(path):
             rows = [[float(cell) for cell in row] for row in reader if row]
     except (OSError, StopIteration, ValueError, csv.Error) as exc:
         raise ParameterError(f"cannot parse profile CSV {path}: {exc}") from exc
-    cols = [c.strip().lower() for c in header]
-    if len(cols) != 3 or cols[0] not in ("s", "u") or cols[1] != "x" or cols[2] != "y":
+    if [c.strip().lower() for c in header] != ["s", "x", "y"]:
         raise ParameterError(
-            f"profile CSV must have header s,x,y (or u,x,y), got {header}"
+            f"profile CSV must have header s,x,y (arc length), got {header}; "
+            "a u-profile (u,x,y) must first be resampled by arc length"
         )
     if len(rows) < 4:
         raise ParameterError("profile CSV needs at least 4 samples")
@@ -261,7 +265,7 @@ def _parse_values(text: str, name: str):
 def cmd_sweep(args):
     import io
 
-    from .verify import GridSpec, refinement_rows
+    from .verify import refinement_rows
 
     h_text = args.h_levels
     # the manifest records the parsed value lists
@@ -288,12 +292,11 @@ def cmd_sweep(args):
     triples = [
         (b, c1, c2) for c1 in args.c1_values for c2 in args.c2_values for b in args.b_values
     ]
-    # square grids of each size, one row per triple on each
-    specs = (GridSpec(args.u_lo, args.u_hi, args.u_lo, args.u_hi, n, n) for n in sizes)
     buf = io.StringIO()
     buf.write("c1,c2,b,residual,order,status\r\n")
     n_ok = 0
-    for (b, c1, c2), result in zip(triples, refinement_rows(triples, specs)):
+    rows = refinement_rows(triples, args.u_lo, args.u_hi, sizes)
+    for (b, c1, c2), result in zip(triples, rows):
         if isinstance(result, Exception):
             kind = "numerical" if isinstance(result, ConvergenceError) else "domain"
             res = order = ""

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DomainError, ParameterError
 from .fileio import json_text
 from .metric import MetricParams, _curvature_from_factor, _scaled_argument, _sn_cn_dn
-from .verify import residual_floor, ricci_residual_column
+from .verify import _curvature_gap, residual_floor, ricci_residual_column
 
 __all__ = [
     "PMC_B",
@@ -162,7 +162,8 @@ def pmc_report(s: SubfamilyBranch, u_interval, n: int) -> PmcReport:
     second-fundamental-form ranges on n samples, and the max Ricci
     residual of the sampled column at the sample spacing.  The verdict
     states whether the sampled data is consistent with the hypotheses
-    (curvature strictly below -1/3 and residual below residual_floor).
+    (curvature strictly below -2 b^2 = -1/3, the bound the residual kernel
+    needs, and residual below residual_floor).
 
     One Jacobi evaluation per sample gives everything: lambda =
     sqrt(lambda_plus) / cn, K from lambda, and alpha = arccos(-sn / 3).
@@ -188,7 +189,7 @@ def pmc_report(s: SubfamilyBranch, u_interval, n: int) -> PmcReport:
     if n >= 5 and u_hi > u_lo:
         residual = float(np.max(np.abs(ricci_residual_column(lam, curv, p.b, h))))
 
-    curvature_ok = bool(np.all(curv < -1.0 / 3.0))
+    curvature_ok = not _curvature_gap(curv, p.b)[1]
     residual_ok = not math.isnan(residual) and residual < residual_floor(h)
     if curvature_ok and residual_ok:
         verdict = "hypotheses satisfied at sampled resolution"

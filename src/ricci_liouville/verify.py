@@ -35,7 +35,6 @@ from .metric import (
 )
 
 __all__ = [
-    "GridSpec",
     "NormalizationFit",
     "ricci_residual_column",
     "refinement_rows",
@@ -53,55 +52,6 @@ __all__ = [
 RESIDUAL_UNDERFLOW = 1e-13
 # coarsening strides of ricci_order_1d, finest first
 ORDER_STRIDES = (1, 2, 4)
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform rectangular grid with square cells.
-
-    The 5-point Laplacian requires the spacing to be identical in u and v;
-    construction rejects mismatched spacings (tolerance 1e-12).
-    """
-
-    u_lo: float
-    u_hi: float
-    v_lo: float
-    v_hi: float
-    nu: int
-    nv: int
-
-    def __post_init__(self):
-        if not (self.u_lo < self.u_hi and self.v_lo < self.v_hi):
-            raise ParameterError("grid bounds must satisfy lo < hi")
-        if self.nu < 2 or self.nv < 2:
-            raise ParameterError("grid needs at least 2 points per direction")
-        hu = (self.u_hi - self.u_lo) / (self.nu - 1)
-        hv = (self.v_hi - self.v_lo) / (self.nv - 1)
-        if abs(hu - hv) > 1e-12:
-            raise ParameterError(
-                f"cells must be square: spacing {hu!r} in u vs {hv!r} in v"
-            )
-
-    @property
-    def h(self) -> float:
-        return (self.u_hi - self.u_lo) / (self.nu - 1)
-
-    def u_nodes(self) -> np.ndarray:
-        return np.linspace(self.u_lo, self.u_hi, self.nu)
-
-    def v_nodes(self) -> np.ndarray:
-        return np.linspace(self.v_lo, self.v_hi, self.nv)
-
-    def refined(self, factor: int) -> "GridSpec":
-        """Same rectangle with spacing divided by ``factor``."""
-        return GridSpec(
-            self.u_lo,
-            self.u_hi,
-            self.v_lo,
-            self.v_hi,
-            (self.nu - 1) * factor + 1,
-            (self.nv - 1) * factor + 1,
-        )
 
 
 @dataclass(frozen=True)
@@ -198,28 +148,34 @@ def _orders(hs, rows) -> list:
     return orders
 
 
-def refinement_rows(triples, specs):
+def refinement_rows(triples, u_lo, u_hi, sizes):
     """Residual maxima and convergence order of every (b, c1, c2) in ``triples``.
 
     The one refinement loop: verify runs it with one triple, sweep with
-    many.  ``specs`` yields the grids, coarsest first.  Each level
-    evaluates all triples still running with one Jacobi call, one residual
-    pass (ricci_residual_column) and one max, one row per triple, and the
-    orders are fitted together (_orders, behind estimate_order).  When a
-    level halves the previous spacing and its even nodes equal the
-    previous nodes, lambda there is taken from the previous level and only
-    the odd nodes are evaluated.
+    many.  Each level samples the u-interval [u_lo, u_hi] at the node
+    count of ``sizes`` (coarsest first), spacing (u_hi - u_lo) / (n - 1);
+    the metric does not depend on v, so u-columns are all it needs.  Each
+    level evaluates all triples still running with one Jacobi call, one
+    residual pass (ricci_residual_column) and one max, one row per
+    triple, and the orders are fitted together (_orders, behind
+    estimate_order).  When a level halves the previous spacing and its
+    even nodes equal the previous nodes, lambda there is taken from the
+    previous level and only the odd nodes are evaluated.
 
-    A row stops at its first error, in the order a level-by-level study
-    of its triple alone meets them: MetricParams, a ParameterError of the
-    spec iterator, derive_constants, the domain check, the 5x5 stencil
-    minimum, K >= -2 b^2, then estimate_order.  ``specs`` is consumed
-    lazily and only while a row runs.  Returns one entry per triple:
-    (maxima, order, lambda, K, residual), where maxima holds the max
-    |residual| of each level and the last three are the first level's
-    u-columns (the residual on its interior), or the exception that ends
-    the row (ParameterError, NotInFamilyError or ConvergenceError).
+    A reversed or NaN interval raises ParameterError.  Otherwise a row
+    stops at its first error, in the order a level-by-level study of its
+    triple alone meets them: MetricParams, a level of fewer than 2 nodes,
+    derive_constants, the domain check (once, on the interval ends, which
+    every level shares), a level of fewer than 5 nodes, K >= -2 b^2, then
+    estimate_order.  ``sizes`` is consumed lazily and only while a row
+    runs.  Returns one entry per triple: (maxima, order, lambda, K,
+    residual), where maxima holds the max |residual| of each level and
+    the last three are the first level's u-columns (the residual on its
+    interior), or the exception that ends the row (ParameterError,
+    NotInFamilyError or ConvergenceError).
     """
+    if not u_lo < u_hi:
+        raise ParameterError(f"need u_lo < u_hi, got {u_lo!r} and {u_hi!r}")
     results = [None] * len(triples)
     live = []  # (row, MetricParams), then (row, MetricParams, DerivedConstants)
     for r, (b, c1, c2) in enumerate(triples):
@@ -229,31 +185,28 @@ def refinement_rows(triples, specs):
             results[r] = exc
     hs, maxima, first = [], [[] for _ in triples], {}
     last = None  # the previous level's nodes, lambda rows and their row indices
-    specs = iter(specs)
-    while live:
-        try:
-            spec = next(specs)
-        except StopIteration:
+    for n in sizes:
+        if not live:
             break
-        except ParameterError as exc:
+        if n < 2:
             for r, *_ in live:
-                results[r] = exc
+                results[r] = ParameterError("grid needs at least 2 points per direction")
             break
-        if not hs:  # the first level derives the constants
+        if not hs:  # the first level derives the constants and checks the domain
             pending, live = live, []
             for r, p in pending:
                 try:
                     live.append((r, p, derive_constants(p)))
                 except ParameterError as exc:
                     results[r] = exc
-        u = spec.u_nodes()
-        for (r, *_), exc in zip(live, _domain_rows([dc for *_, dc in live], u)):
-            results[r] = exc
-        live = [row for row in live if results[row[0]] is None]
-        if spec.nu < 5 or spec.nv < 5 or not live:
+            for (r, *_), exc in zip(live, _domain_rows([dc for *_, dc in live], (u_lo, u_hi))):
+                results[r] = exc
+            live = [row for row in live if results[row[0]] is None]
+        if n < 5 or not live:
             for r, *_ in live:
                 results[r] = ParameterError("residual stencil needs a grid of at least 5x5")
             break
+        u, h = np.linspace(u_lo, u_hi, n), (u_hi - u_lo) / (n - 1)
         constants = [dc for *_, dc in live]
         rows = [r for r, *_ in live]
         nested = last is not None and len(u) == 2 * len(last[0]) - 1
@@ -275,12 +228,12 @@ def refinement_rows(triples, specs):
             keep = ~bad
             live = [row for row, ok in zip(live, keep.tolist()) if ok]
             lam, curv, b = lam[keep], curv[keep], b[keep]
-        res = ricci_residual_column(lam, curv, b, spec.h)
+        res = ricci_residual_column(lam, curv, b, h)
         for (r, *_), top in zip(live, np.max(np.abs(res), axis=1).tolist()):
             maxima[r].append(top)
         if not hs:  # each row's first-level columns, returned with its result
             first = {r: (lam[j], curv[j], res[j]) for j, (r, *_) in enumerate(live)}
-        hs.append(spec.h)
+        hs.append(h)
     ok = [r for r, result in enumerate(results) if result is None]
     for r, order in zip(ok, _orders(hs, [maxima[r] for r in ok])):
         if isinstance(order, ConvergenceError):
@@ -399,28 +352,28 @@ def in_family_verdict(max_residual: float, order: float, h: float) -> bool:
     return max_residual < residual_floor(h) and 1.8 <= order <= 2.2
 
 
-def grid_to_csv(spec: GridSpec, lam, curv, res=None) -> bytes:
+def grid_to_csv(u, v, lam, curv, res) -> bytes:
     """Render a grid as RFC-4180 CSV with columns u, v, lambda, K, residual.
 
-    A special Liouville metric does not depend on v, so the fields are
-    u-columns: ``lam`` and ``curv`` hold spec.nu samples and ``res`` the
-    spec.nu - 2 interior residuals of ricci_residual_column (or None).
-    One row per grid point, u-major, as ASCII bytes.  Floats carry 17
-    significant digits; the residual is empty where the stencil is
-    undefined.  Each distinct value is formatted once, and the nv lines of
-    one u share all fields but v, so they are joined in one call and
-    encoded together; the text is never held whole as a str.
+    ``u`` and ``v`` hold the grid's nodes.  A special Liouville metric does
+    not depend on v, so the fields are u-columns: ``lam`` and ``curv``
+    hold len(u) samples and ``res`` the len(u) - 2 interior residuals of
+    ricci_residual_column.  One row per grid point, u-major, as ASCII
+    bytes.  Floats carry 17 significant digits; the residual is empty on
+    the boundary, where the stencil is undefined.  Each distinct value is
+    formatted once, and the len(v) lines of one u share all fields but v,
+    so they are joined in one call and encoded together; the text is
+    never held whole as a str.
     """
-    lam, curv = np.asarray(lam, dtype=float), np.asarray(curv, dtype=float)
-    n_res = None if res is None else np.shape(res)
-    if not lam.shape == curv.shape == (spec.nu,) or n_res not in (None, (spec.nu - 2,)):
+    lam, curv, res = (np.asarray(x, dtype=float) for x in (lam, curv, res))
+    nu = len(u)
+    if len(v) < 2 or not lam.shape == curv.shape == (nu,) or res.shape != (nu - 2,):
         raise ParameterError(
-            f"column shapes must equal ({spec.nu},) and ({spec.nu - 2},) for the residual, "
-            f"got {lam.shape}, {curv.shape} and {n_res}"
+            f"column shapes must equal ({nu},) and ({nu - 2},) for the residual, with at "
+            f"least 2 v-nodes; got {lam.shape}, {curv.shape}, {res.shape} and {len(v)} v-nodes"
         )
-    u, lam, curv = _fmt17(spec.u_nodes()), _fmt17(lam), _fmt17(curv)
-    res = [""] * spec.nu if res is None else ["", *_fmt17(np.asarray(res)), ""]
-    first, *inner, last = _fmt17(spec.v_nodes())
+    u, lam, curv, res = _fmt17(np.asarray(u)), _fmt17(lam), _fmt17(curv), ["", *_fmt17(res), ""]
+    first, *inner, last = _fmt17(np.asarray(v))
     parts = [b"u,v,lambda,K,residual\r\n"]
     for ui, li, ki, ri in zip(u, lam, curv, res):
         head = ui + ","

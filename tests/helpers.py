@@ -117,8 +117,8 @@ def arc_length_resample(u, x, y, n):
     return s_uni, x_of_s(s_uni), y_of_s(s_uni)
 
 
-def perturbed_metric_columns(p, spec, q=0.01):
-    """lambda (1 + q u^2) and its K at the grid's u-nodes: a metric violating the condition.
+def perturbed_metric_columns(p, u, q=0.01):
+    """lambda (1 + q u^2) and its K at the u-nodes ``u``: a metric violating the condition.
 
     The curvature field is exact for the perturbed factor:
     (log lam~)'' = (c1 + 2 b^2 lam^4) / lam^2 + d^2/du^2 log(1 + q u^2),
@@ -126,7 +126,6 @@ def perturbed_metric_columns(p, spec, q=0.01):
     """
     from ricci_liouville import conformal_factor
 
-    u = spec.u_nodes()
     lam = conformal_factor(p, u)
     lam_t = lam * (1.0 + q * u**2)
     log_lam_dd = (p.c1 + 2.0 * p.b**2 * lam**4) / lam**2 + 2.0 * q * (
@@ -359,41 +358,35 @@ def reference_ply(mesh):
 # tests can demand equal bits and bytes from the column path.
 
 
-def reference_full_grid(p, spec):
-    """lambda, K and the Ricci residual as full nu x nv arrays.
+def reference_full_grid(p, u, nv):
+    """lambda, K and the Ricci residual as full len(u) x nv arrays.
 
+    ``u`` holds uniform u-nodes, spacing (u[-1] - u[0]) / (len(u) - 1).
     lambda and K come from two closed-form calls and are copied along v
     with np.repeat; the residual is the 2-d 5-point stencil (NaN on the
-    trimmed boundary).  Returns (lambda, K, residual, interior max); the
-    last two are None below 5 x 5.
+    trimmed boundary).  Returns (lambda, K, residual, interior max).
     """
     from ricci_liouville import conformal_factor, gaussian_curvature
 
-    u = spec.u_nodes()
-    lam = np.repeat(conformal_factor(p, u)[:, None], spec.nv, axis=1)
-    curv = np.repeat(gaussian_curvature(p, u)[:, None], spec.nv, axis=1)
-    if spec.nu < 5 or spec.nv < 5:
-        return lam, curv, None, None
+    lam = np.repeat(conformal_factor(p, u)[:, None], nv, axis=1)
+    curv = np.repeat(gaussian_curvature(p, u)[:, None], nv, axis=1)
     f = 0.5 * np.log(-2.0 * p.b * p.b - curv)
-    h2 = spec.h * spec.h
+    h = (u[-1] - u[0]) / (len(u) - 1)
     lap = (
         f[2:, 1:-1] + f[:-2, 1:-1] + f[1:-1, 2:] + f[1:-1, :-2] - 4.0 * f[1:-1, 1:-1]
-    ) / h2
+    ) / (h * h)
     res = lap / lam[1:-1, 1:-1] ** 2 - 2.0 * curv[1:-1, 1:-1]
     out = np.full_like(f, np.nan)
     out[1:-1, 1:-1] = res
     return lam, curv, out, float(np.max(np.abs(res)))
 
 
-def reference_grid_csv(spec, lam, curv, res):
-    """Grid CSV written cell by cell from full nu x nv fields."""
-    u, v = spec.u_nodes(), spec.v_nodes()
+def reference_grid_csv(u, v, lam, curv, res):
+    """Grid CSV at the nodes u and v, written cell by cell from full len(u) x len(v) fields."""
     out = ["u,v,lambda,K,residual\r\n"]
-    for i in range(spec.nu):
-        for j in range(spec.nv):
-            r = ""
-            if res is not None and not math.isnan(res[i, j]):
-                r = f"{res[i, j]:.17g}"
+    for i in range(len(u)):
+        for j in range(len(v)):
+            r = "" if math.isnan(res[i, j]) else f"{res[i, j]:.17g}"
             out.append(
                 f"{u[i]:.17g},{v[j]:.17g},{lam[i, j]:.17g},{curv[i, j]:.17g},{r}\r\n"
             )
@@ -410,7 +403,6 @@ def reference_sweep_row(b, c1, c2, u_lo, u_hi, sizes):
     """
     from ricci_liouville import (
         ConvergenceError,
-        GridSpec,
         NotInFamilyError,
         estimate_order,
         gaussian_curvature,
@@ -420,8 +412,10 @@ def reference_sweep_row(b, c1, c2, u_lo, u_hi, sizes):
         p = MetricParams(b=b, c1=c1, c2=c2)
         hs, rs = [], []
         for n in sizes:
-            spec = GridSpec(u_lo, u_hi, u_lo, u_hi, n, n)
-            w = -2.0 * p.b * p.b - gaussian_curvature(p, spec.u_nodes())
+            if n < 2:
+                raise ParameterError("grid needs at least 2 points per direction")
+            u = np.linspace(u_lo, u_hi, n)
+            w = -2.0 * p.b * p.b - gaussian_curvature(p, u)
             if n < 5:
                 raise ParameterError("residual stencil needs a grid of at least 5x5")
             if np.any(w <= 0.0):
@@ -429,8 +423,8 @@ def reference_sweep_row(b, c1, c2, u_lo, u_hi, sizes):
                     f"K >= -2 b^2 at u-sample {int(np.argmin(w))}; "
                     "log sqrt(-2 b^2 - K) is undefined there"
                 )
-            rs.append(reference_full_grid(p, spec)[3])
-            hs.append(spec.h)
+            rs.append(reference_full_grid(p, u, n)[3])
+            hs.append((u_hi - u_lo) / (n - 1))
         order = estimate_order(hs, rs)
     except (ParameterError, NotInFamilyError) as exc:
         return None, None, f"domain: {exc}"
@@ -462,11 +456,11 @@ def reference_pmc_report(s, u_interval, n):
 
     lambda and K from conformal_factor and gaussian_curvature, the Kaehler
     angle from theta, and the residual from reference_full_grid on an
-    n x 5 grid at the sample spacing.  Returns a dict keyed like the
-    PmcReport fields.
+    n x 5 grid at the sample spacing.  The curvature bound is the
+    family's, -2 b^2 - K > 0.  Returns a dict keyed like the PmcReport
+    fields.
     """
     from ricci_liouville import (
-        GridSpec,
         conformal_factor,
         gaussian_curvature,
         subfamily_params,
@@ -484,8 +478,8 @@ def reference_pmc_report(s, u_interval, n):
     residual = math.nan
     h = (u_hi - u_lo) / (n - 1) if n > 1 else math.nan
     if n >= 5 and u_hi > u_lo:
-        residual = reference_full_grid(p, GridSpec(u_lo, u_hi, 0.0, 4.0 * h, n, 5))[3]
-    curvature_ok = bool(np.all(curv < -1.0 / 3.0))
+        residual = reference_full_grid(p, u, 5)[3]
+    curvature_ok = bool(np.all(-2.0 * p.b * p.b - curv > 0.0))
     if curvature_ok and residual < max(1e-6, 10.0 * h * h):
         verdict = "hypotheses satisfied at sampled resolution"
     elif curvature_ok and math.isnan(residual):

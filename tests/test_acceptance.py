@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from ricci_liouville import (
-    GridSpec,
     MetricParams,
     SubfamilyBranch,
     amplitude_equation_check,
@@ -108,9 +107,9 @@ def test_criterion_03_first_integral_constancy():
 
 
 def test_criterion_04_residual_order_two_with_negative_controls():
-    grid = GridSpec(-0.5, 0.5, -0.5, 0.5, 51, 51)  # h = 0.02 -> 0.01 -> 0.005
-    specs = [grid.refined(2**lev) for lev in range(3)]
-    rows = refinement_rows([(p.b, p.c1, p.c2) for p in sweep_params()], specs)
+    sizes = [51, 101, 201]  # on [-0.5, 0.5]: h = 0.02 -> 0.01 -> 0.005
+    hs = [1.0 / (n - 1) for n in sizes]
+    rows = refinement_rows([(p.b, p.c1, p.c2) for p in sweep_params()], -0.5, 0.5, sizes)
     assert not any(isinstance(row, Exception) for row in rows), rows
     orders = [order for _, order, *_ in rows]
     assert all(1.8 <= o <= 2.2 for o in orders), orders
@@ -118,10 +117,11 @@ def test_criterion_04_residual_order_two_with_negative_controls():
     control_orders = []
     for p in (REF, MetricParams(b=0.5, c1=1.0, c2=0.0), MetricParams(b=1.0, c1=4.0, c2=-2.0)):
         rs = [
-            float(np.max(np.abs(ricci_residual_column(*perturbed_metric_columns(p, s), p.b, s.h))))
-            for s in specs
+            float(np.max(np.abs(ricci_residual_column(
+                *perturbed_metric_columns(p, np.linspace(-0.5, 0.5, n)), p.b, h))))
+            for n, h in zip(sizes, hs)
         ]
-        control_orders.append(estimate_order([s.h for s in specs], rs))
+        control_orders.append(estimate_order(hs, rs))
     assert all(abs(o) < 0.5 for o in control_orders), control_orders
     report(
         4,

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ricci_liouville import cli, embeddable_interval, profile_from_metric
+from ricci_liouville import cli, embeddable_interval, profile_from_metric, profile_to_csv
 from ricci_liouville.cli import main
 from ricci_liouville.fileio import write_atomic
 
@@ -325,6 +325,18 @@ class TestClassify:
         assert rc == 2
         assert "arc-length" in capsys.readouterr().err
 
+    def test_u_profile_header_rejected(self, ref_params, tmp_path, capsys):
+        # profile_to_csv writes u,x,y; classify reads only arc-length s,x,y
+        lo, hi = embeddable_interval(ref_params)
+        path = tmp_path / "u_profile.csv"
+        prof = profile_from_metric(ref_params, (0.8 * lo, 0.8 * hi), n=401)
+        path.write_text(profile_to_csv(prof))
+        rc = run_cli(["classify", "--profile", path, "--resample-n", 51, "--outdir", tmp_path])
+        out, err = capsys.readouterr()
+        assert (rc, out) == (2, "") and list(tmp_path.iterdir()) == [path]
+        assert err.startswith("error: profile CSV must have header s,x,y (arc length), got ['u'")
+        assert err.endswith("a u-profile (u,x,y) must first be resampled by arc length\n")
+
 
 class TestSweep:
     def test_small_sweep_rows(self, tmp_path):
@@ -432,7 +444,7 @@ def log_uniform(lo, hi):
 
 # the row cases the per-triple oracle distinguishes: K >= -2 b^2 at some level,
 # past the pole, failed derived constants, invalid parameters, underflow, and
-# grids too small for the stencil or for a GridSpec
+# levels too small for the stencil or with fewer than 2 nodes
 ORACLE_SWEEPS = {
     "default": (cli._SWEEP_DEFAULT_B, cli._SWEEP_DEFAULT_C1, cli._SWEEP_DEFAULT_C2,
                 -0.5, 0.5, cli._SWEEP_DEFAULT_H),
@@ -892,6 +904,15 @@ class TestInputValidation:
     def test_verify_range_must_be_ordered(self, tmp_path, capsys, bounds, message):
         err = self.run_verify_usage_error(tmp_path, capsys, bounds + ["--h", 0.1])
         assert err == f"error: {message}\n"
+
+    def test_verify_cells_must_be_square(self, tmp_path, capsys):
+        err = self.run_verify_usage_error(
+            tmp_path, capsys,
+            ["--u-lo", 0, "--u-hi", 0.4, "--v-lo", 0, "--v-hi", 0.4000000001, "--h", 0.04],
+        )
+        assert err == (
+            "error: cells must be square: spacing 0.04 in u vs 0.040000000009999995 in v\n"
+        )
 
     @pytest.mark.parametrize(
         "h, levels, counts",

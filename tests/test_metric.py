@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ricci_liouville import (
     DomainError,
-    GridSpec,
     MetricParams,
     ParameterError,
     SubfamilyBranch,
@@ -151,13 +150,12 @@ REF_BRANCH = SubfamilyBranch(1.0)
 
 
 def domain_of_refinement_rows(p, u):
-    """refinement_rows of p on [-u, u]^2 at two levels, raising a DomainError it returns.
+    """refinement_rows of p on [-u, u] at two levels, raising a DomainError it returns.
 
     At 2 DEFAULT_EPS_DOM from the pole K may round to -2 b^2, a row error
     that is not the domain check's.
     """
-    grids = [GridSpec(-u, u, -u, u, n, n) for n in (5, 9)]
-    result = refinement_rows([(p.b, p.c1, p.c2)], grids)[0]
+    result = refinement_rows([(p.b, p.c1, p.c2)], -u, u, [5, 9])[0]
     if isinstance(result, DomainError):
         raise result
 

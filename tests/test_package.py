@@ -24,6 +24,15 @@ def test_public_name_is_the_submodule_object(name):
     assert getattr(ricci_liouville, name) is getattr(defining_module(name), name)
 
 
+def test_package_lists_exactly_the_submodule_names():
+    # every submodule name but two constants, plus the version
+    names = set().union(
+        *(importlib.import_module(f"ricci_liouville.{sub}").__all__ for sub in SUBMODULES)
+    )
+    want = names - {"DEFAULT_EPS_DOM", "RESIDUAL_UNDERFLOW"} | {"__version__"}
+    assert sorted(ricci_liouville.__all__) == sorted(want)
+
+
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from ricci_liouville import *", namespace)

@@ -197,6 +197,16 @@ class TestPmcReport:
         assert rep.branch == "high"
         assert rep.verdict == "hypotheses satisfied at sampled resolution"
 
+    @pytest.mark.parametrize("c1", [1.0, 6.0])
+    def test_curvature_bound_is_the_familys(self, c1):
+        # next to the pole K rounds to -2 b^2 = -0.3333333333333334, one ulp
+        # below -1/3: w = -2 b^2 - K = 0 breaks the bound the residual kernel needs
+        s = SubfamilyBranch(c1)
+        u = 0.99999 * derive_constants(subfamily_params(s)).u_max
+        rep = pmc_report(s, (u, u), 1)
+        assert rep.K_range == (-2.0 * PMC_B**2,) * 2 and rep.K_range[0] < -1.0 / 3.0
+        assert rep.verdict == "hypotheses violated at sampled resolution"
+
     def test_interval_outside_domain_rejected(self):
         dc = derive_constants(subfamily_params(SubfamilyBranch(1.0)))
         with pytest.raises(ParameterError, match="domain"):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ricci_liouville import (
     ConvergenceError,
-    GridSpec,
     MetricParams,
     NotInFamilyError,
     ParameterError,
@@ -36,9 +35,8 @@ from helpers import (
 )
 
 
-def constant_curvature_columns(spec, b_tilde):
+def constant_curvature_columns(u, b_tilde):
     """Negative control: lambda = 1/(b~ u) on u > 0 has constant K = -b~^2."""
-    u = spec.u_nodes()
     lam = 1.0 / (b_tilde * u)
     return lam, np.full_like(lam, -b_tilde * b_tilde)
 
@@ -47,42 +45,37 @@ def max_residual(lam, curv, b, h):
     return float(np.max(np.abs(ricci_residual_column(lam, curv, b, h))))
 
 
-def study(p, specs):
+def study(p, u_lo, u_hi, sizes):
     """refinement_rows of the one triple p: (maxima, order, lambda, K, residual), or its error."""
-    result = refinement_rows([(p.b, p.c1, p.c2)], specs)[0]
+    result = refinement_rows([(p.b, p.c1, p.c2)], u_lo, u_hi, sizes)[0]
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def refined_order(p, base, levels):
-    """Convergence order of the residual over ``base`` and levels - 1 halvings of h."""
-    return study(p, [base.refined(2**lev) for lev in range(levels)])[1]
+def halvings(n, levels):
+    """Node counts of n nodes and levels - 1 halvings of the spacing."""
+    return [(n - 1) * 2**lev + 1 for lev in range(levels)]
 
 
-def full_fields(spec, lam, curv, res):
-    """u-columns copied along v: nu x nv lambda, K and residual (NaN when trimmed)."""
-    shape = (spec.nu, spec.nv)
+def refined_order(p, n, levels):
+    """Convergence order of the residual on [-0.5, 0.5] from n nodes over ``levels`` levels."""
+    return study(p, -0.5, 0.5, halvings(n, levels))[1]
+
+
+def nodes(grid):
+    """The u- and v-nodes of a grid (u_lo, u_hi, v_lo, v_hi, nu, nv)."""
+    u_lo, u_hi, v_lo, v_hi, nu, nv = grid
+    return np.linspace(u_lo, u_hi, nu), np.linspace(v_lo, v_hi, nv)
+
+
+def full_fields(nv, lam, curv, res):
+    """u-columns copied along v: len(lam) x nv lambda, K and residual (NaN when trimmed)."""
+    shape = (len(lam), nv)
     full_res = np.full(shape, np.nan)
     full_res[1:-1, 1:-1] = res[:, None]
     return (np.broadcast_to(lam[:, None], shape), np.broadcast_to(curv[:, None], shape),
             full_res)
-
-
-class TestGridSpec:
-    def test_square_cells_required(self):
-        with pytest.raises(ParameterError, match="square"):
-            GridSpec(0.0, 1.0, 0.0, 2.0, 11, 11)
-
-    def test_bad_bounds(self):
-        with pytest.raises(ParameterError):
-            GridSpec(1.0, 0.0, 0.0, 1.0, 11, 11)
-
-    def test_spacing_and_refinement(self):
-        g = GridSpec(-0.5, 0.5, -0.5, 0.5, 11, 11)
-        assert g.h == pytest.approx(0.1, abs=1e-15)
-        fine = g.refined(2)
-        assert fine.nu == 21 and fine.h == pytest.approx(0.05, abs=1e-15)
 
 
 class TestSampleGrid:
@@ -95,83 +88,72 @@ class TestSampleGrid:
 
         monkeypatch.setattr("ricci_liouville.verify._factor_rows", no_sampling)
         with pytest.raises(ParameterError, match="5x5"):
-            study(ref_params, [GridSpec(-0.1, 0.1, -0.1, 0.1, 2, 2)])
+            study(ref_params, -0.1, 0.1, [2])
 
     def test_symmetric_about_middle_column(self, ref_params):
-        base = GridSpec(-0.5, 0.5, -0.5, 0.5, 101, 101)
-        _, _, lam, _, res = study(ref_params, [base, base.refined(2)])
+        _, _, lam, _, res = study(ref_params, -0.5, 0.5, [101, 201])
         assert lam.shape == (101,) and res.shape == (99,)
         assert np.max(np.abs(lam - lam[::-1])) < 1e-12
 
     def test_curvature_bounds(self, ref_params):
-        base = GridSpec(-0.5, 0.5, -0.5, 0.5, 21, 21)
-        curv = study(ref_params, [base, base.refined(2)])[3]
+        curv = study(ref_params, -0.5, 0.5, [21, 41])[3]
         assert np.all(np.isfinite(curv))
         assert np.all(curv < -2.0 * ref_params.b**2)
 
     def test_rejects_grid_outside_domain(self, ref_params):
         dc = derive_constants(ref_params)
         with pytest.raises(ParameterError, match="inside"):
-            study(ref_params, [GridSpec(-dc.u_max, dc.u_max, -dc.u_max, dc.u_max, 11, 11)])
+            study(ref_params, -dc.u_max, dc.u_max, [11])
 
 
 class TestRicciResidualGrid:
     def test_reference_residual_small(self, ref_params):
-        base = GridSpec(-0.5, 0.5, -0.5, 0.5, 101, 101)
-        assert study(ref_params, [base, base.refined(2)])[0][0] < 1e-3
+        assert study(ref_params, -0.5, 0.5, [101, 201])[0][0] < 1e-3
 
     def test_residual_field_stored_with_trimmed_boundary(self, ref_params):
-        spec = GridSpec(-0.5, 0.5, -0.5, 0.5, 11, 11)
-        (top, _), _, lam, curv, res = study(ref_params, [spec, spec.refined(2)])
+        (top, _), _, lam, curv, res = study(ref_params, -0.5, 0.5, [11, 21])
         assert res.shape == (9,) and np.all(np.isfinite(res))
         assert float(np.max(np.abs(res))) == top
-        lines = grid_to_csv(spec, lam, curv, res).decode("ascii").split("\r\n")
+        u, v = nodes((-0.5, 0.5, -0.5, 0.5, 11, 11))
+        lines = grid_to_csv(u, v, lam, curv, res).decode("ascii").split("\r\n")
         for i in range(11):  # the first and last u rows carry no residual
             assert (lines[1 + 11 * i + 5].split(",")[4] == "") == (i in (0, 10))
 
     def test_requires_five_by_five(self, ref_params):
-        spec = GridSpec(-0.1, 0.1, -0.1, 0.1, 4, 4)
         with pytest.raises(ParameterError, match="5x5"):
-            study(ref_params, [spec, spec.refined(2)])
+            study(ref_params, -0.1, 0.1, halvings(4, 2))
 
     def test_negative_control_stays_positive(self):
-        spec = GridSpec(1.0, 2.0, 0.0, 1.0, 41, 41)
-        res = max_residual(*constant_curvature_columns(spec, 1.0), 0.5, spec.h)
-        assert res == pytest.approx(2.0, rel=1e-9)
-        fine = spec.refined(2)
-        assert max_residual(*constant_curvature_columns(fine, 1.0), 0.5, fine.h) == (
-            pytest.approx(2.0, rel=1e-9)
-        )
+        for n in (41, 81):
+            columns = constant_curvature_columns(np.linspace(1.0, 2.0, n), 1.0)
+            assert max_residual(*columns, 0.5, 1.0 / (n - 1)) == pytest.approx(2.0, rel=1e-9)
 
     def test_refinement_quarters_residual(self, ref_params):
-        spec = GridSpec(-0.5, 0.5, -0.5, 0.5, 51, 51)
-        r1, r2 = study(ref_params, [spec, spec.refined(2)])[0]
+        r1, r2 = study(ref_params, -0.5, 0.5, [51, 101])[0]
         assert 3.4 < r1 / r2 < 4.6
 
     def test_rejects_curvature_above_bound(self):
-        spec = GridSpec(1.0, 2.0, 0.0, 1.0, 11, 11)
+        columns = constant_curvature_columns(np.linspace(1.0, 2.0, 11), 1.0)
         with pytest.raises(NotInFamilyError, match="u-sample 0;") as err:
             # -2 b^2 = -2 < K = -1
-            ricci_residual_column(*constant_curvature_columns(spec, 1.0), 1.0, spec.h)
+            ricci_residual_column(*columns, 1.0, 0.1)
         assert err.value.index == 0
 
 
 class TestConvergenceOrder:
     def test_reference_order_two(self, ref_params):
-        base = GridSpec(-0.5, 0.5, -0.5, 0.5, 51, 51)  # h = 0.02, refined to 0.005
-        order = refined_order(ref_params, base, 3)
+        order = refined_order(ref_params, 51, 3)  # h = 0.02, refined to 0.005
         assert 1.8 <= order <= 2.2
 
     def test_two_levels_matches_log2_formula(self, ref_params):
-        base = GridSpec(-0.5, 0.5, -0.5, 0.5, 51, 51)
-        r1 = reference_full_grid(ref_params, base)[3]
-        r2 = reference_full_grid(ref_params, base.refined(2))[3]
-        order = refined_order(ref_params, base, 2)
+        r1 = reference_full_grid(ref_params, np.linspace(-0.5, 0.5, 51), 51)[3]
+        r2 = reference_full_grid(ref_params, np.linspace(-0.5, 0.5, 101), 101)[3]
+        order = refined_order(ref_params, 51, 2)
         assert order == pytest.approx(math.log2(r1 / r2), abs=1e-12)
 
     def test_levels_validation(self, ref_params):
         with pytest.raises(ConvergenceError, match="fewer than 2 levels"):
-            refined_order(ref_params, GridSpec(-0.5, 0.5, -0.5, 0.5, 51, 51), 1)
+            refined_order(ref_params, 51, 1)
 
     def test_underflow_levels_excluded(self):
         assert estimate_order([0.02, 0.01, 0.005], [4e-4, 1e-4, 1e-20]) == pytest.approx(
@@ -202,13 +184,12 @@ class TestConvergenceOrder:
             assert got == float(want) and estimate_order(hs, r) == got
 
     def test_perturbed_metric_plateaus(self, ref_params):
-        hs, rs = [], []
-        base = GridSpec(-0.5, 0.5, -0.5, 0.5, 51, 51)
-        for lev in range(3):
-            spec = base.refined(2**lev)
-            rs.append(max_residual(*perturbed_metric_columns(ref_params, spec), ref_params.b,
-                                   spec.h))
-            hs.append(spec.h)
+        hs = [1.0 / (n - 1) for n in halvings(51, 3)]
+        rs = [
+            max_residual(*perturbed_metric_columns(ref_params, np.linspace(-0.5, 0.5, n)),
+                         ref_params.b, h)
+            for n, h in zip(halvings(51, 3), hs)
+        ]
         assert abs(estimate_order(hs, rs)) < 0.5
 
 
@@ -224,9 +205,7 @@ class TestRicciResidual1d:
         # feed the column kernel the same finite-difference curvature and
         # lambda = e^phi the 1-d path derives: the rows agree bit for bit
         u = np.arange(-0.4, 0.4 + 1e-12, 0.04)
-        nv = 5
-        spec = GridSpec(u[1], u[-2], 0.0, (nv - 1) * 0.04, len(u) - 2, nv)
-        h = spec.h  # both paths divide by the grid's own spacing
+        h = (u[-2] - u[1]) / (len(u) - 3)  # both paths divide by the grid's own spacing
         lam = conformal_factor(ref_params, u)
         phi = np.log(lam)
         res_1d = ricci_residual_1d(phi, ref_params.b, h)
@@ -327,9 +306,8 @@ class TestVerdictAndExport:
         assert not in_family_verdict(1e-7, 1.0, 0.01)
 
     def test_csv_round_trip(self, ref_params):
-        spec = GridSpec(-0.2, 0.2, -0.2, 0.2, 5, 5)
-        _, _, lam, curv, res = study(ref_params, [spec, spec.refined(2)])
-        text = grid_to_csv(spec, lam, curv, res).decode("ascii")
+        _, _, lam, curv, res = study(ref_params, -0.2, 0.2, [5, 9])
+        text = grid_to_csv(*nodes((-0.2, 0.2, -0.2, 0.2, 5, 5)), lam, curv, res).decode("ascii")
         lines = text.strip().split("\r\n")
         assert lines[0] == "u,v,lambda,K,residual"
         assert len(lines) == 1 + 25
@@ -343,9 +321,8 @@ class TestVerdictAndExport:
 
 
 def test_sweep_invariant_order_two_everywhere():
-    base = GridSpec(-0.5, 0.5, -0.5, 0.5, 26, 26)  # h = 0.04, three levels to 0.01
     for p in sweep_params()[::5]:
-        order = refined_order(p, base, 3)
+        order = refined_order(p, 26, 3)  # h = 0.04, three levels to 0.01
         assert 1.8 <= order <= 2.2, (p, order)
 
 
@@ -354,79 +331,91 @@ ORACLE_TRIPLES = [
     MetricParams(b=0.5, c1=4.0, c2=3.0),
     MetricParams(b=1.0, c1=0.25, c2=-2.0),
 ]
-ORACLE_SPECS = [
-    GridSpec(-0.2, 0.2, -0.2, 0.2, 5, 5),
-    GridSpec(-0.4, 0.4, 0.0, 0.24, 21, 7),
-    GridSpec(-0.5, 0.5, -0.5, 0.5, 101, 101),
+# (u_lo, u_hi, v_lo, v_hi, nu, nv) with square cells
+ORACLE_GRIDS = [
+    (-0.2, 0.2, -0.2, 0.2, 5, 5),
+    (-0.4, 0.4, 0.0, 0.24, 21, 7),
+    (-0.5, 0.5, -0.5, 0.5, 101, 101),
 ]
 
 
 class TestColumnGridMatchesFullGrid:
     """The first-level columns of refinement_rows against the full-grid arithmetic."""
 
-    @pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda g: f"{g.nu}x{g.nv}")
+    @pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=lambda g: f"{g[4]}x{g[5]}")
     @pytest.mark.parametrize("p", ORACLE_TRIPLES, ids=["ref", "b.5c4", "b1c.25"])
-    def test_bit_identical_fields_residual_and_csv(self, p, spec):
-        lam, curv, res, max_res = reference_full_grid(p, spec)
-        (got, _), _, *columns = study(p, [spec, spec.refined(2)])
+    def test_bit_identical_fields_residual_and_csv(self, p, grid):
+        u, v = nodes(grid)
+        lam, curv, res, max_res = reference_full_grid(p, u, len(v))
+        (got, _), _, *columns = study(p, grid[0], grid[1], halvings(len(u), 2))
         assert got.hex() == max_res.hex()
-        got_lam, got_curv, got_res = full_fields(spec, *columns)
+        got_lam, got_curv, got_res = full_fields(len(v), *columns)
         assert np.array_equal(got_lam, lam)
         assert np.array_equal(got_curv, curv)
         assert np.array_equal(got_res, res, equal_nan=True)
-        assert grid_to_csv(spec, *columns) == reference_grid_csv(spec, lam, curv, res).encode()
+        assert grid_to_csv(u, v, *columns) == reference_grid_csv(u, v, lam, curv, res).encode()
 
     @pytest.mark.parametrize("p", ORACLE_TRIPLES, ids=["ref", "b.5c4", "b1c.25"])
-    def test_csv_without_residual_on_three_columns(self, p):
-        spec = GridSpec(-0.3, 0.3, 0.0, 0.1, 13, 3)
-        lam, curv, _, _ = reference_full_grid(p, spec)
-        u = spec.u_nodes()
-        got = grid_to_csv(spec, conformal_factor(p, u), gaussian_curvature(p, u))
-        assert got == reference_grid_csv(spec, lam, curv, None).encode()
+    def test_csv_on_three_columns(self, p):
+        # one interior v-column: the first and last v carry no residual
+        u, v = nodes((-0.3, 0.3, 0.0, 0.1, 13, 3))
+        lam, curv, res, _ = reference_full_grid(p, u, 3)
+        got = grid_to_csv(u, v, conformal_factor(p, u), gaussian_curvature(p, u), res[1:-1, 1])
+        assert got == reference_grid_csv(u, v, lam, curv, res).encode()
 
     def test_full_fields_reduce_to_the_sampled_columns(self, ref_params):
-        spec = ORACLE_SPECS[1]
-        lam, curv, res, max_res = reference_full_grid(ref_params, spec)
+        u, v = nodes(ORACLE_GRIDS[1])
+        lam, curv, res, max_res = reference_full_grid(ref_params, u, len(v))
         assert np.array_equal(lam, np.broadcast_to(lam[:, :1], lam.shape))
         assert np.array_equal(curv, np.broadcast_to(curv[:, :1], curv.shape))
-        _, _, got_lam, got_curv, _ = study(ref_params, [spec, spec.refined(2)])
+        _, _, got_lam, got_curv, _ = study(ref_params, -0.4, 0.4, [21, 41])
         assert np.array_equal(lam[:, 0], got_lam)
         assert np.array_equal(curv[:, 0], got_curv)
-        assert max_residual(lam[:, 0], curv[:, 0], ref_params.b, spec.h) == max_res
+        assert max_residual(lam[:, 0], curv[:, 0], ref_params.b, (u[-1] - u[0]) / 20) == max_res
 
     def test_curvature_varying_along_v_rejected(self, ref_params):
-        lam, curv, _, _ = reference_full_grid(ref_params, ORACLE_SPECS[0])
+        u, v = nodes(ORACLE_GRIDS[0])
+        lam, curv, res, _ = reference_full_grid(ref_params, u, len(v))
         curv[2, 3] *= 1.5
         with pytest.raises(ParameterError, match=r"column shapes must equal \(5,\)"):
-            grid_to_csv(ORACLE_SPECS[0], lam, curv)
+            grid_to_csv(u, v, lam, curv, res[1:-1, 2])
         with pytest.raises(ParameterError, match=r"column shapes must equal \(5,\)"):
-            grid_to_csv(ORACLE_SPECS[0], lam[:, 0], curv)
+            grid_to_csv(u, v, lam[:, 0], curv, res[1:-1, 2])
 
     def test_wrong_shape_rejected(self, ref_params):
-        lam, curv, res, _ = reference_full_grid(ref_params, ORACLE_SPECS[0])
-        for bad_lam, bad_curv, bad_res in (
-            (lam[:-1, 0], curv[:-1, 0], None), (lam[:, 0], curv[1:, 0], None),
-            (lam[0, 0], curv[0, 0], None), (lam[:, 0], curv[:, 0], res[:, 2]),
+        u, v = nodes(ORACLE_GRIDS[0])
+        lam, curv, res, _ = reference_full_grid(ref_params, u, len(v))
+        lam, curv, res = lam[:, 0], curv[:, 0], res[:, 2]
+        for bad_v, bad_lam, bad_curv, bad_res in (
+            (v, lam[:-1], curv[:-1], res[1:-1]), (v, lam, curv[1:], res[1:-1]),
+            (v, lam[0], curv[0], res[1:-1]), (v, lam, curv, res), (v, lam, curv, None),
+            (v[:1], lam, curv, res[1:-1]),
         ):
             with pytest.raises(ParameterError, match="column shapes"):
-                grid_to_csv(ORACLE_SPECS[0], bad_lam, bad_curv, bad_res)
+                grid_to_csv(u, bad_v, bad_lam, bad_curv, bad_res)
 
 
 class TestRefinementStudy:
     """refinement_rows of one triple against a level-by-level loop."""
 
     def test_matches_level_by_level_loop(self, ref_params):
-        base = GridSpec(-0.5, 0.5, -0.5, 0.5, 26, 26)
-        specs = [base.refined(2**lev) for lev in range(3)]
-        rs, order, _, _, res = study(ref_params, specs)
-        assert rs == [reference_full_grid(ref_params, s)[3] for s in specs]
-        assert order == estimate_order([s.h for s in specs], rs)
-        assert res.shape == (base.nu - 2,) and np.max(np.abs(res)) == rs[0]
+        sizes = halvings(26, 3)
+        rs, order, _, _, res = study(ref_params, -0.5, 0.5, sizes)
+        assert rs == [reference_full_grid(ref_params, np.linspace(-0.5, 0.5, n), n)[3]
+                      for n in sizes]
+        assert order == estimate_order([1.0 / (n - 1) for n in sizes], rs)
+        assert res.shape == (24,) and np.max(np.abs(res)) == rs[0]
 
     def test_errors_surface_in_grid_order(self, ref_params):
-        def specs():
-            yield GridSpec(-2.0, 2.0, -2.0, 2.0, 11, 11)  # outside the domain
+        def sizes():
+            yield 11  # on [-2, 2], outside the domain
             raise AssertionError("consumed past the failing grid")
 
         with pytest.raises(ParameterError, match="inside"):
-            study(ref_params, specs())
+            study(ref_params, -2.0, 2.0, sizes())
+
+    def test_bad_bounds(self, ref_params):
+        # a reversed or NaN interval fails the call, not one row
+        for u_lo, u_hi in ((0.5, -0.5), (0.5, 0.5), (math.nan, 0.5), (-0.5, math.nan)):
+            with pytest.raises(ParameterError, match="need u_lo < u_hi"):
+                refinement_rows([(1.0, 1.0, 0.0), (-1.0, 1.0, 0.0)], u_lo, u_hi, [11, 21])
