@@ -6,7 +6,9 @@ y = lambda, x = integral of sqrt(lambda^2 - lambda'^2).  Both coordinate
 functions increase for u > 0, so the surface looks like the front part of
 a trumpet.  The script exports an OBJ mesh into demo_output/, verifies
 edge lengths against the metric, cross-checks angle-defect curvature, and
-closes the loop with the profile -> metric direction.
+closes the loop with the profile -> metric direction.  The arc-length
+profile it builds for that loop is written as demo_output/trumpet_profile.csv,
+which `ricci-liouville classify --profile` accepts.
 """
 
 import math
@@ -24,7 +26,6 @@ from ricci_liouville import (
     mesh_to_obj,
     metric_from_profile,
     profile_from_metric,
-    profile_to_csv,
     tessellate,
 )
 from scipy.interpolate import CubicSpline
@@ -54,8 +55,7 @@ print(f"Total defect {np.sum(k_est * areas):.6f} vs integral {np.sum(k_true * ar
 out = Path("demo_output")
 out.mkdir(exist_ok=True)
 (out / "trumpet.obj").write_text(mesh_to_obj(mesh))
-(out / "trumpet_profile.csv").write_bytes(profile_to_csv(prof).encode())
-print(f"Wrote {out / 'trumpet.obj'} and {out / 'trumpet_profile.csv'}")
+print(f"Wrote {out / 'trumpet.obj'}")
 
 # profile -> metric roundtrip
 dense = profile_from_metric(p, interval, tol=1e-10, n=4001)
@@ -63,9 +63,13 @@ xs, ys = CubicSpline(dense.u, dense.x), CubicSpline(dense.u, dense.y)
 speed = np.hypot(xs.derivative()(dense.u), ys.derivative()(dense.u))
 s = CubicSpline(dense.u, speed).antiderivative()(dense.u)
 s_uni = np.linspace(0.0, s[-1], 4001)
-u_rec, lam_rec = metric_from_profile(
-    s_uni, CubicSpline(s, dense.x)(s_uni), CubicSpline(s, dense.y)(s_uni), 801
-)
+x_uni, y_uni = CubicSpline(s, dense.x)(s_uni), CubicSpline(s, dense.y)(s_uni)
+u_rec, lam_rec = metric_from_profile(s_uni, x_uni, y_uni, 801)
 err = np.max(np.abs(lam_rec - conformal_factor(p, u_rec + interval[0])))
 print(f"\nRoundtrip metric -> profile -> arc length -> metric: "
       f"max |lambda error| = {err:.2e}")
+
+# the arc-length profile as s,x,y with 17 significant digits, for classify
+rows = ["s,x,y"] + [f"{a:.17g},{b:.17g},{c:.17g}" for a, b, c in zip(s_uni, x_uni, y_uni)]
+(out / "trumpet_profile.csv").write_text("\r\n".join(rows) + "\r\n", newline="")
+print(f"Wrote {out / 'trumpet_profile.csv'}")

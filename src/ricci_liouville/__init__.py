@@ -46,15 +46,12 @@ __all__ = [
     "summary_to_json",
     "ProfileCurve",
     "RevolutionMesh",
-    "adaptive_simpson",
     "embeddable_interval",
     "profile_from_metric",
-    "profile_from_conformal",
     "metric_from_profile",
     "tessellate",
     "induced_metric_check",
     "angle_defect_curvature",
-    "profile_to_csv",
     "mesh_to_obj",
     "mesh_to_ply",
     "PMC_B",
@@ -62,8 +59,6 @@ __all__ = [
     "SubfamilyBranch",
     "PmcReport",
     "subfamily_params",
-    "amplitude_equation_check",
-    "kaehler_angle",
     "second_fundamental_norm",
     "pmc_report",
 ]

@@ -9,7 +9,10 @@ curvature constant is hardwired to rho = -3 b^2 = -1/2 throughout.
 
 On the low branch the derived constants simplify to k^2 = c1/(c1 + 12)
 and lambda_plus = 6, and the amplitude obeys
-theta'^2 = 2 + c1/6 - (c1/6) sin^2(theta).
+theta'^2 = 2 + c1/6 - (c1/6) sin^2(theta).  pmc_report samples one member
+and is the module's one path to the sampled quantities: curvature, the
+Kaehler angle alpha with 3 cos(alpha) = -sin(theta), the norm of the
+trace-free second fundamental form and the Ricci residual.
 """
 
 from __future__ import annotations
@@ -30,8 +33,6 @@ __all__ = [
     "SubfamilyBranch",
     "PmcReport",
     "subfamily_params",
-    "amplitude_equation_check",
-    "kaehler_angle",
     "second_fundamental_norm",
     "pmc_report",
 ]
@@ -105,41 +106,6 @@ def subfamily_params(s: SubfamilyBranch) -> MetricParams:
     return MetricParams(b=PMC_B, c1=s.c1, c2=c2)
 
 
-def amplitude_equation_check(s: SubfamilyBranch, u):
-    """Residual of the branch amplitude equation at u.
-
-    Low branch: theta'^2 - (2 + c1/6 - (c1/6) sin^2 theta), with
-    theta' = s dn(s u, k).  High branch: the same specialization evaluated
-    through the derived constants, theta'^2 - (sqrt(disc)
-    - ((c2 + sqrt(disc))/2) sin^2 theta).  One Jacobi call gives both,
-    with sin theta = sn(s u, k).
-    """
-    p = subfamily_params(s)
-    dc, sn, _, dn = _sn_cn_dn(p, u)
-    dtheta2 = (dc.s * np.asarray(dn)) ** 2
-    sin2 = np.asarray(sn) ** 2
-    if s.branch == "low":
-        rhs = 2.0 + s.c1 / 6.0 - (s.c1 / 6.0) * sin2
-    else:
-        sqrt_disc = math.sqrt(dc.disc)
-        rhs = sqrt_disc - 0.5 * (p.c2 + sqrt_disc) * sin2
-    res = dtheta2 - rhs
-    return float(res) if np.ndim(res) == 0 else res
-
-
-def kaehler_angle(s: SubfamilyBranch, u):
-    """Kaehler angle alpha(u) in (0, pi) with 3 cos(alpha) = -sin(theta(u)).
-
-    Defined on the low branch, with sin theta = sn(s u, k).  |cos alpha|
-    <= 1/3, so sin(alpha) >= sqrt(8)/3 > 0 along the whole metric domain.
-    """
-    if s.branch != "low":
-        raise ParameterError("Kaehler angle relation is stated on the low branch")
-    _, sn, _, _ = _sn_cn_dn(subfamily_params(s), u)
-    alpha = np.arccos(-np.asarray(sn) / 3.0)
-    return float(alpha) if alpha.ndim == 0 else alpha
-
-
 def second_fundamental_norm(K, b: float):
     """Norm |c| of the trace-free second fundamental form at curvature K.
 
@@ -163,10 +129,13 @@ def pmc_report(s: SubfamilyBranch, u_interval, n: int) -> PmcReport:
     residual of the sampled column at the sample spacing.  The verdict
     states whether the sampled data is consistent with the hypotheses
     (curvature strictly below -2 b^2 = -1/3, the bound the residual kernel
-    needs, and residual below residual_floor).
+    needs, and residual below residual_floor).  The curvature bound is
+    judged first: where it fails the residual is not formed, the verdict
+    is "violated" and the residual stays NaN.
 
     One Jacobi evaluation per sample gives everything: lambda =
-    sqrt(lambda_plus) / cn, K from lambda, and alpha = arccos(-sn / 3).
+    sqrt(lambda_plus) / cn, K from lambda, and alpha = arccos(-sn / 3) in
+    (0, pi), with sin theta = sn inside the metric domain.
     The interval ends pass the metric's domain check before the samples
     are allocated.
     """
@@ -184,12 +153,11 @@ def pmc_report(s: SubfamilyBranch, u_interval, n: int) -> PmcReport:
     alpha = np.arccos(-sn / 3.0)
     c_norm = second_fundamental_norm(curv, p.b)
 
+    curvature_ok = not _curvature_gap(curv, p.b)[1]
     residual = math.nan
     h = (u_hi - u_lo) / (n - 1) if n > 1 else math.nan
-    if n >= 5 and u_hi > u_lo:
+    if curvature_ok and n >= 5 and u_hi > u_lo:
         residual = float(np.max(np.abs(ricci_residual_column(lam, curv, p.b, h))))
-
-    curvature_ok = not _curvature_gap(curv, p.b)[1]
     residual_ok = not math.isnan(residual) and residual < residual_floor(h)
     if curvature_ok and residual_ok:
         verdict = "hypotheses satisfied at sampled resolution"

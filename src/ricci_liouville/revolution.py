@@ -7,9 +7,12 @@ on the surface of revolution (x(u), y(u) cos v, y(u) sin v) with
 
 and conversely an arc-length profile (x(s), y(s)), y > 0, induces the
 metric with conformal factor lambda(u) = y(s(u)) where u(s) = integral of
-ds / y(s).  This module implements both directions, structured tube
-meshing with OBJ / binary PLY export, and two discrete cross-checks
-(induced edge lengths and angle-defect curvature).
+ds / y(s).  This module implements both directions: profile_from_metric
+integrates x(u) for a family metric by batched adaptive Simpson, and
+metric_from_profile reads lambda(u) back from an arc-length profile.  It
+also meshes the surface as a structured tube with OBJ / binary PLY export,
+and cross-checks a mesh against its metric by induced edge lengths and
+angle-defect curvature.
 """
 
 from __future__ import annotations
@@ -33,15 +36,12 @@ from .metric import (
 __all__ = [
     "ProfileCurve",
     "RevolutionMesh",
-    "adaptive_simpson",
     "embeddable_interval",
     "profile_from_metric",
-    "profile_from_conformal",
     "metric_from_profile",
     "tessellate",
     "induced_metric_check",
     "angle_defect_curvature",
-    "profile_to_csv",
     "mesh_to_obj",
     "mesh_to_ply",
 ]
@@ -182,7 +182,10 @@ def _simpson_segments(f, nodes, tol: float) -> np.ndarray:
     one call of f.  The per-leaf rule is that of the recursive algorithm
     (Gander & Gautschi, BIT 40, 2000): a leaf is accepted when
     |S_fine - S_coarse| / 15 <= tol and contributes S_fine + that
-    estimate.  The accepted leaves are then summed bottom-up in the order
+    estimate.  Each leaf keeps its segment's full tolerance instead of
+    halving it with each split, which lets the square-root zeros of a
+    profile integrand at the embeddable boundary converge within the cap.
+    The accepted leaves are then summed bottom-up in the order
     the recursion adds them (left + right at every node), so each segment
     value is exactly what the depth-first recursion returns.  A frontier
     still open after _SIMPSON_MAX_DEPTH levels raises ConvergenceError, at
@@ -233,32 +236,6 @@ def _simpson_segments(f, nodes, tol: float) -> np.ndarray:
     return total
 
 
-def _check_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ParameterError(f"quadrature tolerance must be finite and positive, got {tol!r}")
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float):
-    """Adaptive Simpson quadrature of a scalar callable f over [a, b].
-
-    A leaf interval is accepted when its Richardson error estimate
-    (S_fine - S_coarse)/15 falls below ``tol``, and the corrected value
-    S_fine + estimate is accumulated, so accepted leaves contribute far
-    less than their acceptance threshold.  Keeping the full tolerance per
-    leaf (instead of halving it with each split) is what lets integrands
-    with a square-root zero at an endpoint converge within the subdivision
-    cap of 2**20 intervals; exceeding the cap raises ConvergenceError.
-    f is lifted with np.vectorize into the batched frontier kernel that
-    also computes profiles, which evaluates each refinement level in one
-    call and returns exactly what the depth-first recursion would.
-    """
-    _check_tol(tol)
-    if a == b:
-        return 0.0
-    f = np.vectorize(f, otypes=[float])
-    return float(_simpson_segments(f, [a, b], tol)[0])
-
-
 def embeddable_interval(p: MetricParams):
     """Maximal symmetric interval around 0 where lambda^2 >= lambda'^2, in closed form.
 
@@ -281,17 +258,34 @@ def embeddable_interval(p: MetricParams):
     return (-u_star, u_star)
 
 
-def _profile(factor, interval, tol: float, n: int, params=None) -> ProfileCurve:
-    """Profile over ``interval`` from ``factor(u) -> (lambda, lambda')`` on arrays."""
+def profile_from_metric(p: MetricParams, interval, *, tol: float = 1e-10, n: int = 801):
+    """Profile curve of the revolution realization of a family metric.
+
+    y(u) = lambda(u), and x(u) accumulates the adaptive-Simpson integral of
+    sqrt(lambda^2 - lambda'^2) from the left end (x = 0 there), with the
+    total estimated quadrature error below ``tol``.  The interval must sit
+    inside both the metric domain and the embeddability interval of p.
+    All n - 1 segments are refined together, and each refinement level
+    takes lambda and lambda' from one closed-form call.  A gap value below
+    -1e-12 at a quadrature node is a precondition breach and is reported
+    with its location.
+    """
     u_lo, u_hi = float(interval[0]), float(interval[1])
+    emb_lo, emb_hi = embeddable_interval(p)
+    if u_lo < emb_lo - 1e-12 or u_hi > emb_hi + 1e-12:
+        raise ParameterError(
+            f"interval [{u_lo}, {u_hi}] exceeds the embeddable interval "
+            f"[{emb_lo:.6g}, {emb_hi:.6g}]"
+        )
     if not u_lo < u_hi:
         raise ParameterError("interval must satisfy u_lo < u_hi")
     if n < 2:
         raise ParameterError("need at least 2 profile samples")
-    _check_tol(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"quadrature tolerance must be finite and positive, got {tol!r}")
 
     def integrand(t):
-        lam, dlam = factor(t)
+        lam, dlam, _ = conformal_factor_derivatives(p, t)
         gap = lam * lam - dlam * dlam
         bad = gap < _INTEGRAND_FLOOR
         if bad.any():
@@ -304,47 +298,9 @@ def _profile(factor, interval, tol: float, n: int, params=None) -> ProfileCurve:
 
     u = np.linspace(u_lo, u_hi, n)
     x = np.cumsum(np.concatenate([[0.0], _simpson_segments(integrand, u, tol)]))
-    y = np.asarray(factor(u)[0], dtype=float)
+    y = conformal_factor_derivatives(p, u)[0]
     monotone = bool(np.all(np.diff(x) >= 0.0))
-    return ProfileCurve(u=u, x=x, y=y, monotone=monotone, params=params)
-
-
-def profile_from_conformal(lam, dlam, interval, *, tol: float = 1e-10, n: int = 801):
-    """Profile curve of the revolution surface induced by callables lambda, lambda'.
-
-    y(u) = lambda(u) and x(u) accumulates the adaptive-Simpson integral of
-    sqrt(lambda^2 - lambda'^2) from the left endpoint (x = 0 there), with
-    the total estimated quadrature error below ``tol``.  The scalar
-    callables are lifted with np.vectorize into the batched frontier
-    kernel, which refines all n - 1 segments together and evaluates each
-    level's new nodes in one call.  A gap value below -1e-12 at a
-    quadrature node is a precondition breach and is reported with its
-    location.
-    """
-    lam = np.vectorize(lam, otypes=[float])
-    dlam = np.vectorize(dlam, otypes=[float])
-    return _profile(lambda t: (lam(t), dlam(t)), interval, tol, n)
-
-
-def profile_from_metric(p: MetricParams, interval, *, tol: float = 1e-10, n: int = 801):
-    """Profile curve of the revolution realization of a family metric.
-
-    The interval must sit inside both the metric domain and the
-    embeddability interval of p.  Each refinement level of the quadrature
-    takes lambda and lambda' from one closed-form call.
-    """
-    u_lo, u_hi = float(interval[0]), float(interval[1])
-    emb_lo, emb_hi = embeddable_interval(p)
-    if u_lo < emb_lo - 1e-12 or u_hi > emb_hi + 1e-12:
-        raise ParameterError(
-            f"interval [{u_lo}, {u_hi}] exceeds the embeddable interval "
-            f"[{emb_lo:.6g}, {emb_hi:.6g}]"
-        )
-
-    def factor(t):
-        return conformal_factor_derivatives(p, t)[:2]
-
-    return _profile(factor, (u_lo, u_hi), tol, n, params=p)
+    return ProfileCurve(u=u, x=x, y=y, monotone=monotone, params=p)
 
 
 def _solve_tridiagonal(dl, d, du, b, c):
@@ -835,12 +791,6 @@ def _records(fmt: str, rows) -> str:
     """Render each row of a 2-d array through the printf-style record ``fmt``."""
     rows = np.asarray(rows)
     return (fmt * len(rows)) % tuple(rows.ravel().tolist())
-
-
-def profile_to_csv(profile: ProfileCurve) -> str:
-    """CSV rendering of a profile with columns u, x, y (17 significant digits)."""
-    rows = np.column_stack([profile.u, profile.x, profile.y])
-    return "u,x,y\r\n" + _records("%.17g,%.17g,%.17g\r\n", rows)
 
 
 def _vertex_normals(mesh: RevolutionMesh) -> np.ndarray:

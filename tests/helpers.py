@@ -457,8 +457,9 @@ def reference_pmc_report(s, u_interval, n):
     lambda and K from conformal_factor and gaussian_curvature, the Kaehler
     angle from theta, and the residual from reference_full_grid on an
     n x 5 grid at the sample spacing.  The curvature bound is the
-    family's, -2 b^2 - K > 0.  Returns a dict keyed like the PmcReport
-    fields.
+    family's, -2 b^2 - K > 0; where it fails the residual stays NaN, since
+    log(-2 b^2 - K) is undefined there.  Returns a dict keyed like the
+    PmcReport fields.
     """
     from ricci_liouville import (
         conformal_factor,
@@ -475,11 +476,11 @@ def reference_pmc_report(s, u_interval, n):
     curv = np.atleast_1d(gaussian_curvature(p, u))
     alpha = np.arccos(-np.sin(np.atleast_1d(theta(p, u))) / 3.0)
     c_norm = np.sqrt((-2.0 * p.b * p.b - curv) / 4.0)
+    curvature_ok = bool(np.all(-2.0 * p.b * p.b - curv > 0.0))
     residual = math.nan
     h = (u_hi - u_lo) / (n - 1) if n > 1 else math.nan
-    if n >= 5 and u_hi > u_lo:
+    if curvature_ok and n >= 5 and u_hi > u_lo:
         residual = reference_full_grid(p, u, 5)[3]
-    curvature_ok = bool(np.all(-2.0 * p.b * p.b - curv > 0.0))
     if curvature_ok and residual < max(1e-6, 10.0 * h * h):
         verdict = "hypotheses satisfied at sampled resolution"
     elif curvature_ok and math.isnan(residual):
@@ -501,11 +502,17 @@ def reference_pmc_report(s, u_interval, n):
 
 
 # theta-based references for the subfamily quantities: sin(theta) comes from
-# theta, not from the sn of the one Jacobi call, so tests can demand equal
-# bits from the single-call path.
+# theta, not from the sn of pmc_report's one Jacobi call, so tests can demand
+# equal bits from the single-call path.
 
 def reference_amplitude_equation_check(s, u):
-    """amplitude_equation_check with sin(theta) taken from theta and dn from a second Jacobi call."""
+    """Residual of the branch amplitude equation at u, from theta and a second Jacobi call.
+
+    Low branch: theta'^2 - (2 + c1/6 - (c1/6) sin^2 theta), with
+    theta' = s dn(s u, k).  High branch: the same specialization through
+    the derived constants, theta'^2 - (sqrt(disc)
+    - ((c2 + sqrt(disc))/2) sin^2 theta).
+    """
     from ricci_liouville import jacobi_sn_cn_dn, subfamily_params, theta
 
     p = subfamily_params(s)
@@ -525,7 +532,7 @@ def reference_amplitude_equation_check(s, u):
 
 
 def reference_kaehler_angle(s, u):
-    """kaehler_angle with sin(theta) taken from theta (low branch)."""
+    """Kaehler angle alpha in (0, pi) with 3 cos(alpha) = -sin(theta(u)), from theta."""
     from ricci_liouville import subfamily_params, theta
 
     ang = theta(subfamily_params(s), u)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ricci_liouville import cli, embeddable_interval, profile_from_metric, profile_to_csv
+from ricci_liouville import cli, embeddable_interval, profile_from_metric
 from ricci_liouville.cli import main
 from ricci_liouville.fileio import write_atomic
 
@@ -23,8 +23,8 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
-def write_profile_csv(path, s, x, y):
-    rows = ["s,x,y"] + [f"{a:.17g},{b:.17g},{c:.17g}" for a, b, c in zip(s, x, y)]
+def write_profile_csv(path, s, x, y, header="s,x,y"):
+    rows = [header] + [f"{a:.17g},{b:.17g},{c:.17g}" for a, b, c in zip(s, x, y)]
     path.write_text("\r\n".join(rows) + "\r\n")
 
 
@@ -326,11 +326,11 @@ class TestClassify:
         assert "arc-length" in capsys.readouterr().err
 
     def test_u_profile_header_rejected(self, ref_params, tmp_path, capsys):
-        # profile_to_csv writes u,x,y; classify reads only arc-length s,x,y
+        # classify reads only arc-length s,x,y
         lo, hi = embeddable_interval(ref_params)
         path = tmp_path / "u_profile.csv"
         prof = profile_from_metric(ref_params, (0.8 * lo, 0.8 * hi), n=401)
-        path.write_text(profile_to_csv(prof))
+        write_profile_csv(path, prof.u, prof.x, prof.y, header="u,x,y")
         rc = run_cli(["classify", "--profile", path, "--resample-n", 51, "--outdir", tmp_path])
         out, err = capsys.readouterr()
         assert (rc, out) == (2, "") and list(tmp_path.iterdir()) == [path]
@@ -537,16 +537,24 @@ class TestPmcCommand:
         assert payload["K_min"] == pytest.approx(-13.0 / 36.0, abs=1e-10)
         assert payload["verdict"] == "hypotheses satisfied at sampled resolution"
 
-    def test_curvature_bound_names_the_u_sample(self, tmp_path, capsys):
-        # the interval ends sit next to the poles, where K rounds to -2 b^2
-        rc = run_cli(
-            ["pmc", "--c1", 1, "--u-lo", -1.0886063864141169, "--u-hi", 1.0886063864141169,
-             "--n", 101, "--outdir", tmp_path]
-        )
-        assert rc == 1
-        assert capsys.readouterr() == (
-            "", "verdict: K >= -2 b^2 at u-sample 0; log sqrt(-2 b^2 - K) is undefined there\n"
-        )
+    def test_curvature_breach_writes_a_violated_report(self, tmp_path, capsys):
+        # the interval ends sit next to the poles, where K rounds to -2 b^2:
+        # a negative verdict, so exit 1 with the report and the manifest
+        u_max = 1.0886063884141168
+        for i, u in enumerate([1.0886063864141169, (1.0 - 1e-6) * u_max]):
+            outdir = tmp_path / str(i)
+            rc = run_cli(
+                ["pmc", "--c1", 1, "--u-lo", -u, "--u-hi", u, "--n", 101, "--outdir", outdir]
+            )
+            out, err = capsys.readouterr()
+            report = (outdir / "pmc_report.json").read_text()
+            assert (rc, out, err) == (1, report, "")
+            payload = json.loads(report)
+            assert payload["verdict"] == "hypotheses violated at sampled resolution"
+            assert payload["ricci_max_residual"] is None
+            manifest = json.loads((outdir / "manifest.json").read_text())
+            assert manifest["outputs"] == ["pmc_report.json"]
+            assert manifest["summary"] == {"verdict": payload["verdict"]}
 
     def test_branch_point_rejected(self, tmp_path, capsys):
         rc = run_cli(

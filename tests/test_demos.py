@@ -5,6 +5,7 @@ own filter does, so a log of a nonpositive number or a division by zero
 fails the demo instead of printing a NaN.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +29,20 @@ def test_demo_runs(demo, tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_trumpet_profile_is_classified_in_family(tmp_path):
+    # demo 04 writes its arc-length profile as s,x,y; classify accepts it
+    demo = next(d for d in DEMOS if d.stem == "04_trumpet_surface")
+    env = child_env(PYTHONWARNINGS="error::RuntimeWarning")
+    subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env, check=True,
+                   capture_output=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ricci_liouville.cli", "classify",
+         "--profile", "demo_output/trumpet_profile.csv", "--resample-n", "51",
+         "--outdir", "classify"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    verdict = json.loads((tmp_path / "classify" / "verdict.json").read_text())
+    assert verdict["verdict"] == "in family"

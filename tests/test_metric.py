@@ -10,12 +10,10 @@ from ricci_liouville import (
     MetricParams,
     ParameterError,
     SubfamilyBranch,
-    amplitude_equation_check,
     conformal_factor,
     conformal_factor_derivatives,
     derive_constants,
     gaussian_curvature,
-    kaehler_angle,
     ode_residual,
     pmc_report,
     refinement_rows,
@@ -166,8 +164,6 @@ CLOSED_FORM_ENTRY_POINTS = {
     "gaussian_curvature": gaussian_curvature,
     "theta": theta,
     "ode_residual": ode_residual,
-    "kaehler_angle": lambda _, u: kaehler_angle(REF_BRANCH, u),
-    "amplitude_equation_check": lambda _, u: amplitude_equation_check(REF_BRANCH, u),
     "refinement_rows": domain_of_refinement_rows,
     # two samples, the interval ends: at 2 DEFAULT_EPS_DOM from the pole K
     # rounds to -2 b^2, where the residual stencil is undefined

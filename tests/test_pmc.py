@@ -11,11 +11,9 @@ from ricci_liouville import (
     PMC_RHO,
     ParameterError,
     SubfamilyBranch,
-    amplitude_equation_check,
     conformal_factor,
     derive_constants,
     gaussian_curvature,
-    kaehler_angle,
     pmc_report,
     ricci_residual_1d,
     second_fundamental_norm,
@@ -76,19 +74,21 @@ class TestSubfamilyParams:
 
 
 class TestAmplitudeEquation:
+    """theta and the derived constants of a branch member solve its amplitude equation."""
+
     def test_derivative_at_zero_is_scaling(self):
         s = SubfamilyBranch(1.0)
         p = subfamily_params(s)
         dc = derive_constants(p)
         # theta'(0)^2 = s^2 = sqrt(disc) = 2 + c1/6 on the low branch
         assert dc.s**2 == pytest.approx(2.0 + 1.0 / 6.0, abs=1e-13)
-        assert amplitude_equation_check(s, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert reference_amplitude_equation_check(s, 0.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_residual_small_across_domain(self):
         s = SubfamilyBranch(1.0)
         dc = derive_constants(subfamily_params(s))
         u = np.linspace(-0.9 * dc.u_max, 0.9 * dc.u_max, 101)
-        assert np.max(np.abs(amplitude_equation_check(s, u))) < 1e-9
+        assert np.max(np.abs(reference_amplitude_equation_check(s, u))) < 1e-9
 
     def test_sin_one_limit_value(self):
         # algebraic limit of the low-branch right side at sin(theta) = +-1
@@ -99,20 +99,22 @@ class TestAmplitudeEquation:
         s = SubfamilyBranch(6.0)
         dc = derive_constants(subfamily_params(s))
         u = np.linspace(-0.9 * dc.u_max, 0.9 * dc.u_max, 101)
-        assert np.max(np.abs(amplitude_equation_check(s, u))) < 1e-9
+        assert np.max(np.abs(reference_amplitude_equation_check(s, u))) < 1e-9
 
 
 class TestKaehlerAngle:
+    """The Kaehler angle alpha, 3 cos(alpha) = -sin(theta), as pmc_report samples it."""
+
     def test_centre_value(self):
-        assert kaehler_angle(SubfamilyBranch(1.0), 0.0) == pytest.approx(
-            math.pi / 2.0, abs=1e-15
-        )
+        rep = pmc_report(SubfamilyBranch(1.0), (0.0, 0.0), 1)
+        assert rep.alpha_range == pytest.approx((math.pi / 2.0,) * 2, abs=1e-15)
 
     def test_cosine_bounded_by_one_third(self):
+        # alpha is monotone in sin(theta), so its range ends bound |cos(alpha)|
         s = SubfamilyBranch(1.2)
         dc = derive_constants(subfamily_params(s))
-        u = np.linspace(-0.95 * dc.u_max, 0.95 * dc.u_max, 301)
-        alpha = kaehler_angle(s, u)
+        alpha = np.array(pmc_report(s, (-0.95 * dc.u_max, 0.95 * dc.u_max), 301).alpha_range)
+        assert alpha[0] < math.pi / 2.0 < alpha[1]
         assert np.max(np.abs(np.cos(alpha))) <= 1.0 / 3.0 + 1e-15
         assert np.min(np.sin(alpha)) >= math.sqrt(8.0) / 3.0 - 1e-12
 
@@ -120,14 +122,10 @@ class TestKaehlerAngle:
         s = SubfamilyBranch(1.0)
         dc = derive_constants(subfamily_params(s))
         u = np.linspace(-0.9 * dc.u_max, 0.9 * dc.u_max, 2001)
-        alpha = kaehler_angle(s, u)
+        alpha = reference_kaehler_angle(s, u)
         fd = np.diff(alpha) / np.diff(u)
         assert np.max(np.abs(fd)) < 2.0
         assert np.max(np.abs(np.diff(fd))) < 0.01
-
-    def test_low_branch_only(self):
-        with pytest.raises(ParameterError, match="low branch"):
-            kaehler_angle(SubfamilyBranch(2.0), 0.1)
 
 
 class TestSecondFundamentalNorm:
@@ -224,7 +222,7 @@ def _bits(value):
 @pytest.mark.parametrize(
     "share, n",
     [((-0.5, 0.5), 401), ((-0.999, 0.999), 2001), ((0.1, 0.9), 64), ((-0.3, 0.3), 5),
-     ((-0.3, 0.3), 4), ((0.0, 0.0), 1)],
+     ((-0.3, 0.3), 4), ((0.0, 0.0), 1), ((-0.999999, 0.999999), 101)],
 )
 def test_report_matches_three_call_path(c1, share, n):
     # one Jacobi call per sample and the shared residual kernel against
@@ -242,25 +240,14 @@ def test_report_matches_three_call_path(c1, share, n):
 
 @pytest.mark.parametrize("c1", [0.1, 1.0, 1.45, 1.6, 6.0, 30.0])
 def test_one_jacobi_call_matches_theta_path(c1):
-    # inside the metric domain sn = sin(am), so the amplitude check and the
-    # Kaehler angle keep the bits of the theta-based path
+    # inside the metric domain sn = sin(am), so the Kaehler angle pmc_report
+    # takes from its one Jacobi call keeps the bits of the theta-based path,
+    # at both signed zeros too
     s = SubfamilyBranch(c1)
     u_max = derive_constants(subfamily_params(s)).u_max
-    points = [
-        np.linspace(-0.999 * u_max, 0.999 * u_max, 2001),
-        np.array([0.0, -0.0]),
-        0.0,
-        -0.0,
-        0.5 * u_max,
-        -0.999 * u_max,
-    ]
-    checks = [(amplitude_equation_check, reference_amplitude_equation_check)]
-    if s.branch == "low":
-        checks.append((kaehler_angle, reference_kaehler_angle))
-    for u in points:
-        for got, want in ((f(s, u), ref(s, u)) for f, ref in checks):
-            assert type(got) is type(want)
-            assert np.array_equal(got, want)
+    for u in (0.0, -0.0, 0.5 * u_max, -0.999 * u_max, 0.999 * u_max):
+        alpha = reference_kaehler_angle(s, u)
+        assert _bits(pmc_report(s, (u, u), 1).alpha_range) == _bits((alpha, alpha))
 
 
 def test_log_c_norm_residual_equals_curvature_condition_residual():

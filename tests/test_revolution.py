@@ -13,7 +13,6 @@ from ricci_liouville import (
     MetricParams,
     ParameterError,
     ProfileCurve,
-    adaptive_simpson,
     angle_defect_curvature,
     conformal_factor,
     conformal_factor_derivatives,
@@ -25,14 +24,12 @@ from ricci_liouville import (
     RevolutionMesh,
     mesh_to_ply,
     metric_from_profile,
-    profile_from_conformal,
     profile_from_metric,
-    profile_to_csv,
     tessellate,
 )
 
 from ricci_liouville import revolution
-from ricci_liouville.revolution import _solve_tridiagonal
+from ricci_liouville.revolution import _simpson_segments, _solve_tridiagonal
 
 from helpers import (
     arc_length_resample,
@@ -59,23 +56,50 @@ def sphere_profile_arrays(n=4001, s0=0.3):
     return s, -np.cos(s), np.sin(s)
 
 
-class TestAdaptiveSimpson:
-    def test_polynomial_exact(self):
-        assert adaptive_simpson(lambda x: x * x, 0.0, 1.0, 1e-12) == pytest.approx(
-            1.0 / 3.0, abs=1e-12
+def cylinder(c, n):
+    """Profile of the cylinder of radius c over u in [0, 1]: x = c u, y = c."""
+    u = np.linspace(0.0, 1.0, n)
+    return ProfileCurve(u, c * u, np.full(n, c), monotone=True)
+
+
+@pytest.fixture
+def factor(monkeypatch):
+    """Make profile_from_metric integrate lambda and lambda' given as array callables.
+
+    They replace the closed form the integrand calls; the interval still has
+    to lie inside the embeddable interval of the params passed.
+    """
+
+    def use(lam, dlam):
+        monkeypatch.setattr(
+            revolution, "conformal_factor_derivatives", lambda p, u: (lam(u), dlam(u), None)
         )
+
+    return use
+
+
+class TestAdaptiveSimpson:
+    """The batched adaptive Simpson kernel of profile_from_metric on one segment."""
+
+    def test_polynomial_exact(self):
+        got = _simpson_segments(lambda x: x * x, [0.0, 1.0], 1e-12)
+        assert got == pytest.approx([1.0 / 3.0], abs=1e-12)
 
     def test_square_root_endpoint(self):
-        assert adaptive_simpson(math.sqrt, 0.0, 1.0, 1e-10) == pytest.approx(
-            2.0 / 3.0, abs=1e-9
-        )
+        got = _simpson_segments(np.sqrt, [0.0, 1.0], 1e-10)
+        assert got == pytest.approx([2.0 / 3.0], abs=1e-9)
 
     def test_empty_interval(self):
-        assert adaptive_simpson(math.sin, 2.0, 2.0, 1e-10) == 0.0
+        assert _simpson_segments(np.sin, [2.0, 2.0], 1e-10).tolist() == [0.0]
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ParameterError):
-            adaptive_simpson(math.sin, 0.0, 1.0, 0.0)
+    def test_rejects_bad_tolerance(self, ref_params, monkeypatch):
+        # the tolerance is judged before the quadrature starts
+        def no_quadrature(*_):
+            raise AssertionError("quadrature ran")
+
+        monkeypatch.setattr(revolution, "_simpson_segments", no_quadrature)
+        with pytest.raises(ParameterError, match="tolerance must be finite and positive, got 0.0"):
+            profile_from_metric(ref_params, (-0.3, 0.3), tol=0.0, n=11)
 
     @pytest.mark.parametrize(
         "f, a, b, tol",
@@ -87,13 +111,14 @@ class TestAdaptiveSimpson:
         ids=["x^2", "sqrt", "cos"],
     )
     def test_batched_matches_recursive_reference(self, f, a, b, tol):
-        assert adaptive_simpson(f, a, b, tol) == reference_adaptive_simpson(f, a, b, tol)
+        got = _simpson_segments(np.vectorize(f, otypes=[float]), [a, b], tol)
+        assert got.tolist() == [reference_adaptive_simpson(f, a, b, tol)]
 
     def test_subdivision_cap_raises(self):
         from ricci_liouville import ConvergenceError
 
         with pytest.raises(ConvergenceError, match="subdivision"):
-            adaptive_simpson(math.sqrt, 0.0, 1.0, 1e-14)
+            _simpson_segments(np.sqrt, [0.0, 1.0], 1e-14)
 
 
 class TestEmbeddableInterval:
@@ -147,15 +172,17 @@ class TestEmbeddableInterval:
 
 
 class TestProfileFromMetric:
-    def test_constant_factor_gives_cylinder(self):
+    def test_constant_factor_gives_cylinder(self, ref_params, factor):
         c = 2.5
-        prof = profile_from_conformal(lambda u: c, lambda u: 0.0, (0.0, 1.0), n=51)
+        factor(lambda u: np.full_like(u, c), np.zeros_like)
+        prof = profile_from_metric(ref_params, (0.0, 0.3), n=51)
         assert np.max(np.abs(prof.x - c * prof.u)) < 1e-10
         assert np.all(prof.y == c)
         assert prof.monotone
 
-    def test_cosh_gives_catenoid(self):
-        prof = profile_from_conformal(math.cosh, math.sinh, (-1.0, 1.0), n=101)
+    def test_cosh_gives_catenoid(self, ref_params, factor):
+        factor(np.cosh, np.sinh)
+        prof = profile_from_metric(ref_params, (-0.3, 0.3), n=101)
         assert np.max(np.abs(prof.x - (prof.u - prof.u[0]))) < 1e-9
         assert np.max(np.abs(prof.y - np.cosh(prof.u))) < 1e-14
 
@@ -181,17 +208,30 @@ class TestProfileFromMetric:
         )
         assert np.array_equal(prof.x, x_ref)
 
+    @pytest.mark.parametrize("n", [11, 201])
+    def test_whole_embeddable_interval_matches_reference(self, ref_params, n):
+        # the integrand has square-root zeros at both ends of the interval
+        interval = embeddable_interval(ref_params)
+        prof = profile_from_metric(ref_params, interval, tol=1e-10, n=n)
+        x_ref = reference_profile_x(
+            lambda t: conformal_factor(ref_params, t),
+            lambda t: conformal_factor_derivatives(ref_params, t)[1],
+            interval,
+            1e-10,
+            n,
+        )
+        assert np.array_equal(prof.x, x_ref)
+
     def test_rejects_interval_beyond_embeddable(self, ref_params):
         _, hi = embeddable_interval(ref_params)
         with pytest.raises(ParameterError, match="embeddable"):
             profile_from_metric(ref_params, (-hi, hi * 1.05))
 
-    def test_negative_gap_reported_with_location(self):
-        # lambda = cos u turns non-embeddable past pi/4
-        with pytest.raises(ParameterError, match="u ="):
-            profile_from_conformal(
-                math.cos, lambda u: -math.sin(u), (0.0, 1.2), n=31
-            )
+    def test_negative_gap_reported_with_location(self, ref_params, factor):
+        # lambda = cos 4u turns non-embeddable past atan(1/4) / 4 = 0.0612
+        factor(lambda u: np.cos(4.0 * u), lambda u: -4.0 * np.sin(4.0 * u))
+        with pytest.raises(ParameterError, match=r"< 0 at u = 0\.0[6-9]"):
+            profile_from_metric(ref_params, (0.0, 0.3), n=31)
 
 
 class TestMetricFromProfile:
@@ -373,7 +413,7 @@ class TestProfileCurve:
 
 class TestTessellate:
     def test_closed_tube_counts(self):
-        prof = profile_from_conformal(lambda u: 2.0, lambda u: 0.0, (0.0, 1.0), n=11)
+        prof = cylinder(2.0, 11)
         mesh = tessellate(prof, 0.0, 2.0 * math.pi, 16)
         assert mesh.closed
         assert len(mesh.faces) == 2 * (11 - 1) * 16
@@ -381,7 +421,7 @@ class TestTessellate:
         assert euler_characteristic(mesh) == 0  # tube
 
     def test_open_patch_counts_and_topology(self):
-        prof = profile_from_conformal(lambda u: 2.0, lambda u: 0.0, (0.0, 1.0), n=9)
+        prof = cylinder(2.0, 9)
         mesh = tessellate(prof, 0.0, math.pi, 12)
         assert not mesh.closed
         assert len(mesh.faces) == 2 * 8 * 11
@@ -395,7 +435,7 @@ class TestTessellate:
         assert np.max(np.abs(radii - 1.0)) < 1e-10
 
     def test_requires_three_columns(self):
-        prof = profile_from_conformal(lambda u: 1.0, lambda u: 0.0, (0.0, 1.0), n=5)
+        prof = cylinder(1.0, 5)
         with pytest.raises(ParameterError):
             tessellate(prof, 0.0, 1.0, 2)
 
@@ -404,12 +444,12 @@ class TestTessellate:
         [(0.0, math.inf), (-math.inf, 1.0), (-1e308, 1e308), (math.nan, 1.0), (0.0, math.nan)],
     )
     def test_rejects_non_finite_v_range(self, v_lo, v_hi):
-        prof = profile_from_conformal(lambda u: 1.0, lambda u: 0.0, (0.0, 1.0), n=5)
+        prof = cylinder(1.0, 5)
         with pytest.raises(ParameterError, match="must be finite with a finite span"):
             tessellate(prof, v_lo, v_hi, 4)
 
     def test_outward_orientation(self):
-        prof = profile_from_conformal(lambda u: 2.0, lambda u: 0.0, (0.0, 1.0), n=5)
+        prof = cylinder(2.0, 5)
         mesh = tessellate(prof, 0.0, 2.0 * math.pi, 8)
         verts = mesh.vertices
         for tri in mesh.faces[:8]:
@@ -422,7 +462,7 @@ class TestTessellate:
 
 class TestInducedMetric:
     def test_cylinder_u_edges_exact(self):
-        prof = profile_from_conformal(lambda u: 2.0, lambda u: 0.0, (0.0, 1.0), n=21)
+        prof = cylinder(2.0, 21)
         mesh = tessellate(prof, 0.0, 2.0 * math.pi, 32)
         verts = mesh.vertices.reshape(21, 32, 3)
         d2 = np.sum((verts[1:] - verts[:-1]) ** 2, axis=2)
@@ -453,7 +493,7 @@ class TestInducedMetric:
         assert devs[0] / devs[1] > 1.8
 
     def test_provenance_required(self, ref_params):
-        prof = profile_from_conformal(lambda u: 2.0, lambda u: 0.0, (0.0, 1.0), n=9)
+        prof = cylinder(2.0, 9)
         mesh = tessellate(prof, 0.0, 2.0 * math.pi, 12)
         with pytest.raises(ParameterError, match="provenance"):
             induced_metric_check(mesh, ref_params)
@@ -469,13 +509,13 @@ class TestAngleDefect:
         assert abs(np.mean(k_est) - 1.0) < 0.05
 
     def test_cylinder_flat(self):
-        prof = profile_from_conformal(lambda u: 2.0, lambda u: 0.0, (0.0, 1.0), n=21)
+        prof = cylinder(2.0, 21)
         mesh = tessellate(prof, 0.0, 2.0 * math.pi, 64)
         _, k_est, _, _ = angle_defect_curvature(mesh)
         assert np.max(np.abs(k_est)) < 1e-6
 
     def test_zero_area_triangles_skipped(self):
-        prof = profile_from_conformal(lambda u: 2.0, lambda u: 0.0, (0.0, 1.0), n=11)
+        prof = cylinder(2.0, 11)
         mesh = tessellate(prof, 0.0, 2.0 * math.pi, 16)
         ref_ids, ref_k, _, _ = angle_defect_curvature(mesh)
         moved = 5 * mesh.nv + 3
@@ -547,7 +587,7 @@ class TestAngleDefect:
 
     @pytest.mark.parametrize("v_hi", [math.pi, 2.0 * math.pi], ids=["open", "closed"])
     def test_two_rows_have_no_interior(self, v_hi):
-        prof = profile_from_conformal(lambda u: 2.0, lambda u: 0.0, (0.0, 1.0), n=2)
+        prof = cylinder(2.0, 2)
         mesh = tessellate(prof, 0.0, v_hi, 5)
         ids, k_est, areas, skipped = angle_defect_curvature(mesh)
         assert ids.dtype == np.int64 and skipped.dtype == np.int64
@@ -555,7 +595,7 @@ class TestAngleDefect:
         self.assert_matches_oracle(mesh)
 
     def test_zero_area_triangles_skipped_on_open_mesh(self):
-        prof = profile_from_conformal(lambda u: 2.0, lambda u: 0.0, (0.0, 1.0), n=11)
+        prof = cylinder(2.0, 11)
         mesh = tessellate(prof, 0.0, math.pi, 16)
         moved = 5 * mesh.nv + 3
         mesh.vertices[moved] = mesh.vertices[moved + 1]  # collapses one edge
@@ -567,7 +607,7 @@ class TestAngleDefect:
 
     @pytest.mark.parametrize("v_hi", [math.pi, 2.0 * math.pi], ids=["open", "closed"])
     def test_zero_area_triangles_at_seam_and_border(self, v_hi):
-        prof = profile_from_conformal(lambda u: 2.0, lambda u: 0.0, (0.0, 1.0), n=11)
+        prof = cylinder(2.0, 11)
         mesh = tessellate(prof, 0.0, v_hi, 16)
         mesh.vertices[4 * 16] = mesh.vertices[4 * 16 + 1]  # column 0 onto column 1
         mesh.vertices[6 * 16] = mesh.vertices[6 * 16 + 15]  # onto the last column
@@ -579,7 +619,7 @@ class TestAngleDefect:
         assert expected <= set(skipped.tolist())
 
     def test_wrong_layout_raises(self):
-        prof = profile_from_conformal(lambda u: 2.0, lambda u: 0.0, (0.0, 1.0), n=5)
+        prof = cylinder(2.0, 5)
         mesh = tessellate(prof, 0.0, 2.0 * math.pi, 8)
         layout = dict(nu=mesh.nu, nv=mesh.nv, closed=True)
         bad_shapes = [
@@ -768,16 +808,8 @@ class TestExports:
         # the result plus the vertex block and face records it is joined from
         assert peak <= 2.1 * size
 
-    def test_profile_csv(self, ref_params):
-        prof = profile_from_metric(ref_params, (-0.2, 0.2), n=11)
-        lines = profile_to_csv(prof).strip().split("\r\n")
-        assert lines[0] == "u,x,y"
-        assert len(lines) == 12
-        u, x, y = (float(t) for t in lines[5].split(","))
-        assert y == pytest.approx(conformal_factor(ref_params, u), rel=1e-15)
-
     def test_obj_structure(self):
-        prof = profile_from_conformal(lambda u: 1.5, lambda u: 0.0, (0.0, 1.0), n=5)
+        prof = cylinder(1.5, 5)
         mesh = tessellate(prof, 0.0, 2.0 * math.pi, 8)
         lines = mesh_to_obj(mesh).strip().split("\n")
         v_lines = [l for l in lines if l.startswith("v ")]
@@ -792,7 +824,7 @@ class TestExports:
         assert abs(nx) < 1e-9
 
     def test_ply_binary_layout(self):
-        prof = profile_from_conformal(lambda u: 1.5, lambda u: 0.0, (0.0, 1.0), n=4)
+        prof = cylinder(1.5, 4)
         mesh = tessellate(prof, 0.0, 2.0 * math.pi, 6)
         blob = mesh_to_ply(mesh)
         header, _, body = blob.partition(b"end_header\n")
@@ -808,15 +840,6 @@ class TestExports:
 
 class TestQuadratureTolerance:
     @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
-    def test_adaptive_simpson_rejects(self, tol):
-        with pytest.raises(ParameterError, match="finite and positive"):
-            adaptive_simpson(math.sin, 0.0, 1.0, tol)
-        with pytest.raises(ParameterError, match="finite and positive"):
-            adaptive_simpson(math.sin, 2.0, 2.0, tol)
-
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10])
     def test_profiles_reject(self, ref_params, tol):
         with pytest.raises(ParameterError, match="finite and positive"):
             profile_from_metric(ref_params, (-0.3, 0.3), tol=tol, n=11)
-        with pytest.raises(ParameterError, match="finite and positive"):
-            profile_from_conformal(math.cosh, math.sinh, (0.0, 0.5), tol=tol, n=11)
