@@ -40,7 +40,7 @@ interval = (0.8 * lo, 0.8 * hi)
 prof = profile_from_metric(p, interval, tol=1e-10, n=201)
 print(f"Profile over 80% of the interval: x spans [0, {prof.x[-1]:.6f}], "
       f"y spans [{prof.y.min():.6f}, {prof.y.max():.6f}]")
-print(f"x monotone: {prof.monotone}; both x and y increase for u > 0.\n")
+print(f"x monotone: {bool(np.all(np.diff(prof.x) >= 0.0))}; both x and y increase for u > 0.\n")
 
 mesh = tessellate(prof, 0.0, 2.0 * math.pi, 192)
 print(f"Closed tube mesh: {len(mesh.vertices)} vertices, {len(mesh.faces)} triangles")

@@ -6,76 +6,33 @@ finite-difference certification of the curvature condition
 Delta log sqrt(-2 b^2 - K) = 2 K, the surface-of-revolution realization,
 and the parameter subfamily induced by parallel mean curvature immersions
 into the complex hyperbolic plane.
+
+The public names are those of the submodules' __all__, plus __version__;
+each submodule's list is the only declaration.  The submodules load on the
+first access to a public name or to __all__, so that a command which needs
+only the scalar core starts without NumPy.
 """
 
 __version__ = "0.1.0"
 
-# The submodules load on the first access to a name in __all__, so that a
-# command which needs only the scalar core starts without NumPy.
 _SUBMODULES = ("elliptic", "errors", "metric", "pmc", "revolution", "verify")
-
-__all__ = [
-    "__version__",
-    "Modulus",
-    "complete_elliptic_k",
-    "incomplete_elliptic_f",
-    "jacobi_am",
-    "jacobi_sn_cn_dn",
-    "ConvergenceError",
-    "DomainError",
-    "NotInFamilyError",
-    "ParameterError",
-    "MetricParams",
-    "DerivedConstants",
-    "derive_constants",
-    "conformal_factor",
-    "conformal_factor_derivatives",
-    "gaussian_curvature",
-    "theta",
-    "ode_residual",
-    "NormalizationFit",
-    "ricci_residual_column",
-    "refinement_rows",
-    "estimate_order",
-    "ricci_residual_1d",
-    "ricci_order_1d",
-    "fit_normalization",
-    "residual_floor",
-    "in_family_verdict",
-    "grid_to_csv",
-    "summary_to_json",
-    "ProfileCurve",
-    "RevolutionMesh",
-    "embeddable_interval",
-    "profile_from_metric",
-    "metric_from_profile",
-    "tessellate",
-    "induced_metric_check",
-    "angle_defect_curvature",
-    "mesh_to_obj",
-    "mesh_to_ply",
-    "PMC_B",
-    "PMC_RHO",
-    "SubfamilyBranch",
-    "PmcReport",
-    "subfamily_params",
-    "second_fundamental_norm",
-    "pmc_report",
-]
 
 
 def __getattr__(name):
-    """Load all submodules on the first access to a public name (PEP 562)."""
-    if name not in __all__:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
+    """Bind __all__ and every public name on the first access to one (PEP 562)."""
     names = globals()
-    for sub in _SUBMODULES:
-        module = importlib.import_module(f"{__name__}.{sub}")
-        names.update((attr, getattr(module, attr)) for attr in module.__all__ if attr in __all__)
-    return names[name]
+    # a private or dunder probe, or any miss once the names are bound, loads nothing
+    if "__all__" not in names and (name == "__all__" or not name.startswith("_")):
+        import importlib
+
+        modules = [importlib.import_module(f"{__name__}.{sub}") for sub in _SUBMODULES]
+        public = [(attr, getattr(module, attr)) for module in modules for attr in module.__all__]
+        names.update(public)
+        names["__all__"] = ["__version__", *(attr for attr, _ in public)]
+    if name in names:
+        return names[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__getattr__("__all__")))

@@ -8,19 +8,21 @@ stdout text) and writes nothing; main writes the data files, then
 manifest.json, for a run that ends with a result (exit 0, or exit 1 with
 a verdict file), and prints the stdout text only after them.  A run
 that ends with an error message writes no file and prints nothing on
-stdout.  The manifest records every parsed flag except --outdir, with
-defaults resolved.  Data outputs are byte-deterministic for identical
-inputs.
+stdout; mesh checks both ranges and --nv before its profile quadrature.
+The manifest records every parsed flag except --outdir, with defaults
+resolved.  Data outputs are byte-deterministic for identical inputs.
 
 verify and sweep share one refinement loop, verify.refinement_rows,
 which takes the u-interval and the node count of each level: each
 level is one closed-form call, one residual pass and one max over one
 row per triple.  verify runs it on its one triple and writes the first
-level's u-columns over its v-nodes, the only place v is used; sweep
-studies all its triples together.  A sweep triple that fails keeps its
-row, with the status "domain: ..." (invalid parameters, a grid outside
-its domain or too small for the stencil, K >= -2 b^2) or
-"numerical: ..." (no order fit); such rows leave the exit code at 0.
+level's u-columns over its v-nodes, the only place v is used; a grid
+with K >= -2 b^2 somewhere is a negative verdict, exit 1 with
+summary.json alone, its undefined values null.  sweep studies all its
+triples together.  A sweep triple that fails keeps its row, with the
+status "domain: ..." (invalid parameters, a grid outside its domain or
+too small for the stencil, K >= -2 b^2) or "numerical: ..." (no order
+fit); such rows leave the exit code at 0.
 
 A start pays only for what its subcommand runs: each command imports the
 library modules it calls, and NumPy, inside its body.  derive, --help and
@@ -125,13 +127,7 @@ def cmd_derive(args):
 
 def cmd_verify(args):
     from .metric import MetricParams
-    from .verify import (
-        fit_normalization,
-        grid_to_csv,
-        in_family_verdict,
-        refinement_rows,
-        summary_to_json,
-    )
+    from .verify import fit_normalization, grid_to_csv, in_family_verdict, refinement_rows
     # NumPy after the library modules, which load it: importing it first
     # raised the peak RSS of a 321^2 verify by about 0.5 MB
     import numpy as np
@@ -153,23 +149,31 @@ def cmd_verify(args):
         f"{nu - 1} * 2^{args.levels - 1} + 1 points",
     )
     _check_budget(nu * nv, f"--h {args.h!r} gives a CSV of {nu} x {nv} rows")
-
-    sizes = [(nu - 1) * 2**lev + 1 for lev in range(args.levels)]
-    result = refinement_rows([(p.b, p.c1, p.c2)], args.u_lo, args.u_hi, sizes)[0]
-    if isinstance(result, Exception):
-        raise result
-    (max_res, *_), order, lam, curv, res = result
-    fit = fit_normalization(lam, p.b, h, u0=args.u_lo)
-    verdict = in_family_verdict(max_res, order, h)
-    u, v = np.linspace(args.u_lo, args.u_hi, nu), np.linspace(v_lo, v_hi, nv)
     # the manifest records the grid's v range and spacing
     args.v_lo, args.v_hi, args.h = v_lo, v_hi, h
-    files = {
-        "residuals.csv": grid_to_csv(u, v, lam, curv, res),
-        "summary.json": summary_to_json(max_res, order, fit, h, verdict),
-    }
-    summary = {"max_residual": max_res, "order": order, "verdict": verdict}
-    return 0 if verdict else 1, files, summary, ""
+
+    # K >= -2 b^2 on the grid is a negative verdict: summary.json alone, with
+    # the values the run did not reach left null
+    summary = dict.fromkeys(("max_residual", "order", "c1_fit", "c2_fit", "max_affine_residual"))
+    summary.update(h=h, verdict=False)
+    files = {}
+    sizes = [(nu - 1) * 2**lev + 1 for lev in range(args.levels)]
+    result = refinement_rows([(p.b, p.c1, p.c2)], args.u_lo, args.u_hi, sizes)[0]
+    try:
+        if isinstance(result, Exception):
+            raise result
+        (max_res, *_), order, lam, curv, res = result
+        summary.update(max_residual=max_res, order=order)
+        summary.update(vars(fit_normalization(lam, p.b, h, u0=args.u_lo)))
+    except NotInFamilyError:
+        pass
+    else:
+        summary["verdict"] = in_family_verdict(max_res, order, h)
+        u, v = np.linspace(args.u_lo, args.u_hi, nu), np.linspace(v_lo, v_hi, nv)
+        files["residuals.csv"] = grid_to_csv(u, v, lam, curv, res)
+    files["summary.json"] = json_text(summary)
+    brief = {k: summary[k] for k in ("max_residual", "order", "verdict")}
+    return 0 if summary["verdict"] else 1, files, brief, ""
 
 
 def cmd_mesh(args):
@@ -183,6 +187,10 @@ def cmd_mesh(args):
         raise ParameterError(
             f"--v-lo {v_lo!r} and --v-hi {v_hi!r} must be finite with a finite span"
         )
+    if not v_lo < v_hi:
+        raise ParameterError(f"--v-lo must be below --v-hi, got {v_lo!r} and {v_hi!r}")
+    if args.nv < 3:
+        raise ParameterError(f"--nv must be at least 3 mesh columns, got {args.nv}")
     _check_budget(args.nu, f"--nu {args.nu} asks for {args.nu} profile samples")
     _check_budget(
         args.nu * args.nv,
@@ -191,7 +199,7 @@ def cmd_mesh(args):
     profile = profile_from_metric(
         p, (args.u_lo, args.u_hi), tol=args.tol, n=args.nu
     )
-    mesh = tessellate(profile, args.v_lo, args.v_hi, args.nv)
+    mesh = tessellate(profile, v_lo, v_hi, args.nv)
     data = mesh_to_obj(mesh) if args.format == "obj" else mesh_to_ply(mesh)
     summary = {"vertices": len(mesh.vertices), "faces": mesh.face_count, "closed": mesh.closed}
     return 0, {f"surface.{args.format}": data}, summary, ""

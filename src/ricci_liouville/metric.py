@@ -35,7 +35,6 @@ __all__ = [
     "gaussian_curvature",
     "theta",
     "ode_residual",
-    "DEFAULT_EPS_DOM",
 ]
 
 DEFAULT_EPS_DOM = 1e-9

@@ -74,15 +74,13 @@ class ProfileCurve:
     """Sampled plane curve (x(u), y(u)) generating a surface of revolution.
 
     y is the rotation radius (strictly positive), u strictly increasing,
-    and every sample finite.
-    ``monotone`` records whether x is nondecreasing.  ``params`` tags
-    profiles built from a family metric for provenance checks downstream.
+    and every sample finite.  ``params`` tags profiles built from a family
+    metric for provenance checks downstream.
     """
 
     u: np.ndarray
     x: np.ndarray
     y: np.ndarray
-    monotone: bool
     params: MetricParams | None = None
 
     def __post_init__(self):
@@ -268,7 +266,8 @@ def profile_from_metric(p: MetricParams, interval, *, tol: float = 1e-10, n: int
     All n - 1 segments are refined together, and each refinement level
     takes lambda and lambda' from one closed-form call.  A gap value below
     -1e-12 at a quadrature node is a precondition breach and is reported
-    with its location.
+    with its location.  x never decreases: each Simpson leaf
+    (16 (L + R) - W) / 15 of the nonnegative integrand is nonnegative.
     """
     u_lo, u_hi = float(interval[0]), float(interval[1])
     emb_lo, emb_hi = embeddable_interval(p)
@@ -299,8 +298,7 @@ def profile_from_metric(p: MetricParams, interval, *, tol: float = 1e-10, n: int
     u = np.linspace(u_lo, u_hi, n)
     x = np.cumsum(np.concatenate([[0.0], _simpson_segments(integrand, u, tol)]))
     y = conformal_factor_derivatives(p, u)[0]
-    monotone = bool(np.all(np.diff(x) >= 0.0))
-    return ProfileCurve(u=u, x=x, y=y, monotone=monotone, params=p)
+    return ProfileCurve(u=u, x=x, y=y, params=p)
 
 
 def _solve_tridiagonal(dl, d, du, b, c):

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NotInFamilyError, ParameterError
-from .fileio import json_text
 from .metric import (
     MetricParams,
     _curvature_from_factor,
@@ -45,8 +44,6 @@ __all__ = [
     "residual_floor",
     "in_family_verdict",
     "grid_to_csv",
-    "summary_to_json",
-    "RESIDUAL_UNDERFLOW",
 ]
 
 RESIDUAL_UNDERFLOW = 1e-13
@@ -386,18 +383,3 @@ def grid_to_csv(u, v, lam, curv, res) -> bytes:
 
 def _fmt17(values: np.ndarray) -> list[str]:
     return [f"{x:.17g}" for x in values.tolist()]
-
-
-def summary_to_json(
-    max_residual: float, order: float, fit: NormalizationFit, h: float, verdict: bool
-) -> str:
-    """JSON summary with stable key order."""
-    return json_text({
-        "max_residual": max_residual,
-        "order": order,
-        "h": h,
-        "c1_fit": fit.c1_fit,
-        "c2_fit": fit.c2_fit,
-        "max_affine_residual": fit.max_affine_residual,
-        "verdict": verdict,
-    })

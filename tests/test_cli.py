@@ -204,6 +204,24 @@ class TestVerify:
         assert summary["verdict"] is False
         assert (tmp_path / "residuals.csv").exists()
 
+    def test_curvature_breach_writes_a_violated_summary(self, tmp_path, capsys):
+        # the grid ends 2e-9 short of the pole, where K rounds to -2 b^2: a
+        # negative verdict, so exit 1 with summary.json and the manifest alone
+        rc = run_cli(
+            ["verify", "--c1", 1, "--c2", -1.8333333333333333, "--u-lo", 0.4886063864141169,
+             "--u-hi", 1.0886063864141169, "--h", 0.1, "--levels", 2, "--outdir", tmp_path]
+        )
+        assert (rc, *capsys.readouterr()) == (1, "", "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "summary.json"]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary == {
+            "max_residual": None, "order": None, "h": pytest.approx(0.1), "c1_fit": None,
+            "c2_fit": None, "max_affine_residual": None, "verdict": False,
+        }
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"] == ["summary.json"]
+        assert manifest["summary"] == {"max_residual": None, "order": None, "verdict": False}
+
 
 MESH_ARGS = [
     "mesh", "--b", 0.4082482904638631, "--c1", 1, "--c2", -1.8333333333333333,
@@ -665,6 +683,22 @@ class TestImportGraph:
         _, loaded = modules_loaded_by("import ricci_liouville\nrc = 0\n")
         assert loaded == set()
 
+    def test_dunder_probes_load_no_submodule(self):
+        rc, loaded = modules_loaded_by(
+            "import ricci_liouville as rl\n"
+            "rc = [rl.__version__, rl.__file__ is not None, hasattr(rl, '__wrapped__')]\n"
+        )
+        assert rc == ["0.1.0", True, False]
+        assert loaded == set()
+
+    def test_all_loads_every_submodule_and_lists_each_name_once(self):
+        rc, loaded = modules_loaded_by(
+            "import ricci_liouville as rl\n"
+            "rc = [len(rl.__all__), len(set(rl.__all__))]\n"
+        )
+        assert rc[0] == rc[1]
+        assert loaded == set(WATCHED_MODULES)
+
     def test_mesh_reads_the_writer_at_call_time(self, tmp_path, monkeypatch):
         # bench/tracer.py wraps library functions by rebinding module attributes
         import ricci_liouville.revolution as revolution
@@ -1039,3 +1073,24 @@ class TestInputValidation:
         assert capsys.readouterr().err == (
             "error: --v-lo 0.0 and --v-hi nan must be finite with a finite span\n"
         )
+
+    @pytest.mark.parametrize(
+        "v_args, message",
+        [
+            (["--v-lo", 1, "--v-hi", 0, "--nv", 24], "--v-lo must be below --v-hi, got 1.0 and 0.0"),
+            (["--v-lo", 1, "--v-hi", 1, "--nv", 24], "--v-lo must be below --v-hi, got 1.0 and 1.0"),
+            (["--v-lo", 0, "--v-hi", 1, "--nv", 2], "--nv must be at least 3 mesh columns, got 2"),
+        ],
+        ids=["reversed", "empty", "two-columns"],
+    )
+    def test_mesh_columns_are_checked_before_the_quadrature(
+        self, tmp_path, capsys, monkeypatch, v_args, message
+    ):
+        def no_profile(*_, **__):
+            raise AssertionError("integrated the profile of a run with no mesh columns")
+
+        monkeypatch.setattr("ricci_liouville.revolution.profile_from_metric", no_profile)
+        args = MESH_ARGS[:MESH_ARGS.index("--v-lo")] + v_args
+        assert run_cli(args + ["--format", "ply", "--outdir", tmp_path]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []

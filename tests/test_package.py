@@ -25,12 +25,11 @@ def test_public_name_is_the_submodule_object(name):
 
 
 def test_package_lists_exactly_the_submodule_names():
-    # every submodule name but two constants, plus the version
+    # every submodule name, plus the version
     names = set().union(
         *(importlib.import_module(f"ricci_liouville.{sub}").__all__ for sub in SUBMODULES)
     )
-    want = names - {"DEFAULT_EPS_DOM", "RESIDUAL_UNDERFLOW"} | {"__version__"}
-    assert sorted(ricci_liouville.__all__) == sorted(want)
+    assert sorted(ricci_liouville.__all__) == sorted(names | {"__version__"})
 
 
 def test_star_import_binds_every_public_name():
@@ -48,5 +47,5 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
         ricci_liouville.no_such_name
     assert not hasattr(ricci_liouville, "no_such_name")
-    assert not hasattr(ricci_liouville, "DEFAULT_EPS_DOM")  # public in metric only
+    assert not hasattr(ricci_liouville, "DEFAULT_EPS_DOM")  # a metric constant, not public
 

@@ -59,7 +59,7 @@ def sphere_profile_arrays(n=4001, s0=0.3):
 def cylinder(c, n):
     """Profile of the cylinder of radius c over u in [0, 1]: x = c u, y = c."""
     u = np.linspace(0.0, 1.0, n)
-    return ProfileCurve(u, c * u, np.full(n, c), monotone=True)
+    return ProfileCurve(u, c * u, np.full(n, c))
 
 
 @pytest.fixture
@@ -178,7 +178,7 @@ class TestProfileFromMetric:
         prof = profile_from_metric(ref_params, (0.0, 0.3), n=51)
         assert np.max(np.abs(prof.x - c * prof.u)) < 1e-10
         assert np.all(prof.y == c)
-        assert prof.monotone
+        assert np.all(np.diff(prof.x) >= 0.0)
 
     def test_cosh_gives_catenoid(self, ref_params, factor):
         factor(np.cosh, np.sinh)
@@ -189,7 +189,7 @@ class TestProfileFromMetric:
     def test_reference_trumpet_monotone(self, ref_params):
         lo, hi = embeddable_interval(ref_params)
         prof = profile_from_metric(ref_params, (0.8 * lo, 0.8 * hi), n=401)
-        assert prof.monotone
+        assert np.all(np.diff(prof.x) >= 0.0)
         pos = prof.u > 0.0
         assert np.all(np.diff(prof.x[pos]) > 0.0)
         assert np.all(np.diff(prof.y[pos]) > 0.0)
@@ -408,7 +408,7 @@ class TestProfileCurve:
         cols = {"u": np.linspace(0.0, 1.0, 6), "x": np.linspace(0.0, 0.5, 6), "y": np.ones(6)}
         cols[column][2] = bad
         with pytest.raises(ParameterError, match=f"profile column {column} is not finite at sample 2"):
-            ProfileCurve(monotone=True, **cols)
+            ProfileCurve(**cols)
 
 
 class TestTessellate:
@@ -429,7 +429,7 @@ class TestTessellate:
 
     def test_sphere_vertices_on_unit_sphere(self):
         s, x, y = sphere_profile_arrays(n=101)
-        prof = ProfileCurve(u=s, x=x, y=y, monotone=True)
+        prof = ProfileCurve(u=s, x=x, y=y)
         mesh = tessellate(prof, 0.0, 2.0 * math.pi, 64)
         radii = np.linalg.norm(mesh.vertices, axis=1)
         assert np.max(np.abs(radii - 1.0)) < 1e-10
@@ -471,7 +471,7 @@ class TestInducedMetric:
 
     def test_sphere_chord_deviation_second_order(self):
         s, x, y = sphere_profile_arrays(n=201)
-        prof = ProfileCurve(u=s, x=x, y=y, monotone=True)
+        prof = ProfileCurve(u=s, x=x, y=y)
         dev = []
         for nv in (64, 128):
             mesh = tessellate(prof, 0.0, 2.0 * math.pi, nv)
@@ -502,7 +502,7 @@ class TestInducedMetric:
 class TestAngleDefect:
     def test_sphere_unit_curvature(self):
         s, x, y = sphere_profile_arrays(n=241)  # spacing ~0.01
-        prof = ProfileCurve(u=s, x=x, y=y, monotone=True)
+        prof = ProfileCurve(u=s, x=x, y=y)
         mesh = tessellate(prof, 0.0, 2.0 * math.pi, 628)
         ids, k_est, areas, skipped = angle_defect_curvature(mesh)
         assert len(skipped) == 0
@@ -582,7 +582,7 @@ class TestAngleDefect:
     def test_sphere_with_obtuse_triangles_matches_oracle(self, v_hi):
         # few columns make long thin triangles whose diagonal corners are obtuse
         s, x, y = sphere_profile_arrays(n=61, s0=0.05)
-        mesh = tessellate(ProfileCurve(u=s, x=x, y=y, monotone=True), 0.0, v_hi, 5)
+        mesh = tessellate(ProfileCurve(u=s, x=x, y=y), 0.0, v_hi, 5)
         self.assert_matches_oracle(mesh)
 
     @pytest.mark.parametrize("v_hi", [math.pi, 2.0 * math.pi], ids=["open", "closed"])
@@ -763,7 +763,7 @@ class TestExports:
     )
     def test_vertex_normals_match_reference(self, n, v_hi, nv):
         s, x, y = sphere_profile_arrays(n=n, s0=0.05)
-        mesh = tessellate(ProfileCurve(u=s, x=x, y=y, monotone=True), 0.0, v_hi, nv)
+        mesh = tessellate(ProfileCurve(u=s, x=x, y=y), 0.0, v_hi, nv)
         assert mesh_to_obj(mesh) == reference_obj(mesh)
 
     # hand-built 2 x 3 and 3 x 4 grids: signed zeros, subnormals and repeated values,
