@@ -8,7 +8,9 @@ stdout text) and writes nothing; main writes the data files, then
 manifest.json, for a run that ends with a result (exit 0, or exit 1 with
 a verdict file), and prints the stdout text only after them.  A run
 that ends with an error message writes no file and prints nothing on
-stdout; mesh checks both ranges and --nv before its profile quadrature.
+stdout.  Every range passes one rule, _check_range (finite ends and span,
+lo < hi); mesh checks both ranges and --nv before its profile quadrature,
+classify --b and --resample-n before it reads the profile.
 The manifest records every parsed flag except --outdir, with defaults
 resolved.  Data outputs are byte-deterministic for identical inputs.
 
@@ -54,10 +56,6 @@ _SWEEP_DEFAULT_H = (0.02, 0.01, 0.005)
 POINT_BUDGET = 1 << 21
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _check_budget(points: int, request: str) -> None:
     """Reject ``request`` (naming its flags) before it allocates over POINT_BUDGET points."""
     if points > POINT_BUDGET:
@@ -65,12 +63,14 @@ def _check_budget(points: int, request: str) -> None:
 
 
 def _check_range(lo: float, hi: float, name: str) -> None:
-    """Reject a NaN or infinite --{name}-lo/--{name}-hi bound, or a span that overflows."""
+    """The one range rule: --{name}-lo and --{name}-hi finite, their span finite, lo < hi."""
     for flag, x in ((f"--{name}-lo", lo), (f"--{name}-hi", hi)):
         if not math.isfinite(x):
             raise ParameterError(f"{flag} must be finite, got {x!r}")
     if not math.isfinite(hi - lo):
         raise ParameterError(f"the {name} range [{lo!r}, {hi!r}] is too wide")
+    if not lo < hi:
+        raise ParameterError(f"--{name}-lo must be below --{name}-hi, got {lo!r} and {hi!r}")
 
 
 def _check_steps(lo: float, hi: float, h: float, name: str, flag: str) -> float:
@@ -85,8 +85,6 @@ def _points_for(lo: float, hi: float, h: float, name: str) -> int:
     if not (math.isfinite(h) and h > 0.0):
         raise ParameterError(f"--h must be finite and positive, got {h!r}")
     _check_range(lo, hi, name)
-    if not lo < hi:
-        raise ParameterError(f"--{name}-lo must be below --{name}-hi, got {lo!r} and {hi!r}")
     n = int(round(_check_steps(lo, hi, h, name, "--h"))) + 1
     if n < 2 or abs((hi - lo) / (n - 1) - h) > 1e-9 * max(1.0, h):
         raise ParameterError(f"h = {h} does not evenly divide the {name} range")
@@ -182,13 +180,7 @@ def cmd_mesh(args):
 
     p = MetricParams(b=args.b, c1=args.c1, c2=args.c2)
     _check_range(args.u_lo, args.u_hi, "u")
-    v_lo, v_hi = args.v_lo, args.v_hi
-    if not (math.isfinite(v_lo) and math.isfinite(v_hi) and math.isfinite(v_hi - v_lo)):
-        raise ParameterError(
-            f"--v-lo {v_lo!r} and --v-hi {v_hi!r} must be finite with a finite span"
-        )
-    if not v_lo < v_hi:
-        raise ParameterError(f"--v-lo must be below --v-hi, got {v_lo!r} and {v_hi!r}")
+    _check_range(args.v_lo, args.v_hi, "v")
     if args.nv < 3:
         raise ParameterError(f"--nv must be at least 3 mesh columns, got {args.nv}")
     _check_budget(args.nu, f"--nu {args.nu} asks for {args.nu} profile samples")
@@ -199,7 +191,7 @@ def cmd_mesh(args):
     profile = profile_from_metric(
         p, (args.u_lo, args.u_hi), tol=args.tol, n=args.nu
     )
-    mesh = tessellate(profile, v_lo, v_hi, args.nv)
+    mesh = tessellate(profile, args.v_lo, args.v_hi, args.nv)
     data = mesh_to_obj(mesh) if args.format == "obj" else mesh_to_ply(mesh)
     summary = {"vertices": len(mesh.vertices), "faces": mesh.face_count, "closed": mesh.closed}
     return 0, {f"surface.{args.format}": data}, summary, ""
@@ -232,8 +224,15 @@ def cmd_classify(args):
     import numpy as np
 
     from .revolution import metric_from_profile
-    from .verify import fit_normalization, in_family_verdict, ricci_order_1d
+    from .verify import ORDER_SAMPLES, fit_normalization, in_family_verdict, ricci_order_1d
 
+    if not (math.isfinite(args.b) and args.b > 0.0):
+        raise ParameterError(f"--b must be finite and positive, got {args.b!r}")
+    if args.resample_n < ORDER_SAMPLES:
+        raise ParameterError(
+            f"--resample-n must be at least {ORDER_SAMPLES} for the order fit, "
+            f"got {args.resample_n}"
+        )
     _check_budget(
         args.resample_n, f"--resample-n {args.resample_n} asks for {args.resample_n} samples"
     )
@@ -273,7 +272,7 @@ def _parse_values(text: str, name: str):
 def cmd_sweep(args):
     import io
 
-    from .verify import refinement_rows
+    from .verify import _fmt17, refinement_rows
 
     h_text = args.h_levels
     # the manifest records the parsed value lists
@@ -282,8 +281,6 @@ def cmd_sweep(args):
     args.c2_values = _parse_values(args.c2_values, "--c2-values")
     args.h_levels = _parse_values(h_text, "--h-levels")
     _check_range(args.u_lo, args.u_hi, "u")
-    if args.u_lo >= args.u_hi:
-        raise ParameterError("need --u-lo < --u-hi")
     sizes = []
     for h in args.h_levels:
         if not (math.isfinite(h) and h > 0.0):
@@ -312,9 +309,9 @@ def cmd_sweep(args):
             if "," in status:
                 status = f'"{status}"'
         else:
-            res, order, status = _fmt(result[0][-1]), _fmt(result[1]), "ok"
+            (res, order), status = _fmt17((result[0][-1], result[1])), "ok"
             n_ok += 1
-        buf.write(f"{_fmt(c1)},{_fmt(c2)},{_fmt(b)},{res},{order},{status}\r\n")
+        buf.write(",".join([*_fmt17((c1, c2, b)), res, order, status]) + "\r\n")
     return 0, {"sweep.csv": buf.getvalue()}, {"rows": len(triples), "ok": n_ok}, ""
 
 
@@ -322,8 +319,6 @@ def cmd_pmc(args):
     from .pmc import SubfamilyBranch, pmc_report
 
     _check_range(args.u_lo, args.u_hi, "u")
-    if not args.u_lo < args.u_hi:
-        raise ParameterError("need --u-lo < --u-hi for the residual stencil")
     if args.n < 5:
         raise ParameterError(f"--n must be at least 5 for the residual stencil, got {args.n}")
     _check_budget(args.n, f"--n {args.n} asks for {args.n} samples")

@@ -58,24 +58,36 @@ _EPS = float(np.finfo(float).eps)
 _BAND_VERTICES = 8192
 
 
-def _require_finite(**columns) -> None:
-    """Raise ParameterError naming the first column with a NaN or infinite sample."""
-    for name, col in columns.items():
-        finite = np.isfinite(col)
+def _profile_columns(t, x, y, name: str, least: int, label: str):
+    """The columns (t, x, y) of a sampled profile as float arrays, once checked.
+
+    ParameterError unless they are matching 1-d arrays of at least ``least``
+    samples, all finite (naming the column, t as ``name``, and the sample),
+    t strictly increasing (its samples called ``label``) and y > 0.
+    """
+    t, x, y = (np.asarray(a, dtype=float) for a in (t, x, y))
+    if not (t.shape == x.shape == y.shape) or t.ndim != 1 or t.size < least:
+        raise ParameterError(f"need matching 1-d {name}, x, y arrays with >= {least} samples")
+    for col, a in ((name, t), ("x", x), ("y", y)):
+        finite = np.isfinite(a)
         if not finite.all():
             bad = int(np.argmin(finite))
-            raise ParameterError(
-                f"profile column {name} is not finite at sample {bad} ({col[bad]})"
-            )
+            raise ParameterError(f"profile column {col} is not finite at sample {bad} ({a[bad]})")
+    if np.any(np.diff(t) <= 0.0):
+        raise ParameterError(f"{label} samples must be strictly increasing")
+    if np.any(y <= 0.0):
+        bad = int(np.argmax(y <= 0.0))
+        raise ParameterError(f"rotation radius y <= 0 at sample {bad}")
+    return t, x, y
 
 
 @dataclass(frozen=True)
 class ProfileCurve:
     """Sampled plane curve (x(u), y(u)) generating a surface of revolution.
 
-    y is the rotation radius (strictly positive), u strictly increasing,
-    and every sample finite.  ``params`` tags profiles built from a family
-    metric for provenance checks downstream.
+    At least 2 samples, all finite, u strictly increasing and the rotation
+    radius y positive (the column check of metric_from_profile).  ``params``
+    tags profiles built from a family metric for provenance checks downstream.
     """
 
     u: np.ndarray
@@ -84,14 +96,7 @@ class ProfileCurve:
     params: MetricParams | None = None
 
     def __post_init__(self):
-        u, x, y = (np.asarray(a, dtype=float) for a in (self.u, self.x, self.y))
-        if not (u.shape == x.shape == y.shape) or u.ndim != 1 or u.size < 2:
-            raise ParameterError("profile needs matching 1-d u, x, y arrays")
-        _require_finite(u=u, x=x, y=y)
-        if np.any(np.diff(u) <= 0.0):
-            raise ParameterError("profile u samples must be strictly increasing")
-        if np.any(y <= 0.0):
-            raise ParameterError("rotation radius y must be positive everywhere")
+        u, x, y = _profile_columns(self.u, self.x, self.y, "u", 2, "profile u")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
@@ -373,25 +378,21 @@ def _evaluate_cubic(knots, coeffs, points):
 
 
 def _pchip_edge_slope(h0, h1, m0, m1):
-    """One-sided three-point end slope, kept shape preserving (Moler, pchiptx)."""
+    """One-sided three-point end slope of positive secants, clamped at 0 (pchiptx)."""
     d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
+    return d if d > 0.0 else 0.0
 
 
 def _pchip_slopes(h, y):
-    """Fritsch-Carlson monotone slopes at the knots, as SciPy's PchipInterpolator."""
+    """Fritsch-Carlson monotone slopes at the knots, as SciPy's PchipInterpolator.
+
+    y is strictly increasing, so every secant slope is positive and SciPy's
+    branches for flat pieces and sign changes never apply.
+    """
     m = np.diff(y) / h
-    sm = np.sign(m)
-    flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-        inner = np.where(flat, 0.0, 1.0 / whmean)
+    inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
     first = _pchip_edge_slope(h[0], h[1], m[0], m[1])
     last = _pchip_edge_slope(h[-1], h[-2], m[-1], m[-2])
     return np.concatenate(([first], inner, [last]))
@@ -400,28 +401,18 @@ def _pchip_slopes(h, y):
 def metric_from_profile(s, x, y, resample_n: int):
     """Conformal factor of the metric induced by an arc-length profile.
 
-    Rejects non-finite samples (naming the column and the first bad
-    sample), then checks x'^2 + y'^2 = 1 (central differences, tolerance
-    1e-6) and y > 0.  It forms u(s) by integrating the not-a-knot cubic
-    spline of 1/y, inverts s(u) with the shape-preserving monotone (PCHIP)
-    cubic, and returns (u_grid, lambda) with lambda(u) = y(s(u)) on a
+    Checks the columns as ProfileCurve does (at least 4 samples, a NaN or
+    infinite one named), then x'^2 + y'^2 = 1 (central differences,
+    tolerance 1e-6).  It forms u(s) by integrating the not-a-knot cubic
+    spline of 1/y, inverts the strictly increasing s(u) with the
+    shape-preserving monotone (PCHIP) cubic, and returns (u_grid, lambda) with lambda(u) = y(s(u)) on a
     uniform grid of ``resample_n`` points starting at u = 0; lambda comes
     from the not-a-knot spline of y.  The interpolants reproduce SciPy's
     not-a-knot ``CubicSpline`` and ``PchipInterpolator`` bit for bit:
     the classify stencils amplify rounding by about 1/h^4, so a last-digit
     difference in lambda would show in the verdict's sixth digit.
     """
-    s = np.asarray(s, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (s.shape == x.shape == y.shape) or s.ndim != 1 or s.size < 4:
-        raise ParameterError("need matching 1-d s, x, y arrays with >= 4 samples")
-    _require_finite(s=s, x=x, y=y)
-    if np.any(np.diff(s) <= 0.0):
-        raise ParameterError("arc-length samples must be strictly increasing")
-    if np.any(y <= 0.0):
-        bad = int(np.argmax(y <= 0.0))
-        raise ParameterError(f"rotation radius y <= 0 at sample {bad}")
+    s, x, y = _profile_columns(s, x, y, "s", 4, "arc-length")
     if resample_n < 7:
         raise ParameterError("resample_n must be at least 7")
 

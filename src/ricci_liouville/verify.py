@@ -49,6 +49,8 @@ __all__ = [
 RESIDUAL_UNDERFLOW = 1e-13
 # coarsening strides of ricci_order_1d, finest first
 ORDER_STRIDES = (1, 2, 4)
+# fewest samples of ricci_order_1d: its coarsest stride keeps the 7 of ricci_residual_1d
+ORDER_SAMPLES = 6 * ORDER_STRIDES[-1] + 1
 
 
 @dataclass(frozen=True)
@@ -288,14 +290,12 @@ def ricci_order_1d(phi, b: float, h: float):
     Residuals are compared at the physical points common to all strides
     (the interior of the coarsest grid), which removes the drift that the
     advancing trim boundary would otherwise add to the slope.  Returns
-    (order, residuals) with one max per stride.
+    (order, residuals) with one max per stride, from ORDER_SAMPLES samples or more.
     """
     phi = np.asarray(phi, dtype=float)
     coarsest = ORDER_STRIDES[-1]
-    if phi.size < 4 * coarsest + 3:
-        raise ParameterError(
-            f"need at least {4 * coarsest + 3} samples for stride {coarsest}"
-        )
+    if phi.size < ORDER_SAMPLES:
+        raise ParameterError(f"need at least {ORDER_SAMPLES} samples for stride {coarsest}")
     n_sub = (phi.size - 1) // coarsest + 1
     common = coarsest * np.arange(2, n_sub - 2)  # interior of the coarsest grid
     hs, maxima = [], []
@@ -369,8 +369,8 @@ def grid_to_csv(u, v, lam, curv, res) -> bytes:
             f"column shapes must equal ({nu},) and ({nu - 2},) for the residual, with at "
             f"least 2 v-nodes; got {lam.shape}, {curv.shape}, {res.shape} and {len(v)} v-nodes"
         )
-    u, lam, curv, res = _fmt17(np.asarray(u)), _fmt17(lam), _fmt17(curv), ["", *_fmt17(res), ""]
-    first, *inner, last = _fmt17(np.asarray(v))
+    u, lam, curv, res = _fmt17(u), _fmt17(lam), _fmt17(curv), ["", *_fmt17(res), ""]
+    first, *inner, last = _fmt17(v)
     parts = [b"u,v,lambda,K,residual\r\n"]
     for ui, li, ki, ri in zip(u, lam, curv, res):
         head = ui + ","
@@ -381,5 +381,6 @@ def grid_to_csv(u, v, lam, curv, res) -> bytes:
     return b"".join(parts)
 
 
-def _fmt17(values: np.ndarray) -> list[str]:
-    return [f"{x:.17g}" for x in values.tolist()]
+def _fmt17(values) -> list[str]:
+    """Each float of ``values`` with 17 significant digits: the cells of every CSV."""
+    return [f"{x:.17g}" for x in np.asarray(values, dtype=float).tolist()]

@@ -236,6 +236,13 @@ def with_value(args, flag, value):
     return args[:i] + [value] + args[i + 1:]
 
 
+def refuse(what):
+    """A stand-in for a function that a run must stop before calling."""
+    def stand_in(*_, **__):
+        raise AssertionError(f"{what} on a run with a bad flag")
+    return stand_in
+
+
 class TestMesh:
     def test_obj_output(self, tmp_path):
         rc = run_cli(MESH_ARGS + ["--format", "obj", "--outdir", tmp_path])
@@ -332,6 +339,32 @@ class TestClassify:
             ["classify", "--profile", bad, "--resample-n", 51, "--outdir", tmp_path]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("s,x,y\r\n0,0,1\r\n1,a,1\r\n",
+             "cannot parse profile CSV {path}: could not convert string to float: 'a'"),
+            ("s,x,y\r\n", "profile CSV needs at least 4 samples"),
+            ("s,x,y\r\n0,0,1\r\n1,1,1\r\n2,2,1\r\n", "profile CSV needs at least 4 samples"),
+        ],
+        ids=["unparseable", "header-only", "three-rows"],
+    )
+    def test_unreadable_profile(self, tmp_path, capsys, text, message):
+        path = tmp_path / "profile.csv"
+        path.write_text(text)
+        out = tmp_path / "out"
+        rc = run_cli(["classify", "--profile", path, "--resample-n", 51, "--outdir", out])
+        assert (rc, *capsys.readouterr()) == (2, "", f"error: {message.format(path=path)}\n")
+        assert not out.exists()
+
+    def test_smallest_resample_n_runs(self, trumpet_csv, tmp_path):
+        # 25 samples leave the 7 of the 1-d stencil at stride 4
+        rc = run_cli(
+            ["classify", "--profile", trumpet_csv, "--resample-n", 25, "--outdir", tmp_path]
+        )
+        assert rc == 0
+        assert json.loads((tmp_path / "verdict.json").read_text())["verdict"] == "in family"
 
     def test_non_arc_length_rejected(self, ref_params, tmp_path, capsys):
         prof = profile_from_metric(ref_params, (-0.3, 0.3), n=201)
@@ -587,8 +620,8 @@ class TestPmcCommand:
         [
             ((-0.1, 0.1), 4, "--n must be at least 5 for the residual stencil, got 4"),
             ((-0.1, 0.1), 1, "--n must be at least 5 for the residual stencil, got 1"),
-            ((0.1, 0.1), 11, "need --u-lo < --u-hi for the residual stencil"),
-            ((0.2, 0.1), 11, "need --u-lo < --u-hi for the residual stencil"),
+            ((0.1, 0.1), 11, "--u-lo must be below --u-hi, got 0.1 and 0.1"),
+            ((0.2, 0.1), 11, "--u-lo must be below --u-hi, got 0.2 and 0.1"),
             (("nan", 0.1), 11, "--u-lo must be finite, got nan"),
         ],
     )
@@ -947,6 +980,44 @@ class TestInputValidation:
         err = self.run_verify_usage_error(tmp_path, capsys, bounds + ["--h", 0.1])
         assert err == f"error: {message}\n"
 
+    # each command with the flags of one range still to come
+    RANGE_RUNS = {
+        "verify-u": (REF_VERIFY + ["--h", 0.1], "u"),
+        "verify-v": (REF_VERIFY + ["--h", 0.1, "--u-lo", -0.4, "--u-hi", 0.4], "v"),
+        "mesh-u": (MESH_ARGS + ["--format", "ply"], "u"),
+        "mesh-v": (MESH_ARGS + ["--format", "ply"], "v"),
+        "sweep": (SWEEP, "u"),
+        "pmc": (["pmc", "--c1", 1, "--n", 11], "u"),
+    }
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ((0.4, -0.4), "--{n}-lo must be below --{n}-hi, got 0.4 and -0.4"),
+            ((0.4, 0.4), "--{n}-lo must be below --{n}-hi, got 0.4 and 0.4"),
+            (("nan", 0.4), "--{n}-lo must be finite, got nan"),
+            ((-0.4, "inf"), "--{n}-hi must be finite, got inf"),
+            (("-1e308", "1e308"), "the {n} range [-1e+308, 1e+308] is too wide"),
+        ],
+        ids=["reversed", "equal", "nan", "inf", "overflow"],
+    )
+    @pytest.mark.parametrize("run", RANGE_RUNS)
+    def test_one_range_rule(self, tmp_path, capsys, monkeypatch, run, bounds, message):
+        args, n = self.RANGE_RUNS[run]
+        monkeypatch.setattr(
+            "ricci_liouville.revolution.profile_from_metric", refuse("integrated the profile")
+        )
+        rc = run_cli(args + [f"--{n}-lo={bounds[0]}", f"--{n}-hi={bounds[1]}",
+                             "--outdir", tmp_path])
+        assert (rc, *capsys.readouterr()) == (2, "", f"error: {message.format(n=n)}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_verify_needs_two_levels(self, tmp_path, capsys):
+        err = self.run_verify_usage_error(
+            tmp_path, capsys, ["--u-lo", -0.4, "--u-hi", 0.4, "--h", 0.1, "--levels", 1]
+        )
+        assert err == "error: --levels must be at least 2\n"
+
     def test_verify_cells_must_be_square(self, tmp_path, capsys):
         err = self.run_verify_usage_error(
             tmp_path, capsys,
@@ -1044,35 +1115,61 @@ class TestInputValidation:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("b", ["0", "-1", "inf", "nan"])
-    def test_classify_b_must_be_finite_and_positive(self, tmp_path, capsys, trumpet_csv, b):
+    def test_classify_b_must_be_finite_and_positive(
+        self, tmp_path, capsys, monkeypatch, trumpet_csv, b
+    ):
+        # checked before the profile is read
+        monkeypatch.setattr(cli, "_read_profile_csv", refuse("read the profile"))
         out = tmp_path / "out"
         rc = run_cli(["classify", "--profile", trumpet_csv, "--resample-n", 51, f"--b={b}",
                       "--outdir", out])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err == f"error: b must be finite and positive, got {float(b)!r}\n"
+        assert err == f"error: --b must be finite and positive, got {float(b)!r}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", [7, 24])
+    def test_classify_resample_n_is_checked_before_the_profile_is_read(
+        self, tmp_path, capsys, monkeypatch, trumpet_csv, n
+    ):
+        monkeypatch.setattr(cli, "_read_profile_csv", refuse("read the profile"))
+        rc = run_cli(["classify", "--profile", trumpet_csv, "--resample-n", n,
+                      "--outdir", tmp_path])
+        assert (rc, *capsys.readouterr()) == (
+            2, "", f"error: --resample-n must be at least 25 for the order fit, got {n}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_value_list_must_parse(self, tmp_path, capsys):
+        rc = run_cli(self.SWEEP + ["--b-values=a", "--outdir", tmp_path])
+        assert (rc, *capsys.readouterr()) == (
+            2, "", "error: cannot parse --b-values value list 'a'\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
-        "v_range", [["--v-hi", "inf"], ["--v-lo=-inf"], ["--v-lo=-1e308", "--v-hi", "1e308"]]
+        "v_range",
+        [
+            (["--v-hi", "inf"], "--v-hi must be finite, got inf"),
+            (["--v-lo=-inf"], "--v-lo must be finite, got -inf"),
+            (["--v-lo=-1e308", "--v-hi", "1e308"], "the v range [-1e+308, 1e+308] is too wide"),
+        ],
     )
     def test_mesh_v_range_must_be_finite(self, tmp_path, capsys, v_range):
+        bounds, message = v_range
         args = MESH_ARGS[:MESH_ARGS.index("--v-lo")] + ["--v-lo", 0, "--v-hi", 1, "--nv", 4]
-        rc = run_cli(args + v_range + ["--format", "obj", "--outdir", tmp_path])
+        rc = run_cli(args + bounds + ["--format", "obj", "--outdir", tmp_path])
         assert rc == 2
-        assert "must be finite with a finite span" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_mesh_v_range_is_checked_before_the_quadrature(self, tmp_path, capsys, monkeypatch):
-        def no_profile(*_, **__):
-            raise AssertionError("integrated the profile of a run with a bad v range")
-
-        monkeypatch.setattr("ricci_liouville.revolution.profile_from_metric", no_profile)
+        monkeypatch.setattr(
+            "ricci_liouville.revolution.profile_from_metric", refuse("integrated the profile")
+        )
         args = MESH_ARGS[:MESH_ARGS.index("--v-lo")] + ["--v-lo", 0, "--v-hi", "nan", "--nv", 4]
         assert run_cli(args + ["--format", "obj", "--outdir", tmp_path]) == 2
-        assert capsys.readouterr().err == (
-            "error: --v-lo 0.0 and --v-hi nan must be finite with a finite span\n"
-        )
+        assert capsys.readouterr().err == "error: --v-hi must be finite, got nan\n"
 
     @pytest.mark.parametrize(
         "v_args, message",
@@ -1086,10 +1183,9 @@ class TestInputValidation:
     def test_mesh_columns_are_checked_before_the_quadrature(
         self, tmp_path, capsys, monkeypatch, v_args, message
     ):
-        def no_profile(*_, **__):
-            raise AssertionError("integrated the profile of a run with no mesh columns")
-
-        monkeypatch.setattr("ricci_liouville.revolution.profile_from_metric", no_profile)
+        monkeypatch.setattr(
+            "ricci_liouville.revolution.profile_from_metric", refuse("integrated the profile")
+        )
         args = MESH_ARGS[:MESH_ARGS.index("--v-lo")] + v_args
         assert run_cli(args + ["--format", "ply", "--outdir", tmp_path]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -205,6 +205,16 @@ class TestPmcReport:
         assert rep.K_range == (-2.0 * PMC_B**2,) * 2 and rep.K_range[0] < -1.0 / 3.0
         assert rep.verdict == "hypotheses violated at sampled resolution"
 
+    @pytest.mark.parametrize(
+        "interval, n, message",
+        [((0.2, 0.1), 11, "interval must satisfy u_lo <= u_hi"),
+         ((-0.1, 0.1), 0, "need at least one sample")],
+        ids=["reversed", "no-samples"],
+    )
+    def test_rejects_bad_interval_or_count(self, interval, n, message):
+        with pytest.raises(ParameterError, match=message):
+            pmc_report(SubfamilyBranch(1.0), interval, n)
+
     def test_interval_outside_domain_rejected(self):
         dc = derive_constants(subfamily_params(SubfamilyBranch(1.0)))
         with pytest.raises(ParameterError, match="domain"):

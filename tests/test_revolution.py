@@ -227,6 +227,17 @@ class TestProfileFromMetric:
         with pytest.raises(ParameterError, match="embeddable"):
             profile_from_metric(ref_params, (-hi, hi * 1.05))
 
+    @pytest.mark.parametrize(
+        "interval, n, message",
+        [((0.2, -0.2), 11, "interval must satisfy u_lo < u_hi"),
+         ((0.2, 0.2), 11, "interval must satisfy u_lo < u_hi"),
+         ((-0.2, 0.2), 1, "need at least 2 profile samples")],
+        ids=["reversed", "empty", "one-sample"],
+    )
+    def test_rejects_bad_interval_or_count(self, ref_params, interval, n, message):
+        with pytest.raises(ParameterError, match=message):
+            profile_from_metric(ref_params, interval, n=n)
+
     def test_negative_gap_reported_with_location(self, ref_params, factor):
         # lambda = cos 4u turns non-embeddable past atan(1/4) / 4 = 0.0612
         factor(lambda u: np.cos(4.0 * u), lambda u: -4.0 * np.sin(4.0 * u))
@@ -410,6 +421,24 @@ class TestProfileCurve:
         with pytest.raises(ParameterError, match=f"profile column {column} is not finite at sample 2"):
             ProfileCurve(**cols)
 
+    @pytest.mark.parametrize(
+        "u, x, y, message",
+        [
+            ([0.0, 1.0, 2.0], [0.0, 1.0], [1.0, 1.0, 1.0],
+             "need matching 1-d u, x, y arrays with >= 2 samples"),
+            ([0.0], [0.0], [1.0], "need matching 1-d u, x, y arrays with >= 2 samples"),
+            ([0.0, 1.0, 1.0], [0.0, 1.0, 2.0], [1.0, 1.0, 1.0],
+             "profile u samples must be strictly increasing"),
+            ([0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [1.0, 0.0, 1.0],
+             "rotation radius y <= 0 at sample 1"),
+        ],
+        ids=["shape", "one-sample", "order", "radius"],
+    )
+    def test_columns_checked(self, u, x, y, message):
+        with pytest.raises(ParameterError) as err:
+            ProfileCurve(u, x, y)
+        assert str(err.value) == message
+
 
 class TestTessellate:
     def test_closed_tube_counts(self):
@@ -447,6 +476,11 @@ class TestTessellate:
         prof = cylinder(1.0, 5)
         with pytest.raises(ParameterError, match="must be finite with a finite span"):
             tessellate(prof, v_lo, v_hi, 4)
+
+    @pytest.mark.parametrize("v_lo, v_hi", [(1.0, 0.0), (1.0, 1.0)], ids=["reversed", "empty"])
+    def test_rejects_empty_or_reversed_v_range(self, v_lo, v_hi):
+        with pytest.raises(ParameterError, match="need v_lo < v_hi"):
+            tessellate(cylinder(1.0, 5), v_lo, v_hi, 4)
 
     def test_outward_orientation(self):
         prof = cylinder(2.0, 5)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ricci_liouville import (
     ConvergenceError,
     MetricParams,
+    NormalizationFit,
     NotInFamilyError,
     ParameterError,
     conformal_factor,
@@ -24,7 +25,7 @@ from ricci_liouville import (
     ricci_residual_column,
 )
 
-from ricci_liouville.verify import RESIDUAL_UNDERFLOW, _orders
+from ricci_liouville.verify import ORDER_SAMPLES, RESIDUAL_UNDERFLOW, _orders
 
 from helpers import (
     perturbed_metric_columns,
@@ -228,6 +229,15 @@ class TestRicciResidual1d:
         with pytest.raises(ParameterError):
             ricci_residual_1d(np.zeros(6), 0.5, 0.1)
 
+    def test_order_needs_order_samples(self, ref_params):
+        # stride 4 must leave the 7 samples of the 1-d stencil: 6 * 4 + 1
+        assert ORDER_SAMPLES == 25
+        phi = np.log(conformal_factor(ref_params, np.linspace(-0.3, 0.3, 25)))
+        order, maxima = ricci_order_1d(phi, ref_params.b, 0.025)
+        assert len(maxima) == 3 and 1.8 <= order <= 2.2
+        with pytest.raises(ParameterError, match="need at least 25 samples for stride 4"):
+            ricci_order_1d(phi[:24], ref_params.b, 0.025)
+
 
 class TestFitNormalization:
     def test_reference_member_constants(self, ref_params):
@@ -273,6 +283,15 @@ class TestFitNormalization:
         u_c, phi_c = ricci_condition_4th_order_oracle(b, y0, 0.3, 0.01)
         order, _ = ricci_order_1d(phi_c, b, 0.01)
         assert 1.8 <= order <= 2.2
+
+    def test_needs_seven_samples(self):
+        with pytest.raises(ParameterError, match="need at least 7 lambda samples"):
+            fit_normalization(np.ones(6), 0.5, 0.1)
+
+    @pytest.mark.parametrize("c1_fit", [0.0, -1.0])
+    def test_fitted_constant_must_be_positive(self, c1_fit):
+        with pytest.raises(ParameterError, match="fitted multiplicative constant must be positive"):
+            NormalizationFit(c1_fit=c1_fit, c2_fit=0.0, max_affine_residual=0.0)
 
     def test_rejects_nonpositive_samples(self):
         with pytest.raises(ParameterError):
