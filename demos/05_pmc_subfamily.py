@@ -18,6 +18,7 @@ from ricci_liouville import (
     subfamily_params,
     theta,
 )
+from ricci_liouville.fileio import json_text
 
 print("Low branch closed forms: k^2 = c1/(c1 + 12), lambda_plus = 6")
 print(f"{'c1':>6} {'c2':>10} {'k^2':>12} {'c1/(c1+12)':>12} {'lambda_plus':>12}")
@@ -48,4 +49,4 @@ for ui, a in zip(u, alpha):
 print("cos(alpha) never leaves [-1/3, 1/3], so the angle stays away from 0 and pi.")
 
 print("\nFull report over [-0.4, 0.4] with 401 samples:")
-print(pmc_report(s, (-0.4, 0.4), 401).to_json())
+print(json_text(pmc_report(s, (-0.4, 0.4), 401)))

@@ -23,8 +23,9 @@ with K >= -2 b^2 somewhere is a negative verdict, exit 1 with
 summary.json alone, its undefined values null.  sweep studies all its
 triples together.  A sweep triple that fails keeps its row, with the
 status "domain: ..." (invalid parameters, a grid outside its domain or
-too small for the stencil, K >= -2 b^2) or "numerical: ..." (no order
-fit); such rows leave the exit code at 0.
+K >= -2 b^2) or "numerical: ..." (no order fit); such rows leave the
+exit code at 0.  An --h-levels value that gives fewer than 5 nodes is a
+usage error, exit 2, like every other bad flag.
 
 A start pays only for what its subcommand runs: each command imports the
 library modules it calls, and NumPy, inside its body.  derive, --help and
@@ -205,9 +206,16 @@ def _read_profile_csv(path):
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader)
-            rows = [[float(cell) for cell in row] for row in reader if row]
-    except (OSError, StopIteration, ValueError, csv.Error) as exc:
+            header = next(reader, None)
+            if header is None:
+                raise ValueError("the file is empty")
+            rows = []
+            for row in filter(None, reader):  # blank lines are skipped
+                if len(row) != len(header):
+                    raise ValueError(f"line {reader.line_num} has {len(row)} cells, "
+                                     f"the header has {len(header)}")
+                rows.append([float(cell) for cell in row])
+    except (OSError, ValueError, csv.Error) as exc:
         raise ParameterError(f"cannot parse profile CSV {path}: {exc}") from exc
     if [c.strip().lower() for c in header] != ["s", "x", "y"]:
         raise ParameterError(
@@ -293,6 +301,11 @@ def cmd_sweep(args):
             f"--h-levels needs at least two spacings that give distinct grids for the "
             f"order fit, got {h_text!r}"
         )
+    for h, n in zip(args.h_levels, sizes):
+        if n < 5:
+            raise ParameterError(
+                f"--h-levels value {h!r} gives {n} nodes; the residual stencil needs at least 5"
+            )
 
     triples = [
         (b, c1, c2) for c1 in args.c1_values for c2 in args.c2_values for b in args.b_values
@@ -324,9 +337,9 @@ def cmd_pmc(args):
     _check_budget(args.n, f"--n {args.n} asks for {args.n} samples")
     branch = SubfamilyBranch(c1=args.c1)
     report = pmc_report(branch, (args.u_lo, args.u_hi), args.n)
-    text = report.to_json()
-    code = 0 if report.verdict.startswith("hypotheses satisfied") else 1
-    return code, {"pmc_report.json": text}, {"verdict": report.verdict}, text
+    text = json_text(report)
+    code = 0 if report["verdict"].startswith("hypotheses satisfied") else 1
+    return code, {"pmc_report.json": text}, {"verdict": report["verdict"]}, text
 
 
 def build_parser() -> argparse.ArgumentParser:

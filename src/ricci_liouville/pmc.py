@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .fileio import json_text
 from .metric import MetricParams, _curvature_from_factor, _scaled_argument, _sn_cn_dn
 from .verify import _curvature_gap, residual_floor, ricci_residual_column
 
@@ -31,7 +30,6 @@ __all__ = [
     "PMC_B",
     "PMC_RHO",
     "SubfamilyBranch",
-    "PmcReport",
     "subfamily_params",
     "second_fundamental_norm",
     "pmc_report",
@@ -60,43 +58,6 @@ class SubfamilyBranch:
         return "low" if self.c1 < 1.5 else "high"
 
 
-@dataclass(frozen=True)
-class PmcReport:
-    """Aggregated constants and sampled ranges for one subfamily member."""
-
-    params: MetricParams
-    branch: str
-    k_squared: float
-    lambda_plus: float
-    H_norm: float
-    K_range: tuple
-    alpha_range: tuple
-    c_norm_range: tuple
-    ricci_max_residual: float
-    verdict: str
-
-    def to_json(self) -> str:
-        return json_text({
-            "c1": self.params.c1,
-            "branch": self.branch,
-            "b": self.params.b,
-            "c2": self.params.c2,
-            "k2": self.k_squared,
-            "lambda_plus": self.lambda_plus,
-            "H_norm": self.H_norm,
-            "K_min": self.K_range[0],
-            "K_max": self.K_range[1],
-            "alpha_min": self.alpha_range[0],
-            "alpha_max": self.alpha_range[1],
-            "c_norm_min": self.c_norm_range[0],
-            "c_norm_max": self.c_norm_range[1],
-            "ricci_max_residual": (
-                None if math.isnan(self.ricci_max_residual) else self.ricci_max_residual
-            ),
-            "verdict": self.verdict,
-        })
-
-
 def subfamily_params(s: SubfamilyBranch) -> MetricParams:
     """Metric parameters (b = 1/sqrt(6), c1, c2) of the branch member."""
     if s.branch == "low":
@@ -121,17 +82,18 @@ def second_fundamental_norm(K, b: float):
     return float(out) if out.ndim == 0 else out
 
 
-def pmc_report(s: SubfamilyBranch, u_interval, n: int) -> PmcReport:
-    """Sampled report over a u-interval for one subfamily member.
+def pmc_report(s: SubfamilyBranch, u_interval, n: int) -> dict:
+    """The pmc_report.json payload for one subfamily member, as a dict.
 
-    Collects the derived constants, the curvature / Kaehler angle /
-    second-fundamental-form ranges on n samples, and the max Ricci
-    residual of the sampled column at the sample spacing.  The verdict
-    states whether the sampled data is consistent with the hypotheses
-    (curvature strictly below -2 b^2 = -1/3, the bound the residual kernel
-    needs, and residual below residual_floor).  The curvature bound is
-    judged first: where it fails the residual is not formed, the verdict
-    is "violated" and the residual stays NaN.
+    Holds the member's constants, the min and max of the curvature K, the
+    Kaehler angle alpha and the second-fundamental-form norm c on n
+    samples, the max Ricci residual of the sampled column at the sample
+    spacing, and a verdict: whether the sampled data is consistent with
+    the hypotheses (curvature strictly below -2 b^2 = -1/3, the bound the
+    residual kernel needs, and residual below residual_floor).  The
+    curvature bound is judged first: where it fails the residual is not
+    formed and the verdict is "violated".  ricci_max_residual is None
+    wherever no residual is formed.
 
     One Jacobi evaluation per sample gives everything: lambda =
     sqrt(lambda_plus) / cn, K from lambda, and alpha = arccos(-sn / 3) in
@@ -155,26 +117,30 @@ def pmc_report(s: SubfamilyBranch, u_interval, n: int) -> PmcReport:
 
     curvature_ok = not _curvature_gap(curv, p.b)[1]
     residual = math.nan
-    h = (u_hi - u_lo) / (n - 1) if n > 1 else math.nan
     if curvature_ok and n >= 5 and u_hi > u_lo:
+        h = (u_hi - u_lo) / (n - 1)
         residual = float(np.max(np.abs(ricci_residual_column(lam, curv, p.b, h))))
-    residual_ok = not math.isnan(residual) and residual < residual_floor(h)
-    if curvature_ok and residual_ok:
-        verdict = "hypotheses satisfied at sampled resolution"
-    elif curvature_ok and math.isnan(residual):
+    if curvature_ok and math.isnan(residual):  # no stencil, or h * h underflows
         verdict = "curvature bound holds; interval too small for the residual stencil"
+    elif curvature_ok and residual < residual_floor(h):
+        verdict = "hypotheses satisfied at sampled resolution"
     else:
         verdict = "hypotheses violated at sampled resolution"
 
-    return PmcReport(
-        params=p,
-        branch=s.branch,
-        k_squared=dc.k.k2,
-        lambda_plus=dc.lambda_plus,
-        H_norm=2.0 * p.b,
-        K_range=(float(np.min(curv)), float(np.max(curv))),
-        alpha_range=(float(np.min(alpha)), float(np.max(alpha))),
-        c_norm_range=(float(np.min(c_norm)), float(np.max(c_norm))),
-        ricci_max_residual=residual,
-        verdict=verdict,
-    )
+    return {
+        "c1": p.c1,
+        "branch": s.branch,
+        "b": p.b,
+        "c2": p.c2,
+        "k2": dc.k.k2,
+        "lambda_plus": dc.lambda_plus,
+        "H_norm": 2.0 * p.b,
+        "K_min": float(np.min(curv)),
+        "K_max": float(np.max(curv)),
+        "alpha_min": float(np.min(alpha)),
+        "alpha_max": float(np.max(alpha)),
+        "c_norm_min": float(np.min(c_norm)),
+        "c_norm_max": float(np.max(c_norm)),
+        "ricci_max_residual": None if math.isnan(residual) else residual,
+        "verdict": verdict,
+    }

@@ -161,13 +161,13 @@ def refinement_rows(triples, u_lo, u_hi, sizes):
     even nodes equal the previous nodes, lambda there is taken from the
     previous level and only the odd nodes are evaluated.
 
-    A reversed or NaN interval raises ParameterError.  Otherwise a row
-    stops at its first error, in the order a level-by-level study of its
-    triple alone meets them: MetricParams, a level of fewer than 2 nodes,
-    derive_constants, the domain check (once, on the interval ends, which
-    every level shares), a level of fewer than 5 nodes, K >= -2 b^2, then
-    estimate_order.  ``sizes`` is consumed lazily and only while a row
-    runs.  Returns one entry per triple: (maxima, order, lambda, K,
+    A reversed or NaN interval, or a level of fewer than 5 nodes (the
+    residual stencil's minimum), raises ParameterError before any row is
+    evaluated.  Otherwise a row stops at its first error, in the order a
+    level-by-level study of its triple alone meets them: MetricParams,
+    derive_constants and the domain check (once, before the first level,
+    on the interval ends, which every level shares), K >= -2 b^2, then
+    estimate_order.  Returns one entry per triple: (maxima, order, lambda, K,
     residual), where maxima holds the max |residual| of each level and
     the last three are the first level's u-columns (the residual on its
     interior), or the exception that ends the row (ParameterError,
@@ -175,35 +175,26 @@ def refinement_rows(triples, u_lo, u_hi, sizes):
     """
     if not u_lo < u_hi:
         raise ParameterError(f"need u_lo < u_hi, got {u_lo!r} and {u_hi!r}")
+    coarse = [n for n in sizes if n < 5]
+    if coarse:
+        raise ParameterError(
+            f"the residual stencil needs levels of at least 5 nodes, got {coarse[0]}"
+        )
     results = [None] * len(triples)
-    live = []  # (row, MetricParams), then (row, MetricParams, DerivedConstants)
+    live = []  # (row, MetricParams, DerivedConstants)
     for r, (b, c1, c2) in enumerate(triples):
         try:
-            live.append((r, MetricParams(b=b, c1=c1, c2=c2)))
+            p = MetricParams(b=b, c1=c1, c2=c2)
+            live.append((r, p, derive_constants(p)))
         except ParameterError as exc:
             results[r] = exc
+    for (r, *_), exc in zip(live, _domain_rows([dc for *_, dc in live], (u_lo, u_hi))):
+        results[r] = exc
+    live = [row for row in live if results[row[0]] is None]
     hs, maxima, first = [], [[] for _ in triples], {}
     last = None  # the previous level's nodes, lambda rows and their row indices
     for n in sizes:
         if not live:
-            break
-        if n < 2:
-            for r, *_ in live:
-                results[r] = ParameterError("grid needs at least 2 points per direction")
-            break
-        if not hs:  # the first level derives the constants and checks the domain
-            pending, live = live, []
-            for r, p in pending:
-                try:
-                    live.append((r, p, derive_constants(p)))
-                except ParameterError as exc:
-                    results[r] = exc
-            for (r, *_), exc in zip(live, _domain_rows([dc for *_, dc in live], (u_lo, u_hi))):
-                results[r] = exc
-            live = [row for row in live if results[row[0]] is None]
-        if n < 5 or not live:
-            for r, *_ in live:
-                results[r] = ParameterError("residual stencil needs a grid of at least 5x5")
             break
         u, h = np.linspace(u_lo, u_hi, n), (u_hi - u_lo) / (n - 1)
         constants = [dc for *_, dc in live]

@@ -396,6 +396,8 @@ def reference_grid_csv(u, v, lam, curv, res):
 def reference_sweep_row(b, c1, c2, u_lo, u_hi, sizes):
     """One sweep triple studied alone, level by level: (residual, order, status).
 
+    ``sizes`` holds node counts of at least 5, the residual stencil's minimum.
+
     Each level samples K with gaussian_curvature and takes the max of the
     full-grid stencil (reference_full_grid) on one square grid, with no
     batching across triples; residual and order are None unless the
@@ -412,12 +414,8 @@ def reference_sweep_row(b, c1, c2, u_lo, u_hi, sizes):
         p = MetricParams(b=b, c1=c1, c2=c2)
         hs, rs = [], []
         for n in sizes:
-            if n < 2:
-                raise ParameterError("grid needs at least 2 points per direction")
             u = np.linspace(u_lo, u_hi, n)
             w = -2.0 * p.b * p.b - gaussian_curvature(p, u)
-            if n < 5:
-                raise ParameterError("residual stencil needs a grid of at least 5x5")
             if np.any(w <= 0.0):
                 raise NotInFamilyError(
                     f"K >= -2 b^2 at u-sample {int(np.argmin(w))}; "
@@ -452,14 +450,14 @@ def reference_sweep_csv(b_values, c1_values, c2_values, u_lo, u_hi, sizes):
 
 
 def reference_pmc_report(s, u_interval, n):
-    """pmc_report's fields by three closed-form calls and the full-grid stencil.
+    """pmc_report's payload by three closed-form calls and the full-grid stencil.
 
     lambda and K from conformal_factor and gaussian_curvature, the Kaehler
     angle from theta, and the residual from reference_full_grid on an
     n x 5 grid at the sample spacing.  The curvature bound is the
     family's, -2 b^2 - K > 0; where it fails the residual stays NaN, since
-    log(-2 b^2 - K) is undefined there.  Returns a dict keyed like the
-    PmcReport fields.
+    log(-2 b^2 - K) is undefined there.  Returns the same dict as
+    pmc_report, None standing for that NaN residual.
     """
     from ricci_liouville import (
         conformal_factor,
@@ -488,15 +486,20 @@ def reference_pmc_report(s, u_interval, n):
     else:
         verdict = "hypotheses violated at sampled resolution"
     return {
-        "params": p,
+        "c1": p.c1,
         "branch": s.branch,
-        "k_squared": dc.k.k2,
+        "b": p.b,
+        "c2": p.c2,
+        "k2": dc.k.k2,
         "lambda_plus": dc.lambda_plus,
         "H_norm": 2.0 * p.b,
-        "K_range": (float(np.min(curv)), float(np.max(curv))),
-        "alpha_range": (float(np.min(alpha)), float(np.max(alpha))),
-        "c_norm_range": (float(np.min(c_norm)), float(np.max(c_norm))),
-        "ricci_max_residual": residual,
+        "K_min": float(np.min(curv)),
+        "K_max": float(np.max(curv)),
+        "alpha_min": float(np.min(alpha)),
+        "alpha_max": float(np.max(alpha)),
+        "c_norm_min": float(np.min(c_norm)),
+        "c_norm_max": float(np.max(c_norm)),
+        "ricci_max_residual": None if math.isnan(residual) else residual,
         "verdict": verdict,
     }
 

@@ -83,13 +83,15 @@ class TestSampleGrid:
     """The first-level columns refinement_rows returns."""
 
     def test_trivial_two_by_two(self, ref_params, monkeypatch):
-        # a grid too small for the stencil fails before anything is sampled
+        # a level too small for the stencil, at any place in ``sizes``, fails
+        # the call before anything is sampled
         def no_sampling(*_):
             raise AssertionError("sampled a grid too small for the stencil")
 
         monkeypatch.setattr("ricci_liouville.verify._factor_rows", no_sampling)
-        with pytest.raises(ParameterError, match="5x5"):
-            study(ref_params, -0.1, 0.1, [2])
+        for sizes, n in (([2], 2), ([11, 4], 4)):
+            with pytest.raises(ParameterError, match=f"levels of at least 5 nodes, got {n}$"):
+                study(ref_params, -0.1, 0.1, sizes)
 
     def test_symmetric_about_middle_column(self, ref_params):
         _, _, lam, _, res = study(ref_params, -0.5, 0.5, [101, 201])
@@ -121,7 +123,7 @@ class TestRicciResidualGrid:
             assert (lines[1 + 11 * i + 5].split(",")[4] == "") == (i in (0, 10))
 
     def test_requires_five_by_five(self, ref_params):
-        with pytest.raises(ParameterError, match="5x5"):
+        with pytest.raises(ParameterError, match="levels of at least 5 nodes, got 4$"):
             study(ref_params, -0.1, 0.1, halvings(4, 2))
 
     def test_negative_control_stays_positive(self):
@@ -425,13 +427,14 @@ class TestRefinementStudy:
         assert order == estimate_order([1.0 / (n - 1) for n in sizes], rs)
         assert res.shape == (24,) and np.max(np.abs(res)) == rs[0]
 
-    def test_errors_surface_in_grid_order(self, ref_params):
-        def sizes():
-            yield 11  # on [-2, 2], outside the domain
-            raise AssertionError("consumed past the failing grid")
+    def test_errors_surface_in_grid_order(self, ref_params, monkeypatch):
+        # on [-2, 2] the domain check fails the row before any level is sampled
+        def no_sampling(*_):
+            raise AssertionError("sampled past the failing domain check")
 
+        monkeypatch.setattr("ricci_liouville.verify._factor_rows", no_sampling)
         with pytest.raises(ParameterError, match="inside"):
-            study(ref_params, -2.0, 2.0, sizes())
+            study(ref_params, -2.0, 2.0, [11, 21])
 
     def test_bad_bounds(self, ref_params):
         # a reversed or NaN interval fails the call, not one row
