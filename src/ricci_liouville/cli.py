@@ -25,7 +25,11 @@ triples together.  A sweep triple that fails keeps its row, with the
 status "domain: ..." (invalid parameters, a grid outside its domain or
 K >= -2 b^2) or "numerical: ..." (no order fit); such rows leave the
 exit code at 0.  An --h-levels value that gives fewer than 5 nodes is a
-usage error, exit 2, like every other bad flag.
+usage error, exit 2, like every other bad flag, and so is a verify or
+sweep level whose spacing squared is below the smallest normal float
+(refinement_rows' spacing rule; the message names the spacing).  pmc
+applies the same rule and, like a run of fewer than 5 samples, reports
+the interval too small for the residual stencil: exit 1 with its report.
 
 A start pays only for what its subcommand runs: each command imports the
 library modules it calls, and NumPy, inside its body.  derive, --help and

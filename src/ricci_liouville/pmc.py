@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .metric import MetricParams, _curvature_from_factor, _scaled_argument, _sn_cn_dn
-from .verify import _curvature_gap, residual_floor, ricci_residual_column
+from .verify import _curvature_gap, _stencil_spacing_ok, residual_floor, ricci_residual_column
 
 __all__ = [
     "PMC_B",
@@ -92,8 +92,11 @@ def pmc_report(s: SubfamilyBranch, u_interval, n: int) -> dict:
     the hypotheses (curvature strictly below -2 b^2 = -1/3, the bound the
     residual kernel needs, and residual below residual_floor).  The
     curvature bound is judged first: where it fails the residual is not
-    formed and the verdict is "violated".  ricci_max_residual is None
-    wherever no residual is formed.
+    formed and the verdict is "violated".  Where it holds but there are
+    fewer than 5 samples, or the spacing squared is not a normal float
+    (verify's one spacing rule), the residual is not formed either and
+    the verdict says the interval is too small for the residual stencil.
+    ricci_max_residual is None wherever no residual is formed.
 
     One Jacobi evaluation per sample gives everything: lambda =
     sqrt(lambda_plus) / cn, K from lambda, and alpha = arccos(-sn / 3) in
@@ -117,10 +120,10 @@ def pmc_report(s: SubfamilyBranch, u_interval, n: int) -> dict:
 
     curvature_ok = not _curvature_gap(curv, p.b)[1]
     residual = math.nan
-    if curvature_ok and n >= 5 and u_hi > u_lo:
-        h = (u_hi - u_lo) / (n - 1)
+    h = (u_hi - u_lo) / (n - 1) if n > 1 else 0.0
+    if curvature_ok and n >= 5 and _stencil_spacing_ok(h):
         residual = float(np.max(np.abs(ricci_residual_column(lam, curv, p.b, h))))
-    if curvature_ok and math.isnan(residual):  # no stencil, or h * h underflows
+    if curvature_ok and math.isnan(residual):  # too few samples, or too fine a spacing
         verdict = "curvature bound holds; interval too small for the residual stencil"
     elif curvature_ok and residual < residual_floor(h):
         verdict = "hypotheses satisfied at sampled resolution"

@@ -17,6 +17,7 @@ angle-defect curvature.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -839,8 +840,10 @@ def mesh_to_obj(mesh: RevolutionMesh) -> str:
 def mesh_to_ply(mesh: RevolutionMesh) -> bytes:
     """Binary little-endian PLY with per-vertex x, y, z, u, v (float64).
 
-    The vertex block and the packed face records are filled in place and
-    joined once into the result, so no face array is built or cached.
+    The file is allocated once, at its final size, and the vertex block
+    and the packed face records are written in place into that one
+    buffer, so no face array is built or cached and no part is copied
+    into the result.
     """
     n, m = len(mesh.vertices), mesh.face_count
     header = (
@@ -856,10 +859,21 @@ def mesh_to_ply(mesh: RevolutionMesh) -> bytes:
         "property list uchar int vertex_indices\n"
         "end_header\n"
     ).encode("ascii")
-    block = np.empty((n, 5), dtype="<f8")
-    block[:, :3] = mesh.vertices
-    block[:, 3:] = mesh.uv
-    records = np.empty(m, dtype=[("n", "<u1"), ("i", "<i4", (3,))])
-    records["n"] = 3
-    _fill_faces(mesh, records["i"])
-    return b"".join([header, block, records])
+    out = io.BytesIO()
+    out.seek(len(header) + 40 * n + 13 * m - 1)
+    out.write(b"\0")
+    with out.getbuffer() as buf:
+        buf[: len(header)] = header
+        block = np.frombuffer(buf, dtype="<f8", count=5 * n, offset=len(header)).reshape(n, 5)
+        block[:, :3] = mesh.vertices
+        block[:, 3:] = mesh.uv
+        records = np.frombuffer(
+            buf, dtype=[("n", "<u1"), ("i", "<i4", (3,))], count=m, offset=len(header) + 40 * n
+        )
+        records["n"] = 3
+        _fill_faces(mesh, records["i"])
+        # the views must go before the buffer is released (BufferError otherwise)
+        del block, records
+    # with no export alive, CPython hands back the BytesIO's own bytes object
+    # instead of a copy
+    return out.getvalue()

@@ -19,7 +19,9 @@ O(h^2) error model.
 
 from __future__ import annotations
 
+import io
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +111,16 @@ def ricci_residual_column(lam, curv, b, h: float) -> np.ndarray:
     return lap / lam[..., 1:-1] ** 2 - 2.0 * curv[..., 1:-1]
 
 
+def _stencil_spacing_ok(h: float) -> bool:
+    """Whether the residual stencil can divide by h * h: the square is a normal float.
+
+    Below sys.float_info.min the square is subnormal or 0, so the stencil's
+    quotient is rounding noise or NaN; every certifier checks this one rule
+    before it forms the stencil.
+    """
+    return h * h >= sys.float_info.min
+
+
 def estimate_order(hs, residuals) -> float:
     """Least-squares slope of log(residual) against log(h).
 
@@ -161,8 +173,10 @@ def refinement_rows(triples, u_lo, u_hi, sizes):
     even nodes equal the previous nodes, lambda there is taken from the
     previous level and only the odd nodes are evaluated.
 
-    A reversed or NaN interval, or a level of fewer than 5 nodes (the
-    residual stencil's minimum), raises ParameterError before any row is
+    A reversed or NaN interval, a level of fewer than 5 nodes (the
+    residual stencil's minimum), or a level whose spacing squared is not
+    a normal float (_stencil_spacing_ok: the stencil would divide by a
+    subnormal or zero h * h) raises ParameterError before any row is
     evaluated.  Otherwise a row stops at its first error, in the order a
     level-by-level study of its triple alone meets them: MetricParams,
     derive_constants and the domain check (once, before the first level,
@@ -179,6 +193,12 @@ def refinement_rows(triples, u_lo, u_hi, sizes):
     if coarse:
         raise ParameterError(
             f"the residual stencil needs levels of at least 5 nodes, got {coarse[0]}"
+        )
+    fine = [h for h in ((u_hi - u_lo) / (n - 1) for n in sizes) if not _stencil_spacing_ok(h)]
+    if fine:
+        raise ParameterError(
+            f"the residual stencil needs a spacing whose square is at least "
+            f"{sys.float_info.min!r}, got spacing {fine[0]!r}"
         )
     results = [None] * len(triples)
     live = []  # (row, MetricParams, DerivedConstants)
@@ -350,8 +370,9 @@ def grid_to_csv(u, v, lam, curv, res) -> bytes:
     bytes.  Floats carry 17 significant digits; the residual is empty on
     the boundary, where the stencil is undefined.  Each distinct value is
     formatted once, and the len(v) lines of one u share all fields but v,
-    so they are joined in one call and encoded together; the text is
-    never held whole as a str.
+    so they are joined in one call, encoded together and written into one
+    io.BytesIO, whose bytes are the result: the text is never held whole
+    as a str, and the rows are never held apart from the output.
     """
     lam, curv, res = (np.asarray(x, dtype=float) for x in (lam, curv, res))
     nu = len(u)
@@ -362,14 +383,15 @@ def grid_to_csv(u, v, lam, curv, res) -> bytes:
         )
     u, lam, curv, res = _fmt17(u), _fmt17(lam), _fmt17(curv), ["", *_fmt17(res), ""]
     first, *inner, last = _fmt17(v)
-    parts = [b"u,v,lambda,K,residual\r\n"]
+    out = io.BytesIO()
+    out.write(b"u,v,lambda,K,residual\r\n")
     for ui, li, ki, ri in zip(u, lam, curv, res):
         head = ui + ","
         edge = f",{li},{ki},\r\n"  # first and last v: no residual
         tail = f",{li},{ki},{ri}\r\n"
         middle = head + (tail + head).join(inner) + tail if inner else ""
-        parts.append(f"{head}{first}{edge}{middle}{head}{last}{edge}".encode("ascii"))
-    return b"".join(parts)
+        out.write(f"{head}{first}{edge}{middle}{head}{last}{edge}".encode("ascii"))
+    return out.getvalue()
 
 
 def _fmt17(values) -> list[str]:

@@ -11,6 +11,7 @@ also builds the environment of the suite's child processes.
 import math
 import os
 import struct
+import sys
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -456,8 +457,10 @@ def reference_pmc_report(s, u_interval, n):
     angle from theta, and the residual from reference_full_grid on an
     n x 5 grid at the sample spacing.  The curvature bound is the
     family's, -2 b^2 - K > 0; where it fails the residual stays NaN, since
-    log(-2 b^2 - K) is undefined there.  Returns the same dict as
-    pmc_report, None standing for that NaN residual.
+    log(-2 b^2 - K) is undefined there, and where there are fewer than 5
+    samples or the spacing squares below the smallest normal float.
+    Returns the same dict as pmc_report, None standing for that NaN
+    residual.
     """
     from ricci_liouville import (
         conformal_factor,
@@ -477,7 +480,7 @@ def reference_pmc_report(s, u_interval, n):
     curvature_ok = bool(np.all(-2.0 * p.b * p.b - curv > 0.0))
     residual = math.nan
     h = (u_hi - u_lo) / (n - 1) if n > 1 else math.nan
-    if curvature_ok and n >= 5 and u_hi > u_lo:
+    if curvature_ok and n >= 5 and u_hi > u_lo and h * h >= sys.float_info.min:
         residual = reference_full_grid(p, u, 5)[3]
     if curvature_ok and residual < max(1e-6, 10.0 * h * h):
         verdict = "hypotheses satisfied at sampled resolution"

@@ -629,6 +629,21 @@ class TestPmcCommand:
             assert manifest["outputs"] == ["pmc_report.json"]
             assert manifest["summary"] == {"verdict": payload["verdict"]}
 
+    @pytest.mark.parametrize("u_hi", [1e-200, 1e-160], ids=["zero-square", "subnormal-square"])
+    def test_spacing_too_fine_is_too_small_for_the_stencil(self, tmp_path, capsys, u_hi):
+        # h * h below the smallest normal float: no residual is formed, so no
+        # warning leaks, and the report says why
+        rc = run_cli(["pmc", "--c1", 1, "--u-lo", 0, "--u-hi", u_hi, "--n", 5,
+                      "--outdir", tmp_path])
+        out, err = capsys.readouterr()
+        report = (tmp_path / "pmc_report.json").read_text()
+        assert (rc, out, err) == (1, report, "")
+        payload = json.loads(report)
+        assert payload["ricci_max_residual"] is None
+        assert payload["verdict"] == (
+            "curvature bound holds; interval too small for the residual stencil"
+        )
+
     def test_branch_point_rejected(self, tmp_path, capsys):
         rc = run_cli(
             ["pmc", "--c1", 1.5, "--u-lo", -0.1, "--u-hi", 0.1, "--n", 11,
@@ -1032,6 +1047,22 @@ class TestInputValidation:
         rc = run_cli(args + [f"--{n}-lo={bounds[0]}", f"--{n}-hi={bounds[1]}",
                              "--outdir", tmp_path])
         assert (rc, *capsys.readouterr()) == (2, "", f"error: {message.format(n=n)}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    # the stencil's spacing rule: h * h must be a normal float
+    SPACING_RUNS = {
+        "verify": (REF_VERIFY + ["--u-lo", 0, "--u-hi", 1e-200, "--h", 1e-201], "1e-201"),
+        "sweep": (["sweep", "--u-lo", 0, "--u-hi", 1e-200, "--h-levels=2e-201,1e-201"], "2e-201"),
+    }
+
+    @pytest.mark.parametrize("run", SPACING_RUNS)
+    def test_spacing_square_must_be_normal(self, tmp_path, capsys, run):
+        args, spacing = self.SPACING_RUNS[run]
+        rc = run_cli(args + ["--outdir", tmp_path])
+        assert (rc, *capsys.readouterr()) == (
+            2, "", "error: the residual stencil needs a spacing whose square is at least "
+            f"{sys.float_info.min!r}, got spacing {spacing}\n",
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_verify_needs_two_levels(self, tmp_path, capsys):

@@ -234,7 +234,9 @@ def _bits(value):
 @pytest.mark.parametrize(
     "share, n",
     [((-0.5, 0.5), 401), ((-0.999, 0.999), 2001), ((0.1, 0.9), 64), ((-0.3, 0.3), 5),
-     ((-0.3, 0.3), 4), ((0.0, 0.0), 1), ((-0.999999, 0.999999), 101)],
+     ((-0.3, 0.3), 4), ((0.0, 0.0), 1), ((-0.999999, 0.999999), 101),
+     # spacings whose squares are 0 and subnormal: no residual is formed
+     ((0.0, 1e-200), 5), ((0.0, 1e-160), 5)],
 )
 def test_report_matches_three_call_path(c1, share, n):
     # one Jacobi call per sample and the shared residual kernel against

@@ -839,8 +839,9 @@ class TestExports:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the result plus the vertex block and face records it is joined from
-        assert peak <= 2.1 * size
+        # the vertex block and face records are written into the result's own
+        # buffer, so the peak is the output plus the face fill's temporaries
+        assert peak <= size + 1_000_000
 
     def test_obj_structure(self):
         prof = cylinder(1.5, 5)

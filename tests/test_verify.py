@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +94,33 @@ class TestSampleGrid:
         for sizes, n in (([2], 2), ([11, 4], 4)):
             with pytest.raises(ParameterError, match=f"levels of at least 5 nodes, got {n}$"):
                 study(ref_params, -0.1, 0.1, sizes)
+
+    @pytest.mark.parametrize(
+        "u_hi, sizes, spacing",
+        [(1e-200, [11, 21], 1e-201), (1e-160, [5], 2.5e-161), (1.2e-153, [5, 9, 17], 7.5e-155)],
+        ids=["zero-square", "subnormal-square", "finest-level"],
+    )
+    def test_spacing_square_must_be_normal(self, ref_params, monkeypatch, u_hi, sizes, spacing):
+        # a level whose h * h is subnormal or 0 fails the call before anything
+        # is sampled, naming the first such spacing
+        def no_sampling(*_):
+            raise AssertionError("sampled a grid too fine for the stencil")
+
+        monkeypatch.setattr("ricci_liouville.verify._factor_rows", no_sampling)
+        with pytest.raises(ParameterError) as info:
+            study(ref_params, 0.0, u_hi, sizes)
+        assert str(info.value) == (
+            f"the residual stencil needs a spacing whose square is at least "
+            f"{sys.float_info.min!r}, got spacing {spacing!r}"
+        )
+
+    def test_normal_spacing_square_is_evaluated(self, ref_params):
+        # h = 3e-154 and 1.5e-154 square to normal floats: both levels run,
+        # with no warning from the stencil's division
+        maxima, *_ = refinement_rows(
+            [(ref_params.b, ref_params.c1, ref_params.c2)], 0.0, 1.2e-153, [5, 9]
+        )[0]
+        assert len(maxima) == 2 and all(map(math.isfinite, maxima))
 
     def test_symmetric_about_middle_column(self, ref_params):
         _, _, lam, _, res = study(ref_params, -0.5, 0.5, [101, 201])
@@ -339,6 +368,19 @@ class TestVerdictAndExport:
             conformal_factor(ref_params, float(centre[0])), rel=1e-15
         )
         assert centre[4] != ""
+
+    def test_csv_traced_memory_stays_near_its_output(self, ref_params):
+        # each u-row's text goes straight into the output buffer: no list of
+        # rows is held next to the joined result
+        _, _, lam, curv, res = study(ref_params, -0.4, 0.4, [321, 641])
+        u, v = nodes((-0.4, 0.4, -0.4, 0.4, 321, 321))
+        tracemalloc.start()
+        try:
+            size = len(grid_to_csv(u, v, lam, curv, res))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * size
 
 
 def test_sweep_invariant_order_two_everywhere():
