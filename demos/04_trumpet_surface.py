@@ -54,7 +54,7 @@ print(f"Total defect {np.sum(k_est * areas):.6f} vs integral {np.sum(k_true * ar
 
 out = Path("demo_output")
 out.mkdir(exist_ok=True)
-(out / "trumpet.obj").write_text(mesh_to_obj(mesh))
+(out / "trumpet.obj").write_bytes(mesh_to_obj(mesh))
 print(f"Wrote {out / 'trumpet.obj'}")
 
 # profile -> metric roundtrip

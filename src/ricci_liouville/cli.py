@@ -183,6 +183,8 @@ def cmd_mesh(args):
     from .metric import MetricParams
     from .revolution import mesh_to_obj, mesh_to_ply, profile_from_metric, tessellate
 
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ParameterError(f"--tol must be finite and positive, got {args.tol!r}")
     p = MetricParams(b=args.b, c1=args.c1, c2=args.c2)
     _check_range(args.u_lo, args.u_hi, "u")
     _check_range(args.v_lo, args.v_hi, "v")

@@ -121,6 +121,15 @@ def _stencil_spacing_ok(h: float) -> bool:
     return h * h >= sys.float_info.min
 
 
+def _require_stencil_spacing(h: float, stencil: str = "the residual stencil") -> None:
+    """ParameterError naming ``stencil`` and the spacing ``h`` unless _stencil_spacing_ok(h)."""
+    if not _stencil_spacing_ok(h):
+        raise ParameterError(
+            f"{stencil} needs a spacing whose square is at least "
+            f"{sys.float_info.min!r}, got spacing {h!r}"
+        )
+
+
 def estimate_order(hs, residuals) -> float:
     """Least-squares slope of log(residual) against log(h).
 
@@ -194,12 +203,8 @@ def refinement_rows(triples, u_lo, u_hi, sizes):
         raise ParameterError(
             f"the residual stencil needs levels of at least 5 nodes, got {coarse[0]}"
         )
-    fine = [h for h in ((u_hi - u_lo) / (n - 1) for n in sizes) if not _stencil_spacing_ok(h)]
-    if fine:
-        raise ParameterError(
-            f"the residual stencil needs a spacing whose square is at least "
-            f"{sys.float_info.min!r}, got spacing {fine[0]!r}"
-        )
+    for n in sizes:
+        _require_stencil_spacing((u_hi - u_lo) / (n - 1))
     results = [None] * len(triples)
     live = []  # (row, MetricParams, DerivedConstants)
     for r, (b, c1, c2) in enumerate(triples):
@@ -257,11 +262,13 @@ def _fd_curvature(phi: np.ndarray, b: float, h: float):
     """K = -phi'' e^{-2 phi} by 3-point differences of phi = log(lambda).
 
     Returns (K, -2 b^2 - K) on the interior samples; raises
-    ParameterError unless the spacing h and b are finite and positive, and
-    NotInFamilyError naming the first sample where -2 b^2 - K <= 0.
+    ParameterError unless the spacing h and b are finite and positive and
+    h passes _stencil_spacing_ok, and NotInFamilyError naming the first
+    sample where -2 b^2 - K <= 0.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ParameterError(f"spacing h must be finite and positive, got {h!r}")
+    _require_stencil_spacing(h)
     if not (math.isfinite(b) and b > 0.0):
         raise ParameterError(f"b must be finite and positive, got {b!r}")
     curv = -((phi[2:] - 2.0 * phi[1:-1] + phi[:-2]) / (h * h)) * np.exp(-2.0 * phi[1:-1])

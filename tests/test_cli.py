@@ -363,6 +363,20 @@ class TestClassify:
         assert (rc, *capsys.readouterr()) == (2, "", f"error: {message.format(path=path)}\n")
         assert not out.exists()
 
+    def test_profile_spacing_square_must_be_normal(self, tmp_path, capsys):
+        # 30 samples over s in [0, 1e-170]: the arc-length check would divide by
+        # a subnormal step squared, so the run stops before np.gradient
+        s = np.linspace(0.0, 1e-170, 30)
+        path = tmp_path / "tiny.csv"
+        write_profile_csv(path, s, s, np.ones_like(s))
+        out = tmp_path / "out"
+        rc = run_cli(["classify", "--profile", path, "--resample-n", 25, "--outdir", out])
+        assert (rc, *capsys.readouterr()) == (
+            2, "", "error: the arc-length check needs a spacing whose square is at least "
+            f"{sys.float_info.min!r}, got spacing {float(np.diff(s).min())!r}\n",
+        )
+        assert not out.exists()
+
     def test_smallest_resample_n_runs(self, trumpet_csv, tmp_path):
         # 25 samples leave the 7 of the 1-d stencil at stride 4
         rc = run_cli(
@@ -919,11 +933,15 @@ class TestWriteAtomic:
 class TestInputValidation:
     SWEEP = ["sweep", "--b-values", "1.0", "--c1-values", "1.0", "--c2-values", "0.0"]
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10"])
-    def test_mesh_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-10", "-1"])
+    def test_mesh_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, monkeypatch, tol):
+        monkeypatch.setattr(
+            "ricci_liouville.revolution.profile_from_metric", refuse("integrated the profile")
+        )
         rc = run_cli(MESH_ARGS + ["--format", "obj", f"--tol={tol}", "--outdir", tmp_path])
-        assert rc == 2
-        assert "quadrature tolerance must be finite and positive" in capsys.readouterr().err
+        assert (rc, *capsys.readouterr()) == (
+            2, "", f"error: --tol must be finite and positive, got {float(tol)!r}\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("levels", ["nan,0.05", "0.02,inf", "0.02,0", "-0.01,0.02"])

@@ -790,7 +790,7 @@ class TestExports:
     @SMALL_MESHES
     def test_obj_text_matches_reference(self, ref_params, v_hi, nv):
         mesh = small_ref_mesh(ref_params, v_hi, nv)
-        assert mesh_to_obj(mesh) == reference_obj(mesh)
+        assert mesh_to_obj(mesh) == reference_obj(mesh).encode("ascii")
 
     @pytest.mark.parametrize(
         "n, v_hi, nv", [(2, math.pi, 3), (2, 2.0 * math.pi, 5), (3, math.pi, 3), (61, 1.0, 5)]
@@ -798,10 +798,10 @@ class TestExports:
     def test_vertex_normals_match_reference(self, n, v_hi, nv):
         s, x, y = sphere_profile_arrays(n=n, s0=0.05)
         mesh = tessellate(ProfileCurve(u=s, x=x, y=y), 0.0, v_hi, nv)
-        assert mesh_to_obj(mesh) == reference_obj(mesh)
+        assert mesh_to_obj(mesh) == reference_obj(mesh).encode("ascii")
 
     # hand-built 2 x 3 and 3 x 4 grids: signed zeros, subnormals and repeated values,
-    # which the OBJ writer formats once per float64 bit pattern
+    # which the OBJ writer sends through '%.17g' itself
     ODD_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.5, 1.5, -1.5,
                   1.0000000000000002, 1e50, 0.1, 0.1, -0.0, 0.0, 5e-324]
 
@@ -816,8 +816,8 @@ class TestExports:
             vertices=values[:, :3].copy(), uv=values[:, 3:].copy(), nu=nu, nv=nv, closed=closed
         )
         text = mesh_to_obj(mesh)
-        assert text == reference_obj(mesh)
-        assert "\nv 0 " in text and "\nv -0 " in text
+        assert text == reference_obj(mesh).encode("ascii")
+        assert b"\nv 0 " in text and b"\nv -0 " in text
         assert mesh_to_ply(mesh) == reference_ply(mesh)
 
     @pytest.mark.parametrize("nu, nv, v_hi", [(2, 3, math.pi), (2, 3, 2.0 * math.pi),
@@ -843,10 +843,33 @@ class TestExports:
         # buffer, so the peak is the output plus the face fill's temporaries
         assert peak <= size + 1_000_000
 
+    # the benchmark's closed 201 x 157 mesh over u in [-0.33, 0.33], and an open one
+    @pytest.mark.parametrize(
+        "nu, nv, v_lo, v_hi", [(201, 157, 0.0, 2.0 * math.pi), (41, 33, 0.5, 2.5)],
+        ids=["closed-201x157", "open-41x33"],
+    )
+    def test_obj_bytes_match_reference_at_size(self, ref_params, nu, nv, v_lo, v_hi):
+        mesh = tessellate(profile_from_metric(ref_params, (-0.33, 0.33), n=nu), v_lo, v_hi, nv)
+        assert mesh.closed == (v_hi == 2.0 * math.pi)
+        assert mesh_to_obj(mesh) == reference_obj(mesh).encode("ascii")
+
+    def test_obj_traced_memory_stays_near_its_output(self, ref_params):
+        mesh = tessellate(profile_from_metric(ref_params, (-0.33, 0.33), n=201),
+                          0.0, 2.0 * math.pi, 157)
+        tracemalloc.start()
+        try:
+            size = len(mesh_to_obj(mesh))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the text is written band by band into one buffer, so the peak is the
+        # output plus the face and normal arrays and one band's temporaries
+        assert peak <= 1.8 * size
+
     def test_obj_structure(self):
         prof = cylinder(1.5, 5)
         mesh = tessellate(prof, 0.0, 2.0 * math.pi, 8)
-        lines = mesh_to_obj(mesh).strip().split("\n")
+        lines = mesh_to_obj(mesh).decode("ascii").strip().split("\n")
         v_lines = [l for l in lines if l.startswith("v ")]
         vn_lines = [l for l in lines if l.startswith("vn ")]
         f_lines = [l for l in lines if l.startswith("f ")]

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 
@@ -268,6 +269,17 @@ class TestRicciResidual1d:
         assert len(maxima) == 3 and 1.8 <= order <= 2.2
         with pytest.raises(ParameterError, match="need at least 25 samples for stride 4"):
             ricci_order_1d(phi[:24], ref_params.b, 0.025)
+
+
+    @pytest.mark.parametrize("h", [1e-154, 1e-170], ids=["subnormal-square", "zero-square"])
+    def test_spacing_square_must_be_normal(self, ref_params, h):
+        phi = np.log(conformal_factor(ref_params, np.linspace(-0.3, 0.3, 25)))
+        message = (f"the residual stencil needs a spacing whose square is at least "
+                   f"{sys.float_info.min!r}, got spacing {h!r}")
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            ricci_order_1d(phi, ref_params.b, h)
+        with pytest.raises(ParameterError, match=re.escape(message)):
+            fit_normalization(np.exp(phi), ref_params.b, h)
 
 
 class TestFitNormalization:
