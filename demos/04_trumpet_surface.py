@@ -43,7 +43,7 @@ print(f"Profile over 80% of the interval: x spans [0, {prof.x[-1]:.6f}], "
 print(f"x monotone: {bool(np.all(np.diff(prof.x) >= 0.0))}; both x and y increase for u > 0.\n")
 
 mesh = tessellate(prof, 0.0, 2.0 * math.pi, 192)
-print(f"Closed tube mesh: {len(mesh.vertices)} vertices, {len(mesh.faces)} triangles")
+print(f"Closed tube mesh: {mesh.nu * mesh.nv} vertices, {len(mesh.faces)} triangles")
 print(f"Induced-metric edge deviation: {induced_metric_check(mesh, p):.2e}")
 
 ids, k_est, areas, _ = angle_defect_curvature(mesh)

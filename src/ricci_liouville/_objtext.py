@@ -174,12 +174,11 @@ def _write_lines(out, prefix: bytes, field: bytes, keep, rows: int, fill):
         out.write(row[:n].tobytes().translate(None, b"\0"))
 
 
-def _float_lines(out, prefix: bytes, values):
-    """Write one line of ``prefix`` and the 3 values of each row of an (n, 3) array."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
+def _float_lines(out, prefix: bytes, rows, count: int):
+    """Write a line of ``prefix`` and 3 values per row of rows(lo, hi), for rows 0 .. count - 1."""
     _write_lines(
-        out, prefix, _FLOAT_FIELD, _float_tables()[2], len(values),
-        lambda lo, hi, fields: _float_fields(values[lo:hi], fields),
+        out, prefix, _FLOAT_FIELD, _float_tables()[2], count,
+        lambda lo, hi, fields: _float_fields(rows(lo, hi), fields),
     )
 
 
@@ -204,12 +203,16 @@ def _face_lines(out, faces, count: int):
     _write_lines(out, b"f", b" " + text[0].tobytes(), keep, len(faces), fill)
 
 
-def obj_bytes(header: bytes, vertices, normals, faces) -> bytes:
-    """OBJ bytes: ``header``, then v, vn and f records (1-based corners k//k)."""
+def obj_bytes(header: bytes, vertex_rows, normals, faces) -> bytes:
+    """OBJ bytes: ``header``, then v, vn and f records (1-based corners k//k).
+
+    vertex_rows(lo, hi) gives vertices lo .. hi - 1 as rows, one per row of ``normals``.
+    """
     out = io.BytesIO()
     out.write(header)
-    _float_lines(out, b"v", vertices)
-    _float_lines(out, b"vn", normals)
-    _face_lines(out, faces, len(vertices))
+    n = len(normals)
+    _float_lines(out, b"v", vertex_rows, n)
+    _float_lines(out, b"vn", lambda lo, hi: normals[lo:hi], n)
+    _face_lines(out, faces, n)
     # with no export alive, CPython hands back the BytesIO's own bytes object
     return out.getvalue()

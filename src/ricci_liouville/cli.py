@@ -200,7 +200,7 @@ def cmd_mesh(args):
     )
     mesh = tessellate(profile, args.v_lo, args.v_hi, args.nv)
     data = mesh_to_obj(mesh) if args.format == "obj" else mesh_to_ply(mesh)
-    summary = {"vertices": len(mesh.vertices), "faces": mesh.face_count, "closed": mesh.closed}
+    summary = {"vertices": mesh.nu * mesh.nv, "faces": mesh.face_count, "closed": mesh.closed}
     return 0, {f"surface.{args.format}": data}, summary, ""
 
 

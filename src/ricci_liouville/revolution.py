@@ -55,7 +55,11 @@ _EPS = float(np.finfo(float).eps)
 # The ~30 live temporaries of a band then total about 2 MB: they stay in a
 # 4 MiB L2, and malloc hands the same heap pages to band after band.  At
 # 16384 the heap is trimmed after each band and faulted in again (18k
-# minor faults per 801 x 314 defect call against 2.6k).
+# minor faults per 801 x 314 defect call against 2.6k).  Pages are reused
+# only once a block of 2 MB or more was freed (glibc's dynamic mmap and
+# trim thresholds): _planes fills the defect's whole grid through np.outer
+# temporaries, which are such blocks.  After a fill with out= the first
+# 801 x 314 defect call in a fresh process took 14.6k faults, not 3.3k.
 _BAND_VERTICES = 8192
 
 
@@ -107,26 +111,45 @@ class ProfileCurve:
 class RevolutionMesh:
     """Structured triangulated tube (x(u), y(u) cos v, y(u) sin v).
 
-    vertices: (nu * nv, 3) coordinates and uv: (nu * nv, 2) parameter tags
-    of grid node (i, j) at index i * nv + j; other shapes raise
-    ParameterError.  ``closed`` marks a full 2 pi seam in v, and the faces
-    follow from (nu, nv, closed).
+    Grid node (i, j), vertex i * nv + j, is profile sample i turned by the
+    angle v[j].  The angles must be at least 3, finite and strictly
+    increasing (ParameterError naming the angle otherwise), so every vertex
+    is finite.  ``closed`` marks a full 2 pi seam in v, and the faces follow
+    from (nu, nv, closed).
     """
 
-    vertices: np.ndarray
-    uv: np.ndarray
-    nu: int
-    nv: int
+    profile: ProfileCurve
+    v: np.ndarray
     closed: bool
-    params: MetricParams | None = None
 
     def __post_init__(self):
-        n = self.nu * self.nv
-        if self.vertices.shape != (n, 3) or self.uv.shape != (n, 2):
-            raise ParameterError(
-                f"mesh is not a {self.nu} x {self.nv} tessellate grid: vertices of "
-                f"shape {self.vertices.shape}, uv of shape {self.uv.shape}"
-            )
+        v = np.asarray(self.v, dtype=float)
+        if v.ndim != 1 or v.size < 3:
+            raise ParameterError(f"need a 1-d array of nv >= 3 mesh angles, got shape {v.shape}")
+        if not np.isfinite(v).all():
+            j = int(np.argmin(np.isfinite(v)))
+            raise ParameterError(f"mesh angle v[{j}] is not finite ({v[j]})")
+        if np.any(np.diff(v) <= 0.0):
+            j = int(np.argmax(np.diff(v) <= 0.0)) + 1
+            raise ParameterError(f"mesh angle v[{j}] = {v[j]} is not above v[{j - 1}] = {v[j - 1]}")
+        object.__setattr__(self, "v", v)
+
+    nu = property(lambda self: self.profile.u.size, doc="Grid rows, one per profile sample.")
+    nv = property(lambda self: self.v.size, doc="Grid columns, one per angle.")
+    params = property(lambda self: self.profile.params, doc="The profile's family metric, if any.")
+
+    @property
+    def vertices(self) -> np.ndarray:
+        """(nu * nv, 3) coordinates, vertex i * nv + j in row i * nv + j; built on each access."""
+        x, y, v = self.profile.x, self.profile.y, self.v
+        return np.column_stack(
+            [np.repeat(x, v.size), np.outer(y, np.cos(v)).ravel(), np.outer(y, np.sin(v)).ravel()]
+        )
+
+    @property
+    def uv(self) -> np.ndarray:
+        """(nu * nv, 2) parameters (u, v) of each vertex, as ``vertices`` orders them."""
+        return np.column_stack([np.repeat(self.profile.u, self.nv), np.tile(self.v, self.nu)])
 
     @property
     def face_count(self) -> int:
@@ -142,18 +165,16 @@ class RevolutionMesh:
         a = (i, j), d = (i, j+1), b = (i+1, j), c = (i+1, j+1) and splits
         into (a, d, b) and (b, d, c).
         """
-        faces = np.empty((self.face_count, 3), dtype=np.int64)
-        _fill_faces(self, faces)
-        return faces
+        return _fill_faces(self, np.empty((self.face_count, 3), dtype=np.int64))
 
 
-def _fill_faces(mesh: RevolutionMesh, out) -> None:
-    """Write the triangles of ``mesh.faces``, in its order, into an integer (face_count, 3) array.
+def _fill_faces(mesh: RevolutionMesh, out):
+    """Write the triangles of ``mesh.faces``, in its order, into an integer (face_count, 3) ``out``.
 
     ``out`` may be any strided view, such as a field of packed records:
     reshaping it to (nu - 1, cols, 2, 3) only splits the face axis, so it
     stays a view, and each corner is summed from a row offset and a column
-    straight into it.
+    straight into it.  Returns ``out``.
     """
     nu, nv = mesh.nu, mesh.nv
     cols = nv if mesh.closed else nv - 1
@@ -166,6 +187,7 @@ def _fill_faces(mesh: RevolutionMesh, out) -> None:
     for t, corners in enumerate(((a, d, b), (b, d, c))):
         for k, (row, col) in enumerate(corners):
             np.add(row, col, out=quads[:, :, t, k])
+    return out
 
 
 def _simpson(x0, x2, f0, f1, f2):
@@ -477,80 +499,51 @@ def tessellate(profile: ProfileCurve, v_lo: float, v_hi: float, nv: int) -> Revo
     Full revolutions (v_hi - v_lo = 2 pi) close the seam: the last column
     of quads wraps back to the first, giving 2 (nu - 1) nv triangles; open
     sweeps keep a boundary in v.  Triangles wind counter-clockwise seen
-    from outside (normals point away from the axis).  A NaN or infinite
-    v_lo, v_hi or v_hi - v_lo raises ParameterError.
+    from outside (normals point away from the axis).  RevolutionMesh
+    rejects the angles of nv < 3, a non-finite v_lo, v_hi or span, or
+    v_lo >= v_hi with ParameterError.
     """
-    if nv < 3:
-        raise ParameterError("need nv >= 3 mesh columns")
-    if not (math.isfinite(v_lo) and math.isfinite(v_hi) and math.isfinite(v_hi - v_lo)):
-        raise ParameterError(f"v range [{v_lo!r}, {v_hi!r}] must be finite with a finite span")
-    if not v_lo < v_hi:
-        raise ParameterError("need v_lo < v_hi")
-    closed = abs((v_hi - v_lo) - 2.0 * math.pi) <= 1e-12
-    nu = profile.u.size
-    if closed:
-        v = v_lo + (v_hi - v_lo) * np.arange(nv) / nv
-    else:
-        v = np.linspace(v_lo, v_hi, nv)
-
-    verts = np.column_stack(
-        [
-            np.repeat(profile.x, nv),
-            np.outer(profile.y, np.cos(v)).ravel(),
-            np.outer(profile.y, np.sin(v)).ravel(),
-        ]
-    )
-    uv = np.column_stack([np.repeat(profile.u, nv), np.tile(v, nu)])
-    return RevolutionMesh(
-        vertices=verts,
-        uv=uv,
-        nu=nu,
-        nv=nv,
-        closed=closed,
-        params=profile.params,
-    )
+    span = v_hi - v_lo
+    closed = abs(span - 2.0 * math.pi) <= 1e-12
+    # a non-finite range gives non-finite angles, which the mesh rejects
+    with np.errstate(all="ignore"):
+        v = v_lo + span * np.arange(nv) / nv if closed else np.linspace(v_lo, v_hi, max(nv, 0))
+    return RevolutionMesh(profile, v, closed)
 
 
-def _planes(block: np.ndarray, closed: bool) -> np.ndarray:
-    """Vertex rows (rows, nv, 3) as x, y, z planes of shape (3, rows, nv + closed).
+def _planes(mesh: RevolutionMesh, lo: int, hi: int) -> np.ndarray:
+    """Vertex rows lo .. hi - 1 as x, y, z planes of shape (3, hi - lo, nv + closed).
 
-    On a closed seam column nv repeats column 0, so every quad, the
-    wrapped one included, reads its corners from adjacent columns.
+    np.outer forms y cos v and y sin v as for ``vertices``, so every value
+    has its bits, and its whole-grid temporaries are wanted (see
+    _BAND_VERTICES).  On a closed seam column nv repeats column 0, so
+    every quad, the wrapped one included, reads its corners from adjacent
+    columns.
     """
-    rows, nv = block.shape[:2]
-    grid = np.empty((3, rows, nv + closed))
-    grid[:, :, :nv] = block.transpose(2, 0, 1)
-    if closed:
-        grid[:, :, nv] = grid[:, :, 0]
+    cos, sin = np.cos(mesh.v), np.sin(mesh.v)
+    if mesh.closed:
+        cos, sin = np.append(cos, cos[0]), np.append(sin, sin[0])
+    y = mesh.profile.y[lo:hi]
+    grid = np.empty((3, hi - lo, cos.size))
+    grid[0] = mesh.profile.x[lo:hi, None]
+    grid[1] = np.outer(y, cos)
+    grid[2] = np.outer(y, sin)
     return grid
 
 
 def _row_bands(mesh: RevolutionMesh):
-    """Yield (lo, planes) for bands of vertex rows of a tessellate grid.
+    """Yield (lo, hi) for bands of vertex rows lo .. hi - 1 of the mesh grid.
 
-    Each band holds up to max(1, _BAND_VERTICES // nv) interior rows with
-    a one-row halo on each side: planes covers rows lo .. lo + rows - 1 as
-    _planes lays them out, and its interior rows are lo + 1 .. lo + rows - 2.
-    The interior rows of successive bands tile 1 .. nu - 2, so the quad
-    rows of successive bands overlap by one; two rows give one band with
-    no interior.  A band that holds a NaN or infinite vertex raises
-    ParameterError naming the first one, (i, j) in row-major order.  The
-    caller does each band's work in a helper function, so that band's
-    temporaries are freed before the next band is read.
+    Each band holds up to max(1, _BAND_VERTICES // nv) interior rows,
+    lo + 1 .. hi - 2, with a one-row halo on each side.  The interior rows
+    of successive bands tile 1 .. nu - 2, so their quad rows overlap by
+    one; two rows give one band with no interior.  The caller does each
+    band's work in a helper function, which frees its temporaries.
     """
-    nu, nv = mesh.nu, mesh.nv
-    grid = mesh.vertices.reshape(nu, nv, 3)
-    height = max(1, _BAND_VERTICES // nv)
+    nu = mesh.nu
+    height = max(1, _BAND_VERTICES // mesh.nv)
     for first in range(1, max(nu - 1, 2), height):
-        lo, hi = first - 1, min(first + height, nu - 1) + 1
-        planes = _planes(grid[lo:hi], mesh.closed)
-        finite = np.isfinite(planes).all(axis=0)
-        if not finite.all():
-            i, j = divmod(int(np.argmin(finite)), finite.shape[1])
-            raise ParameterError(
-                f"mesh vertex ({lo + i}, {j}) is not finite: {grid[lo + i, j].tolist()}"
-            )
-        yield lo, planes
+        yield first - 1, min(first + height, nu - 1) + 1
 
 
 def _grid_edges(grid: np.ndarray):
@@ -596,19 +589,17 @@ def induced_metric_check(mesh: RevolutionMesh, p: MetricParams) -> float:
 
     u-edges are compared against lambda(u_mid)^2 du^2 and v-edges against
     lambda(u)^2 dv^2, lambda evaluated at the edge-midpoint u from the
-    closed form.  Rejects meshes that were not built from p and NaN or
-    infinite vertices, naming the first one as (i, j), with ParameterError.
+    closed form.  Rejects meshes that were not built from p with
+    ParameterError.
 
-    lambda comes from two whole-column closed-form calls; the edges are
-    formed band by band over cache-sized row bands (see _row_bands).
-    Each deviation takes the same float operations as on the whole grid,
-    so the result does not depend on the band height.
+    lambda comes from two whole-column closed-form calls; the vertex
+    planes and their edges are formed over cache-sized row bands (see
+    _row_bands).  Each deviation takes the same float operations as on
+    the whole grid, so the result does not depend on the band height.
     """
     if mesh.params != p:
         raise ParameterError("mesh provenance mismatch: not tessellated from p")
-    nv = mesh.nv
-    u = mesh.uv[::nv, 0]  # every grid row shares one u
-    v = mesh.uv[:nv, 1]  # and every column one v
+    nv, u, v = mesh.nv, mesh.profile.u, mesh.v
 
     du = u[1:] - u[:-1]
     lam_mid = conformal_factor(p, 0.5 * (u[1:] + u[:-1]))
@@ -622,8 +613,8 @@ def induced_metric_check(mesh: RevolutionMesh, p: MetricParams) -> float:
 
     # band maxima combine as np.max over the whole grid: a NaN propagates
     worst_u = worst_v = -math.inf
-    for lo, grid in _row_bands(mesh):
-        band_u, band_v = _induced_band(grid, lo, nv, expected_u, lam2, dv2)
+    for lo, hi in _row_bands(mesh):
+        band_u, band_v = _induced_band(_planes(mesh, lo, hi), lo, nv, expected_u, lam2, dv2)
         worst_u, worst_v = np.maximum(worst_u, band_u), np.maximum(worst_v, band_v)
     return max(float(worst_u), float(worst_v))
 
@@ -733,16 +724,16 @@ def angle_defect_curvature(mesh: RevolutionMesh):
     are estimated: rows 1..nu-2, and for open meshes also columns
     1..nv-2.  Zero-area triangles are skipped and their vertices reported.
 
-    A NaN or infinite vertex raises ParameterError naming it as (i, j).
     The faces are not read: each edge vector is formed on the (nu, nv)
     vertex grid, and every vertex sums its six-triangle fan from shifted
     slices.
 
-    The grid is processed in cache-sized row bands with a one-row halo
-    (see _row_bands).  Angle sums, area shares and the zero-area mask go
-    into whole-grid arrays, compressed once at the end.  Every value
-    takes the same float operations on the same inputs as on the whole
-    grid at once, so the results do not depend on the band height.
+    The vertex planes, formed once for the whole grid (see _planes), are
+    processed in cache-sized row bands with a one-row halo (see
+    _row_bands).  Angle sums, area shares and the zero-area mask go into
+    whole-grid arrays, compressed once at the end.  Every value takes the
+    same float operations on the same inputs as on the whole grid at
+    once, so the results do not depend on the band height.
 
     Returns (vertex_indices, curvature_estimates, areas, skipped_vertices).
     """
@@ -754,10 +745,11 @@ def angle_defect_curvature(mesh: RevolutionMesh):
     # vertices of zero-area triangles; column nv stands for column 0 of a
     # closed seam
     hit = np.zeros((nu, nv + 1), dtype=bool)
-    for lo, grid in _row_bands(mesh):
+    planes = _planes(mesh, 0, nu)
+    for lo, hi in _row_bands(mesh):
         # interior row r sits at row r - 1 of the whole-grid sums
-        band = slice(lo, lo + grid.shape[1] - 2)
-        flat1, flat2 = _defect_band(grid, closed, angle_sum[band], area_share[band])
+        band = slice(lo, hi - 2)
+        flat1, flat2 = _defect_band(planes[:, lo:hi], closed, angle_sum[band], area_share[band])
         quads, below = slice(lo, lo + len(flat1)), slice(lo + 1, lo + len(flat1) + 1)
         either = flat1 | flat2
         hit[quads, :cols] |= flat1
@@ -788,8 +780,7 @@ def _vertex_normals(mesh: RevolutionMesh) -> np.ndarray:
     gets its partial fan from _fan_sum; adding +0.0 leaves each sum as the
     face-ordered scatter makes it.
     """
-    grid = mesh.vertices.reshape(mesh.nu, mesh.nv, 3)
-    v, u, diag = _grid_edges(_planes(grid, mesh.closed))
+    v, u, diag = _grid_edges(_planes(mesh, 0, mesh.nu))
     pad = ((1, 1), (0, 0) if mesh.closed else (1, 1))
     # (d - b) x (c - b) = (-diag) x v_bot = v_bot x diag
     fn1 = [np.pad(c, pad) for c in _cross(v[:, :-1], u[..., :-1])]
@@ -807,39 +798,40 @@ def mesh_to_obj(mesh: RevolutionMesh) -> bytes:
 
     v and vn records give each value as '%.17g' writes it, then f records
     list each face's 1-based corners as k//k, counter-clockwise.  The text
-    is built on whole arrays, band by band (see _objtext).
+    is built on whole arrays, band by band (see _objtext), each band's
+    vertices from the profile and angles as ``vertices`` forms them.
     """
     from ._objtext import obj_bytes
 
-    faces = np.empty((mesh.face_count, 3), dtype=np.int64)
-    _fill_faces(mesh, faces)
+    x, y, cos, sin = mesh.profile.x, mesh.profile.y, np.cos(mesh.v), np.sin(mesh.v)
+
+    def vertex_rows(lo, hi):
+        i, j = np.divmod(np.arange(lo, hi), mesh.nv)
+        return np.column_stack([x[i], y[i] * cos[j], y[i] * sin[j]])
+
     return obj_bytes(
         b"# surface of revolution, outward orientation\n",
-        mesh.vertices,
+        vertex_rows,
         _vertex_normals(mesh),
-        faces,
+        _fill_faces(mesh, np.empty((mesh.face_count, 3), dtype=np.int64)),
     )
 
 
 def mesh_to_ply(mesh: RevolutionMesh) -> bytes:
     """Binary little-endian PLY with per-vertex x, y, z, u, v (float64).
 
-    The file is allocated once, at its final size, and the vertex block
-    and the packed face records are written in place into that one
-    buffer, so no face array is built or cached and no part is copied
-    into the result.
+    The file is allocated once, at its final size.  The vertex columns,
+    from the profile and angles as ``vertices`` forms them, and the packed
+    face records are written in place into that one buffer, so no vertex,
+    uv or face array is built or cached and no part is copied.
     """
-    n, m = len(mesh.vertices), mesh.face_count
+    n, m = mesh.nu * mesh.nv, mesh.face_count
     header = (
         "ply\n"
         "format binary_little_endian 1.0\n"
         f"element vertex {n}\n"
-        "property double x\n"
-        "property double y\n"
-        "property double z\n"
-        "property double u\n"
-        "property double v\n"
-        f"element face {m}\n"
+        + "".join(f"property double {c}\n" for c in "xyzuv")
+        + f"element face {m}\n"
         "property list uchar int vertex_indices\n"
         "end_header\n"
     ).encode("ascii")
@@ -848,16 +840,19 @@ def mesh_to_ply(mesh: RevolutionMesh) -> bytes:
     out.write(b"\0")
     with out.getbuffer() as buf:
         buf[: len(header)] = header
-        block = np.frombuffer(buf, dtype="<f8", count=5 * n, offset=len(header)).reshape(n, 5)
-        block[:, :3] = mesh.vertices
-        block[:, 3:] = mesh.uv
+        cols = np.frombuffer(buf, dtype="<f8", count=5 * n, offset=len(header))
+        cols = cols.reshape(mesh.nu, mesh.nv, 5).transpose(2, 0, 1)
+        prof = mesh.profile
+        cols[0], cols[3], cols[4] = prof.x[:, None], prof.u[:, None], mesh.v
+        np.multiply(prof.y[:, None], np.cos(mesh.v), out=cols[1])
+        np.multiply(prof.y[:, None], np.sin(mesh.v), out=cols[2])
         records = np.frombuffer(
             buf, dtype=[("n", "<u1"), ("i", "<i4", (3,))], count=m, offset=len(header) + 40 * n
         )
         records["n"] = 3
         _fill_faces(mesh, records["i"])
         # the views must go before the buffer is released (BufferError otherwise)
-        del block, records
+        del cols, records
     # with no export alive, CPython hands back the BytesIO's own bytes object
     # instead of a copy
     return out.getvalue()

@@ -259,6 +259,31 @@ class TestMesh:
         blob = (tmp_path / "surface.ply").read_bytes()
         assert blob.startswith(b"ply\nformat binary_little_endian 1.0\n")
 
+    # REF over u in [-0.3, 0.3] at 31 x 24, on a closed and an open sweep
+    PINNED_ARGS = [
+        "mesh", "--c1", 1, "--c2", -1.8333333333333333, "--u-lo", -0.3, "--u-hi", 0.3,
+        "--nu", 31, "--nv", 24,
+    ]
+    # sha256 of the files written while the mesh stored its vertex and uv grids
+    PINNED_SHA256 = {
+        ("0", "6.283185307179586", "ply"):
+            "8d6144550aea8df06a2d476ffc66df0b1275f9759aaca95ea3585caa4ff8a9e3",
+        ("0", "6.283185307179586", "obj"):
+            "930a7dd0a7e4d0e7ee739eebfc67cf23f9e6bfc46521fb88b2f00a130d2c6890",
+        ("0.5", "2.5", "ply"):
+            "831d8625cee3ac1afc1a044073b70b31b6a90f658db43fe94b7e8d21013f3aa6",
+        ("0.5", "2.5", "obj"):
+            "67f0c426eae30cc42454200bc890e72f8d486a7520e81a5d6ec87d8a99e0ee5a",
+    }
+
+    @pytest.mark.parametrize("v_lo, v_hi, fmt", list(PINNED_SHA256),
+                             ids=["closed-ply", "closed-obj", "open-ply", "open-obj"])
+    def test_outputs_are_pinned(self, tmp_path, v_lo, v_hi, fmt):
+        argv = self.PINNED_ARGS + ["--v-lo", v_lo, "--v-hi", v_hi, "--format", fmt]
+        assert run_cli(argv + ["--outdir", tmp_path]) == 0
+        blob = (tmp_path / f"surface.{fmt}").read_bytes()
+        assert hashlib.sha256(blob).hexdigest() == self.PINNED_SHA256[v_lo, v_hi, fmt]
+
     def test_byte_identical_reruns(self, tmp_path):
         run_cli(MESH_ARGS + ["--format", "obj", "--outdir", tmp_path / "a"])
         run_cli(MESH_ARGS + ["--format", "obj", "--outdir", tmp_path / "b"])

@@ -16,7 +16,7 @@ def kernel_lines(values):
     values = np.asarray(values, dtype=np.float64).ravel()
     rows = np.resize(values, (-(-values.size // 3), 3))
     out = io.BytesIO()
-    _float_lines(out, b"v", rows)
+    _float_lines(out, b"v", lambda lo, hi: rows[lo:hi], len(rows))
     expected = "".join("v %.17g %.17g %.17g\n" % tuple(r) for r in rows.tolist())
     return out.getvalue(), expected.encode("ascii")
 

@@ -62,6 +62,23 @@ def cylinder(c, n):
     return ProfileCurve(u, c * u, np.full(n, c))
 
 
+def collapsed_cylinder(n, rows):
+    """cylinder(2.0, n) with sample r + 1 a repeat of sample r's (x, y) for each r in rows.
+
+    The quad row between the two samples then has zero area: the only way
+    a mesh built from a profile gets zero-area triangles.
+    """
+    prof = cylinder(2.0, n)
+    x = prof.x.copy()
+    x[np.add(rows, 1)] = x[rows]
+    return ProfileCurve(prof.u, x, prof.y)
+
+
+def grid_rows(nv, *rows):
+    """Vertex ids of the given grid rows of an nv-column mesh, ascending."""
+    return np.concatenate([np.arange(r * nv, (r + 1) * nv) for r in sorted(rows)])
+
+
 @pytest.fixture
 def factor(monkeypatch):
     """Make profile_from_metric integrate lambda and lambda' given as array callables.
@@ -474,13 +491,34 @@ class TestTessellate:
     )
     def test_rejects_non_finite_v_range(self, v_lo, v_hi):
         prof = cylinder(1.0, 5)
-        with pytest.raises(ParameterError, match="must be finite with a finite span"):
+        with pytest.raises(ParameterError, match=r"mesh angle v\[0\] is not finite"):
             tessellate(prof, v_lo, v_hi, 4)
 
     @pytest.mark.parametrize("v_lo, v_hi", [(1.0, 0.0), (1.0, 1.0)], ids=["reversed", "empty"])
     def test_rejects_empty_or_reversed_v_range(self, v_lo, v_hi):
-        with pytest.raises(ParameterError, match="need v_lo < v_hi"):
+        with pytest.raises(ParameterError, match=r"mesh angle v\[1\] = \S+ is not above v\[0\] = 1.0"):
             tessellate(cylinder(1.0, 5), v_lo, v_hi, 4)
+
+    def test_mesh_is_its_profile_and_angles(self):
+        prof = cylinder(2.0, 5)
+        for v_hi, nv in ((math.pi, 4), (2.0 * math.pi, 6)):
+            mesh = tessellate(prof, 0.0, v_hi, nv)
+            assert mesh.profile is prof and mesh.params is prof.params
+            assert (mesh.nu, mesh.nv, mesh.v.dtype) == (5, nv, np.float64)
+            assert np.array_equal(mesh.uv[:, 1].reshape(5, nv), np.tile(mesh.v, (5, 1)))
+
+    def test_traced_memory_is_the_angles(self, ref_params):
+        lo, hi = embeddable_interval(ref_params)
+        prof = profile_from_metric(ref_params, (0.8 * lo, 0.8 * hi), n=801)
+        tracemalloc.start()
+        try:
+            mesh = tessellate(prof, 0.0, 2.0 * math.pi, 314)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # no vertex or uv grid is stored: the mesh holds the profile and 314 angles
+        assert mesh.nu * mesh.nv == 801 * 314
+        assert peak <= 0.01 * 801 * 314 * 8
 
     def test_outward_orientation(self):
         prof = cylinder(2.0, 5)
@@ -492,6 +530,27 @@ class TestTessellate:
             centroid = (a + b + c) / 3.0
             radial = np.array([0.0, centroid[1], centroid[2]])
             assert np.dot(n, radial) > 0.0
+
+
+class TestMeshAngles:
+    @pytest.mark.parametrize(
+        "v, message",
+        [
+            ([0.0, math.nan, 2.0], "mesh angle v[1] is not finite (nan)"),
+            ([0.0, 1.0, math.inf], "mesh angle v[2] is not finite (inf)"),
+            ([-math.inf, 1.0, 2.0], "mesh angle v[0] is not finite (-inf)"),
+            ([0.0, 1.0, 1.0], "mesh angle v[2] = 1.0 is not above v[1] = 1.0"),
+            ([0.0, 2.0, 1.0, 3.0], "mesh angle v[2] = 1.0 is not above v[1] = 2.0"),
+            ([0.0, 1.0], "need a 1-d array of nv >= 3 mesh angles, got shape (2,)"),
+            ([[0.0, 1.0, 2.0]], "need a 1-d array of nv >= 3 mesh angles, got shape (1, 3)"),
+        ],
+        ids=["nan", "inf", "-inf", "repeated", "reversed", "two", "2-d"],
+    )
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    def test_angles_checked(self, v, message, closed):
+        with pytest.raises(ParameterError) as err:
+            RevolutionMesh(cylinder(1.0, 3), v, closed)
+        assert str(err.value) == message
 
 
 class TestInducedMetric:
@@ -549,21 +608,24 @@ class TestAngleDefect:
         assert np.max(np.abs(k_est)) < 1e-6
 
     def test_zero_area_triangles_skipped(self):
-        prof = cylinder(2.0, 11)
-        mesh = tessellate(prof, 0.0, 2.0 * math.pi, 16)
-        ref_ids, ref_k, _, _ = angle_defect_curvature(mesh)
-        moved = 5 * mesh.nv + 3
-        mesh.vertices[moved] = mesh.vertices[moved + 1]  # collapses one edge
-        zero = np.isin(mesh.faces, [moved, moved + 1]).sum(axis=1) == 2
+        ref_ids, ref_k, _, _ = angle_defect_curvature(
+            tessellate(cylinder(2.0, 11), 0.0, 2.0 * math.pi, 16)
+        )
+        # sample 6 repeats sample 5, so row 6 of the mesh lies on row 5
+        mesh = tessellate(collapsed_cylinder(11, [5]), 0.0, 2.0 * math.pi, 16)
+        moved = grid_rows(16, 6)
+        zero = np.isin(mesh.faces, grid_rows(16, 5, 6)).all(axis=1)
         ids, k_est, _, skipped = angle_defect_curvature(mesh)
-        assert zero.sum() == 2
+        assert zero.sum() == 2 * 16
         assert np.array_equal(skipped, np.unique(mesh.faces[zero]))
+        assert np.array_equal(skipped, grid_rows(16, 5, 6))
         assert not np.isin(ids, skipped).any()
-        # fans that never touch the moved vertex keep their exact estimate
+        # fans that never touch the moved row keep their exact estimate
         near = np.unique(mesh.faces[np.isin(mesh.faces, moved).any(axis=1)])
         far = ~np.isin(ref_ids, near)
         assert np.array_equal(ids[~np.isin(ids, near)], ref_ids[far])
         assert np.array_equal(k_est[~np.isin(ids, near)], ref_k[far])
+        self.assert_matches_oracle(mesh)
 
     def test_reference_member_matches_analytic(self, ref_params):
         lo, hi = embeddable_interval(ref_params)
@@ -629,42 +691,22 @@ class TestAngleDefect:
         self.assert_matches_oracle(mesh)
 
     def test_zero_area_triangles_skipped_on_open_mesh(self):
-        prof = cylinder(2.0, 11)
-        mesh = tessellate(prof, 0.0, math.pi, 16)
-        moved = 5 * mesh.nv + 3
-        mesh.vertices[moved] = mesh.vertices[moved + 1]  # collapses one edge
-        zero = np.isin(mesh.faces, [moved, moved + 1]).sum(axis=1) == 2
-        assert zero.sum() == 2
+        mesh = tessellate(collapsed_cylinder(11, [5]), 0.0, math.pi, 16)
+        zero = np.isin(mesh.faces, grid_rows(16, 5, 6)).all(axis=1)
+        assert zero.sum() == 2 * 15
         ids, skipped = self.assert_matches_oracle(mesh)
         assert np.array_equal(skipped, np.unique(mesh.faces[zero]))
+        assert np.array_equal(skipped, grid_rows(16, 5, 6))
         assert not np.isin(ids, skipped).any()
 
     @pytest.mark.parametrize("v_hi", [math.pi, 2.0 * math.pi], ids=["open", "closed"])
     def test_zero_area_triangles_at_seam_and_border(self, v_hi):
-        prof = cylinder(2.0, 11)
-        mesh = tessellate(prof, 0.0, v_hi, 16)
-        mesh.vertices[4 * 16] = mesh.vertices[4 * 16 + 1]  # column 0 onto column 1
-        mesh.vertices[6 * 16] = mesh.vertices[6 * 16 + 15]  # onto the last column
-        mesh.vertices[3] = mesh.vertices[4]  # first row
-        mesh.vertices[10 * 16 + 8] = mesh.vertices[10 * 16 + 7]  # last row
-        _, skipped = self.assert_matches_oracle(mesh)
-        # column 0 and the last column share triangles only across a closed seam
-        expected = {4 * 16, 3, 10 * 16 + 8} | ({6 * 16, 6 * 16 + 15} if mesh.closed else set())
-        assert expected <= set(skipped.tolist())
-
-    def test_wrong_layout_raises(self):
-        prof = cylinder(2.0, 5)
-        mesh = tessellate(prof, 0.0, 2.0 * math.pi, 8)
-        layout = dict(nu=mesh.nu, nv=mesh.nv, closed=True)
-        bad_shapes = [
-            (mesh.vertices[:-1], mesh.uv[:-1]),  # one vertex short of nu * nv
-            (mesh.vertices, mesh.uv[:-1]),
-            (mesh.vertices[:, :2], mesh.uv),
-            (mesh.vertices.reshape(mesh.nu, mesh.nv, 3), mesh.uv),
-        ]
-        for vertices, uv in bad_shapes:
-            with pytest.raises(ParameterError, match="tessellate grid"):
-                RevolutionMesh(vertices=vertices, uv=uv, **layout)
+        # the first and the last quad row collapse; on a closed mesh that
+        # includes the quad that wraps across the seam
+        mesh = tessellate(collapsed_cylinder(11, [0, 9]), 0.0, v_hi, 16)
+        ids, skipped = self.assert_matches_oracle(mesh)
+        assert np.array_equal(skipped, grid_rows(16, 0, 1, 9, 10))
+        assert len(ids) == 7 * (16 if mesh.closed else 14)
 
 
 def ref_mesh(params, nu, nv, v_hi):
@@ -722,34 +764,6 @@ class TestRowBands:
         assert nv > revolution._BAND_VERTICES or nu == 3
         TestAngleDefect.assert_matches_oracle(ref_mesh(ref_params, nu, nv, v_hi))
 
-    @pytest.mark.parametrize("v_hi", [math.pi, 2.0 * math.pi], ids=["open", "closed"])
-    @pytest.mark.parametrize("budget", [None, 16], ids=["default-bands", "one-row-bands"])
-    @pytest.mark.parametrize("mutated", [False, True], ids=["built", "mutated"])
-    def test_non_finite_vertex_named(self, ref_params, monkeypatch, v_hi, budget, mutated):
-        if budget is not None:
-            monkeypatch.setattr(revolution, "_BAND_VERTICES", budget)
-        mesh = ref_mesh(ref_params, 41, 16, v_hi)
-        verts = mesh.vertices.copy()
-        verts[[7 * 16 + 5, 30 * 16]] = [[np.nan, 0.0, 1.0], [0.0, np.inf, 0.0]]
-        if mutated:
-            mesh.vertices[:] = verts
-        else:
-            mesh = RevolutionMesh(
-                vertices=verts, uv=mesh.uv, nu=mesh.nu, nv=mesh.nv,
-                closed=mesh.closed, params=mesh.params,
-            )
-        for check in (angle_defect_curvature, lambda m: induced_metric_check(m, ref_params)):
-            with pytest.raises(ParameterError, match=r"mesh vertex \(7, 5\) is not finite"):
-                check(mesh)
-
-    @pytest.mark.parametrize("row", [0, 40], ids=["first-row", "last-row"])
-    def test_non_finite_vertex_on_border_row(self, ref_params, row):
-        mesh = ref_mesh(ref_params, 41, 16, 2.0 * math.pi)
-        mesh.vertices[row * 16 + 15, 2] = -np.inf
-        for check in (angle_defect_curvature, lambda m: induced_metric_check(m, ref_params)):
-            with pytest.raises(ParameterError, match=rf"mesh vertex \({row}, 15\)"):
-                check(mesh)
-
     def test_traced_memory_stays_a_few_grid_arrays(self, ref_params):
         mesh = ref_mesh(ref_params, 801, 314, 2.0 * math.pi)
         grid_array = 801 * 314 * 8
@@ -800,21 +814,19 @@ class TestExports:
         mesh = tessellate(ProfileCurve(u=s, x=x, y=y), 0.0, v_hi, nv)
         assert mesh_to_obj(mesh) == reference_obj(mesh).encode("ascii")
 
-    # hand-built 2 x 3 and 3 x 4 grids: signed zeros, subnormals and repeated values,
-    # which the OBJ writer sends through '%.17g' itself
-    ODD_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.5, 1.5, -1.5,
-                  1.0000000000000002, 1e50, 0.1, 0.1, -0.0, 0.0, 5e-324]
+    # profiles and angles with signed zeros, subnormals and huge values, which
+    # the OBJ writer sends through '%.17g' itself; x is 0 and -0 on the first
+    # two rows, and the y sin v of a tiny angle underflows
+    ODD_U = [-5e-324, 0.0, 5e-324, 0.1, 1e50]
+    ODD_X = [0.0, -0.0, 1e50, 5e-324, 0.1]
+    ODD_Y = [1.5, 5e-324, 2.2250738585072009e-308, 1.5, 1.0000000000000002]
+    ODD_V = [-5e-324, 0.0, 1e-310, 1.5]
 
     @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
-    @pytest.mark.parametrize("nu, nv", [(2, 3), (3, 4)])
+    @pytest.mark.parametrize("nu, nv", [(2, 3), (3, 4), (5, 4)])
     def test_exports_of_odd_values_match_reference(self, nu, nv, closed):
-        pool = np.array(self.ODD_VALUES)
-        picks = np.random.default_rng(7).integers(0, pool.size, size=(nu * nv, 5))
-        picks[:, 0] = np.arange(nu * nv) % pool.size
-        values = pool[picks]
-        mesh = RevolutionMesh(
-            vertices=values[:, :3].copy(), uv=values[:, 3:].copy(), nu=nu, nv=nv, closed=closed
-        )
+        prof = ProfileCurve(self.ODD_U[:nu], self.ODD_X[:nu], self.ODD_Y[:nu])
+        mesh = RevolutionMesh(prof, self.ODD_V[:nv], closed)
         text = mesh_to_obj(mesh)
         assert text == reference_obj(mesh).encode("ascii")
         assert b"\nv 0 " in text and b"\nv -0 " in text
