@@ -86,13 +86,14 @@ def _profile_columns(t, x, y, name: str, least: int, label: str):
     return t, x, y
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProfileCurve:
     """Sampled plane curve (x(u), y(u)) generating a surface of revolution.
 
     At least 2 samples, all finite, u strictly increasing and the rotation
     radius y positive (the column check of metric_from_profile).  ``params``
     tags profiles built from a family metric for provenance checks downstream.
+    Equality is identity: a profile equals only itself.
     """
 
     u: np.ndarray
@@ -107,15 +108,17 @@ class ProfileCurve:
         object.__setattr__(self, "y", y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RevolutionMesh:
     """Structured triangulated tube (x(u), y(u) cos v, y(u) sin v).
 
     Grid node (i, j), vertex i * nv + j, is profile sample i turned by the
     angle v[j].  The angles must be at least 3, finite and strictly
     increasing (ParameterError naming the angle otherwise), so every vertex
-    is finite.  ``closed`` marks a full 2 pi seam in v, and the faces follow
-    from (nu, nv, closed).
+    is finite.  ``closed`` marks a full 2 pi seam in v, so the angles of a
+    closed mesh must span less than 2 pi (ParameterError naming the span
+    otherwise).  The faces follow from (nu, nv, closed).  Equality is
+    identity, as for ProfileCurve.
     """
 
     profile: ProfileCurve
@@ -132,6 +135,11 @@ class RevolutionMesh:
         if np.any(np.diff(v) <= 0.0):
             j = int(np.argmax(np.diff(v) <= 0.0)) + 1
             raise ParameterError(f"mesh angle v[{j}] = {v[j]} is not above v[{j - 1}] = {v[j - 1]}")
+        span = v[-1] - v[0]
+        if self.closed and span >= 2.0 * math.pi:
+            raise ParameterError(
+                f"a closed mesh needs angles spanning less than 2 pi, got v[-1] - v[0] = {span}"
+            )
         object.__setattr__(self, "v", v)
 
     nu = property(lambda self: self.profile.u.size, doc="Grid rows, one per profile sample.")
@@ -329,112 +337,20 @@ def profile_from_metric(p: MetricParams, interval, *, tol: float = 1e-10, n: int
     return ProfileCurve(u=u, x=x, y=y, params=p)
 
 
-def _solve_tridiagonal(dl, d, du, b, c):
-    """Solve one tridiagonal system of n >= 3 unknowns for right-hand sides b and c.
-
-    dl, d and du are the sub-, main and super-diagonal.  This is LAPACK
-    dgtsv (Gaussian elimination with row interchanges), the routine behind
-    scipy.linalg.solve_banded((1, 1), ...), operation for operation, so the
-    solutions carry the same bits.  A zero pivot raises ParameterError.
-    """
-    dl, d, du, b, c = (np.asarray(a, dtype=float).tolist() for a in (dl, d, du, b, c))
-    n = len(d)
-    for i in range(n - 1):
-        di, li = d[i], dl[i]
-        if abs(di) >= abs(li):
-            if di == 0.0:
-                raise ParameterError(f"singular spline system: zero pivot in row {i}")
-            fact = li / di
-            d[i + 1] -= fact * du[i]
-            b[i + 1] -= fact * b[i]
-            c[i + 1] -= fact * c[i]
-            dl[i] = 0.0
-        else:
-            # interchange rows i and i + 1; dl[i] becomes the fill-in of
-            # the second super-diagonal
-            fact = di / li
-            d[i] = li
-            temp = d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
-            c[i], c[i + 1] = c[i + 1], c[i] - fact * c[i + 1]
-    if d[n - 1] == 0.0:
-        raise ParameterError(f"singular spline system: zero pivot in row {n - 1}")
-    # back substitution; (xb, yb) and (xc, yc) are the solutions at rows
-    # i + 2 and i + 1
-    xb, xc = b[n - 1] / d[n - 1], c[n - 1] / d[n - 1]
-    yb = (b[n - 2] - du[n - 2] * xb) / d[n - 2]
-    yc = (c[n - 2] - du[n - 2] * xc) / d[n - 2]
-    sol_b, sol_c = [xb, yb], [xc, yc]
-    rows = zip(b[n - 3 :: -1], c[n - 3 :: -1], du[n - 3 :: -1], dl[n - 3 :: -1], d[n - 3 :: -1])
-    for bi, ci, ui, li, di in rows:
-        xb, yb = yb, (bi - ui * yb - li * xb) / di
-        xc, yc = yc, (ci - ui * yc - li * xc) / di
-        sol_b.append(yb)
-        sol_c.append(yc)
-    return np.array(sol_b[::-1]), np.array(sol_c[::-1])
-
-
-def _hermite_coefficients(h, y, dydx):
-    """Cubic coefficients (highest power first) on each interval of length h.
-
-    y and dydx hold the values and slopes at the knots along the last axis,
-    combined as scipy.interpolate.CubicHermiteSpline combines them.
-    """
-    slope = np.diff(y) / h
-    t = (dydx[..., :-1] + dydx[..., 1:] - 2 * slope) / h
-    return t / h, (slope - dydx[..., :-1]) / h - t, dydx[..., :-1], y[..., :-1]
-
-
-def _evaluate_cubic(knots, coeffs, points):
-    """Evaluate the piecewise cubic at points, extrapolating from the end pieces."""
-    i = np.clip(np.searchsorted(knots, points, side="right") - 1, 0, knots.size - 2)
-    z = points - knots[i]
-    c0, c1, c2, c3 = (c[i] for c in coeffs)
-    # the order of operations of SciPy's evaluate_poly1
-    z2 = z * z
-    return ((c3 + c2 * z) + c1 * z2) + c0 * (z2 * z)
-
-
-def _pchip_edge_slope(h0, h1, m0, m1):
-    """One-sided three-point end slope of positive secants, clamped at 0 (pchiptx)."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    return d if d > 0.0 else 0.0
-
-
-def _pchip_slopes(h, y):
-    """Fritsch-Carlson monotone slopes at the knots, as SciPy's PchipInterpolator.
-
-    y is strictly increasing, so every secant slope is positive and SciPy's
-    branches for flat pieces and sign changes never apply.
-    """
-    m = np.diff(y) / h
-    w1 = 2 * h[1:] + h[:-1]
-    w2 = h[1:] + 2 * h[:-1]
-    inner = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
-    first = _pchip_edge_slope(h[0], h[1], m[0], m[1])
-    last = _pchip_edge_slope(h[-1], h[-2], m[-1], m[-2])
-    return np.concatenate(([first], inner, [last]))
-
-
 def metric_from_profile(s, x, y, resample_n: int):
     """Conformal factor of the metric induced by an arc-length profile.
 
     Checks the columns as ProfileCurve does (at least 4 samples, a NaN or
     infinite one named), that the square of the smallest s step is a
     normal float (verify._stencil_spacing_ok), then x'^2 + y'^2 = 1
-    (central differences, tolerance 1e-6).  It forms u(s) by integrating
-    the not-a-knot cubic spline of 1/y, inverts the strictly increasing s(u) with the
-    shape-preserving monotone (PCHIP) cubic, and returns (u_grid, lambda) with lambda(u) = y(s(u)) on a
-    uniform grid of ``resample_n`` points starting at u = 0; lambda comes
-    from the not-a-knot spline of y.  The interpolants reproduce SciPy's
-    not-a-knot ``CubicSpline`` and ``PchipInterpolator`` bit for bit:
-    the classify stencils amplify rounding by about 1/h^4, so a last-digit
-    difference in lambda would show in the verdict's sixth digit.
+    (np.gradient, tolerance 1e-6), and returns (u_grid, lambda) with
+    lambda(u) = y(s(u)) on a uniform grid of ``resample_n`` points
+    starting at u = 0.  The profile hands over every slope: with g = 1/y,
+    u(s) = integral of g ds and g' = -y'/y^2, so u at the knots is the
+    end-corrected trapezoid h/2 (g_i + g_i+1) + h^2/12 (g'_i - g'_i+1),
+    exact for cubic g, and dlambda/du = y y'.  lambda is the cubic
+    Hermite interpolant of (u_i, y_i) with those slopes, so no inverse
+    s(u) and no linear solve is formed.
     """
     from .verify import _require_stencil_spacing
 
@@ -453,32 +369,10 @@ def metric_from_profile(s, x, y, resample_n: int):
             f"{speed_err[worst]:.3e} at sample {worst} (s = {s[worst]:.17g})"
         )
 
-    # not-a-knot slopes of the splines of 1/y (row 0) and y (row 1): one
-    # banded system, built as CubicSpline builds it
-    h = np.diff(s)
-    vals = np.stack([1.0 / y, y])
-    slope = np.diff(vals) / h
-    rhs = np.empty_like(vals)
-    rhs[:, 1:-1] = 3 * (h[1:] * slope[:, :-1] + h[:-1] * slope[:, 1:])
-    d0, d1 = s[2] - s[0], s[-1] - s[-3]
-    rhs[:, 0] = ((h[0] + 2 * d0) * h[1] * slope[:, 0] + h[0] ** 2 * slope[:, 1]) / d0
-    rhs[:, -1] = (h[-1] ** 2 * slope[:, -2] + (2 * d1 + h[-1]) * h[-2] * slope[:, -1]) / d1
-    diag = np.concatenate(([h[1]], 2 * (h[:-1] + h[1:]), [h[-2]]))
-    m_inv, m_y = _solve_tridiagonal(
-        np.append(h[1:], d1), diag, np.insert(h[:-1], 0, d0), rhs[0], rhs[1]
-    )
-    coeffs = _hermite_coefficients(h, vals, np.stack([m_inv, m_y]))
-
-    # u at the knots: the antiderivative of the 1/y spline, accumulated
-    # term by term in the order of PPoly.antiderivative's continuity fix
-    a0, a1, a2, a3 = (c[0] / k for c, k in zip(coeffs, (4.0, 3.0, 2.0, 1.0)))
-    h2 = h * h
-    h3 = h2 * h
-    terms = zip(
-        (a3 * h).tolist(), (a2 * h2).tolist(), (a1 * h3).tolist(), (a0 * (h3 * h)).tolist()
-    )
-    acc = 0.0
-    u = np.array([0.0] + [acc := acc + p + q + r + w for p, q, r, w in terms])
+    h, g = np.diff(s), 1.0 / y
+    dg = -dy * g * g
+    steps = 0.5 * h * (g[:-1] + g[1:]) + h * h / 12.0 * (dg[:-1] - dg[1:])
+    u = np.concatenate(([0.0], np.cumsum(steps)))
     hu = np.diff(u)
     rising = (hu > 0.0) & np.isfinite(hu)
     if not rising.all():
@@ -488,8 +382,13 @@ def metric_from_profile(s, x, y, resample_n: int):
         )
 
     u_grid = np.linspace(0.0, u[-1], resample_n)
-    s_grid = _evaluate_cubic(u, _hermite_coefficients(hu, s, _pchip_slopes(hu, s)), u_grid)
-    lam = _evaluate_cubic(s, tuple(c[1] for c in coeffs), s_grid)
+    i = np.clip(np.searchsorted(u, u_grid, side="right") - 1, 0, hu.size - 1)
+    step, m = hu[i], y * dy
+    t = (u_grid - u[i]) / step
+    a = 1.0 - t
+    lam = a * a * ((1.0 + 2.0 * t) * y[i] + t * step * m[i]) + t * t * (
+        (3.0 - 2.0 * t) * y[i + 1] - a * step * m[i + 1]
+    )
     return u_grid, lam
 
 

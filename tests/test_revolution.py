@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 from scipy.special import ellipj
 
@@ -29,7 +28,7 @@ from ricci_liouville import (
 )
 
 from ricci_liouville import revolution
-from ricci_liouville.revolution import _simpson_segments, _solve_tridiagonal
+from ricci_liouville.revolution import _simpson_segments
 
 from helpers import (
     arc_length_resample,
@@ -310,96 +309,62 @@ def cone_profile_arrays(s):
     return s, 0.8 * s, 1.0 + 0.6 * s
 
 
-def spline_matrix(s):
-    """Sub-, main and super-diagonal of the not-a-knot slope system on knots s."""
-    h = np.diff(s)
-    dl = np.append(h[1:], s[-1] - s[-3])
-    d = np.concatenate(([h[1]], 2 * (h[:-1] + h[1:]), [h[-2]]))
-    du = np.insert(h[:-1], 0, s[2] - s[0])
-    return dl, d, du
-
-
-# elimination of the slope system on these knots swaps rows at steps 1, 4,
-# 7, 10 and 11 (the last step).  At step 1 the sub-diagonal h[2] exceeds the
-# pivot 2 (h[0] + h[1]) - (s[2] - s[0]) left after eliminating row 0
-PIVOTING_KNOTS = np.cumsum(
+# steps from 0.01 to 2.0 on the cone, neighbours up to 200 times apart
+NON_UNIFORM_KNOTS = np.cumsum(
     [0.0, 0.1, 0.05, 1.3, 0.2, 0.02, 0.9, 0.4, 0.01, 2.0, 0.05, 0.05, 1.5]
 )
 
 
 class TestMetricFromProfileMatchesSciPy:
-    """The NumPy interpolants return SciPy's bits on every input."""
+    """The Hermite path agrees with SciPy's spline reconstruction, and with the exact cone."""
 
     @staticmethod
-    def assert_same_bits(s, x, y, resample_n):
+    def assert_close_to_scipy(s, x, y, resample_n):
         u, lam = metric_from_profile(s, x, y, resample_n)
         u_ref, lam_ref = reference_metric_from_profile(s, x, y, resample_n)
-        assert np.array_equal(u, u_ref)
-        assert np.array_equal(lam, lam_ref)
+        np.testing.assert_allclose(u, u_ref, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(lam, lam_ref, rtol=1e-9, atol=0.0)
+
+    @staticmethod
+    def assert_exact_cone(s, resample_n, rtol=1e-3):
+        # du = ds / (1 + 0.6 s) from s[0], so lambda = (1 + 0.6 s[0]) e^(0.6 u)
+        u, lam = metric_from_profile(*cone_profile_arrays(s), resample_n)
+        exact = (1.0 + 0.6 * s[0]) * np.exp(0.6 * u)
+        assert np.max(np.abs(lam / exact - 1.0)) <= rtol
+        assert u[-1] == pytest.approx(np.log1p(0.6 * s[-1]) / 0.6 - np.log1p(0.6 * s[0]) / 0.6,
+                                      rel=rtol)
 
     @pytest.mark.parametrize("resample_n", [51, 1001])
     def test_reference_trumpet(self, ref_params, resample_n):
         lo, hi = embeddable_interval(ref_params)
         prof = profile_from_metric(ref_params, (0.8 * lo, 0.8 * hi), tol=1e-10, n=4001)
-        self.assert_same_bits(*arc_length_resample(prof.u, prof.x, prof.y, 4001), resample_n)
+        self.assert_close_to_scipy(*arc_length_resample(prof.u, prof.x, prof.y, 4001), resample_n)
 
     @pytest.mark.parametrize("resample_n", [51, 1001])
     def test_unit_sphere(self, resample_n):
-        self.assert_same_bits(*sphere_profile_arrays(), resample_n)
+        self.assert_close_to_scipy(*sphere_profile_arrays(), resample_n)
 
     def test_cylinder(self):
         s = np.linspace(0.0, 5.0, 501)
-        self.assert_same_bits(s, s.copy(), np.full_like(s, 1.7), 101)
+        self.assert_close_to_scipy(s, s.copy(), np.full_like(s, 1.7), 101)
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_smallest_inputs(self, n):
-        self.assert_same_bits(*cone_profile_arrays(np.linspace(0.0, 1.5, n)), 7)
+        self.assert_exact_cone(np.linspace(0.0, 1.5, n), 7)
 
-    def test_non_uniform_knots_pivot(self):
-        s = PIVOTING_KNOTS
-        h = np.diff(s)
-        assert h[2] > abs(2 * (h[0] + h[1]) - (s[2] - s[0]))
+    def test_strongly_non_uniform_knots(self):
+        # the steps of 1.3 and 2.0, over which 1/y falls by 42% and 30%,
+        # leave the h^5 term of the end-corrected trapezoid: 1.8e-3 here,
+        # against 1.2e-2 for SciPy's spline reconstruction
         for resample_n in (7, 51, 1001):
-            self.assert_same_bits(*cone_profile_arrays(s), resample_n)
+            self.assert_exact_cone(NON_UNIFORM_KNOTS, resample_n, rtol=2e-3)
 
     def test_random_non_uniform_subsamples(self):
         rng = np.random.default_rng(5)
         dense = np.linspace(0.0, 3.0, 2001)
         for _ in range(20):
             k = int(rng.integers(4, 200))
-            s = np.sort(rng.choice(dense, size=k, replace=False))
-            self.assert_same_bits(*cone_profile_arrays(s), 51)
-
-
-class TestSolveTridiagonal:
-    @staticmethod
-    def solve_both(dl, d, du, b, c):
-        ab = np.zeros((3, d.size))
-        ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
-        ref = solve_banded((1, 1), ab, np.column_stack([b, c]))
-        got_b, got_c = _solve_tridiagonal(dl, d, du, b, c)
-        assert np.array_equal(got_b, ref[:, 0])
-        assert np.array_equal(got_c, ref[:, 1])
-
-    def test_without_interchanges(self):
-        # column diagonally dominant: partial pivoting never swaps rows
-        n = 50
-        rng = np.random.default_rng(1)
-        d = 4.0 + rng.random(n)
-        dl, du = rng.random(n - 1), rng.random(n - 1)
-        self.solve_both(dl, d, du, rng.normal(size=n), rng.normal(size=n))
-
-    def test_with_interchanges(self):
-        rng = np.random.default_rng(2)
-        n = PIVOTING_KNOTS.size
-        self.solve_both(*spline_matrix(PIVOTING_KNOTS), rng.normal(size=n), rng.normal(size=n))
-
-    def test_zero_pivot_raises(self):
-        ones = np.ones(3)
-        with pytest.raises(ParameterError, match="zero pivot in row 0"):
-            _solve_tridiagonal(np.zeros(2), np.array([0.0, 1.0, 1.0]), np.ones(2), ones, ones)
-        with pytest.raises(ParameterError, match="zero pivot in row 2"):
-            _solve_tridiagonal(np.zeros(2), np.array([1.0, 1.0, 0.0]), np.zeros(2), ones, ones)
+            self.assert_exact_cone(np.sort(rng.choice(dense, size=k, replace=False)), 51)
 
 
 class TestMetricFromProfileInputs:
@@ -413,16 +378,17 @@ class TestMetricFromProfileInputs:
             metric_from_profile(cols["s"], cols["x"], cols["y"], 51)
 
     def test_u_must_increase(self):
-        # a radius dipping to 1e-6 at one sample makes the not-a-knot spline
-        # of 1/y ring negative, so u(s) falls between samples 0 and 1.  x
-        # (with x' < 0 at samples 4 and 5) and y[0] were solved for so that
-        # the central-difference speed is 1 to within 1e-14
+        # a steep, asymmetric dip of the radius to 0.01 at sample 4, rising
+        # with y' = 0.9 there: g' = -y'/y^2 = -9000 drives the end-corrected
+        # trapezoid step from sample 4 to 5 to -700.  x (with x' < 0 at
+        # samples 5 and 8) and y[0] were solved for so that the
+        # np.gradient speed is 1 to within 4e-15
         s = np.arange(9.0)
-        x = [-2.192450153879861, -1.1924501538798638, -0.19245015387986109,
-             0.807549846120137, 1.539601231038899, -1.1924501538798598,
-             -0.1924501538798607, 0.8075498461201367, 1.8075498461201356]
-        y = [0.999999949416531, 1.0, 1.0, 1.0, 1e-06, 1.0, 1.0, 1.0, 1.0]
-        with pytest.raises(ParameterError, match="not strictly increasing at sample 1"):
+        x = [0.0, 0.6528431924155735, 1.9004505434171068, 2.589334865519283,
+             3.63823649111032, 3.461114654227418, 3.4384866475559384,
+             5.438486647555937, 5.438486647555935]
+        y = [0.3768726197432666, 1.0, 1.0, 0.5, 0.01, 2.3, 2.0, 2.0, 2.0]
+        with pytest.raises(ParameterError, match="not strictly increasing at sample 5"):
             metric_from_profile(s, x, y, 51)
         # SciPy's PchipInterpolator refuses the same knots
         with pytest.raises(ValueError, match="strictly increasing"):
@@ -455,6 +421,19 @@ class TestProfileCurve:
         with pytest.raises(ParameterError) as err:
             ProfileCurve(u, x, y)
         assert str(err.value) == message
+
+
+class TestEquality:
+    def test_profile_equals_only_itself(self):
+        prof, twin = cylinder(2.0, 5), cylinder(2.0, 5)
+        assert prof == prof and prof != twin
+        assert {prof: 1}[prof] == 1
+
+    def test_mesh_equals_only_itself(self):
+        prof = cylinder(2.0, 5)
+        mesh, twin = tessellate(prof, 0.0, math.pi, 4), tessellate(prof, 0.0, math.pi, 4)
+        assert mesh == mesh and mesh != twin
+        assert {mesh: 1}[mesh] == 1
 
 
 class TestTessellate:
@@ -551,6 +530,23 @@ class TestMeshAngles:
         with pytest.raises(ParameterError) as err:
             RevolutionMesh(cylinder(1.0, 3), v, closed)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "v_hi, span",
+        [(2.0 * math.pi, "6.283185307179586"), (3.0 * math.pi, "9.42477796076938")],
+        ids=["full-turn", "three-half-turns"],
+    )
+    def test_closed_span_checked(self, v_hi, span):
+        # a seam step of zero (a full turn) or below zero (more than a turn)
+        v = np.linspace(0.0, v_hi, 16)
+        with pytest.raises(ParameterError) as err:
+            RevolutionMesh(cylinder(1.0, 3), v, True)
+        assert str(err.value) == (
+            f"a closed mesh needs angles spanning less than 2 pi, got v[-1] - v[0] = {span}"
+        )
+        # the same angles bound an open sweep
+        mesh = RevolutionMesh(cylinder(1.0, 3), v, False)
+        assert (mesh.nv, mesh.face_count) == (16, 60)
 
 
 class TestInducedMetric:
