@@ -51,7 +51,7 @@ ARC_LENGTH_TOL = 1e-6
 _INTEGRAND_FLOOR = -1e-12
 _SIMPSON_MAX_DEPTH = 20  # subdivision cap 2**20 intervals
 _EPS = float(np.finfo(float).eps)
-# vertices per row band of the angle defect and the induced-metric check.
+# vertices per row band of the angle defect.
 # The ~30 live temporaries of a band then total about 2 MB: they stay in a
 # 4 MiB L2, and malloc hands the same heap pages to band after band.  At
 # 16384 the heap is trimmed after each band and faulted in again (18k
@@ -115,10 +115,12 @@ class RevolutionMesh:
     Grid node (i, j), vertex i * nv + j, is profile sample i turned by the
     angle v[j].  The angles must be at least 3, finite and strictly
     increasing (ParameterError naming the angle otherwise), so every vertex
-    is finite.  ``closed`` marks a full 2 pi seam in v, so the angles of a
-    closed mesh must span less than 2 pi (ParameterError naming the span
-    otherwise).  The faces follow from (nu, nv, closed).  Equality is
-    identity, as for ProfileCurve.
+    is finite.  ``closed`` marks a full 2 pi seam in v: the angles of a
+    closed mesh must span less than 2 pi and leave a seam step
+    2 pi - (v[-1] - v[0]) no wider than their widest step, up to 1e-12
+    plus 4 ulp of max(|v[0]|, |v[-1]|, 2 pi) (ParameterError naming the
+    span or both steps otherwise).  The faces follow from (nu, nv,
+    closed).  Equality is identity, as for ProfileCurve.
     """
 
     profile: ProfileCurve
@@ -132,13 +134,21 @@ class RevolutionMesh:
         if not np.isfinite(v).all():
             j = int(np.argmin(np.isfinite(v)))
             raise ParameterError(f"mesh angle v[{j}] is not finite ({v[j]})")
-        if np.any(np.diff(v) <= 0.0):
-            j = int(np.argmax(np.diff(v) <= 0.0)) + 1
+        steps = np.diff(v)
+        if np.any(steps <= 0.0):
+            j = int(np.argmax(steps <= 0.0)) + 1
             raise ParameterError(f"mesh angle v[{j}] = {v[j]} is not above v[{j - 1}] = {v[j - 1]}")
         span = v[-1] - v[0]
         if self.closed and span >= 2.0 * math.pi:
             raise ParameterError(
                 f"a closed mesh needs angles spanning less than 2 pi, got v[-1] - v[0] = {span}"
+            )
+        seam, widest = 2.0 * math.pi - span, steps.max()
+        ulp = math.ulp(max(abs(v[0]), abs(v[-1]), 2.0 * math.pi))
+        if self.closed and seam - widest > 1e-12 + 4.0 * ulp:
+            raise ParameterError(
+                f"a closed mesh needs a seam step 2 pi - (v[-1] - v[0]) = {seam} no wider "
+                f"than its widest angle step {widest}"
             )
         object.__setattr__(self, "v", v)
 
@@ -333,7 +343,7 @@ def profile_from_metric(p: MetricParams, interval, *, tol: float = 1e-10, n: int
 
     u = np.linspace(u_lo, u_hi, n)
     x = np.cumsum(np.concatenate([[0.0], _simpson_segments(integrand, u, tol)]))
-    y = conformal_factor_derivatives(p, u)[0]
+    y = conformal_factor(p, u)
     return ProfileCurve(u=u, x=x, y=y, params=p)
 
 
@@ -410,8 +420,8 @@ def tessellate(profile: ProfileCurve, v_lo: float, v_hi: float, nv: int) -> Revo
     return RevolutionMesh(profile, v, closed)
 
 
-def _planes(mesh: RevolutionMesh, lo: int, hi: int) -> np.ndarray:
-    """Vertex rows lo .. hi - 1 as x, y, z planes of shape (3, hi - lo, nv + closed).
+def _planes(mesh: RevolutionMesh) -> np.ndarray:
+    """The vertex grid as x, y, z planes of shape (3, nu, nv + closed).
 
     np.outer forms y cos v and y sin v as for ``vertices``, so every value
     has its bits, and its whole-grid temporaries are wanted (see
@@ -422,9 +432,9 @@ def _planes(mesh: RevolutionMesh, lo: int, hi: int) -> np.ndarray:
     cos, sin = np.cos(mesh.v), np.sin(mesh.v)
     if mesh.closed:
         cos, sin = np.append(cos, cos[0]), np.append(sin, sin[0])
-    y = mesh.profile.y[lo:hi]
-    grid = np.empty((3, hi - lo, cos.size))
-    grid[0] = mesh.profile.x[lo:hi, None]
+    y = mesh.profile.y
+    grid = np.empty((3, mesh.nu, cos.size))
+    grid[0] = mesh.profile.x[:, None]
     grid[1] = np.outer(y, cos)
     grid[2] = np.outer(y, sin)
     return grid
@@ -491,40 +501,27 @@ def induced_metric_check(mesh: RevolutionMesh, p: MetricParams) -> float:
     closed form.  Rejects meshes that were not built from p with
     ParameterError.
 
-    lambda comes from two whole-column closed-form calls; the vertex
-    planes and their edges are formed over cache-sized row bands (see
-    _row_bands).  Each deviation takes the same float operations as on
-    the whole grid, so the result does not depend on the band height.
+    Every edge length follows from the profile and the angles: a u-edge
+    is the profile chord (dx, dy), the same in every column, and the
+    v-edge of row i over the angle step dv is the chord 2 y_i sin(dv/2).
+    The v-deviation |a_i c_j - 1|, a = y^2 / lambda^2 per row and
+    c = (2 sin(dv/2) / dv)^2 per step, both positive, is largest at
+    a_min c_min or a_max c_max: no (nu, nv) array is formed.  A NaN propagates.
     """
     if mesh.params != p:
         raise ParameterError("mesh provenance mismatch: not tessellated from p")
-    nv, u, v = mesh.nv, mesh.profile.u, mesh.v
-
-    du = u[1:] - u[:-1]
+    prof, v = mesh.profile, mesh.v
+    u, dx, dy = prof.u, np.diff(prof.x), np.diff(prof.y)
     lam_mid = conformal_factor(p, 0.5 * (u[1:] + u[:-1]))
-    expected_u = lam_mid**2 * du**2
-    dv = np.roll(v, -1) - v
+    dev_u = np.max(np.abs((dx * dx + dy * dy) / (lam_mid**2 * np.diff(u) ** 2) - 1.0))
+
+    a = (prof.y / conformal_factor(p, u)) ** 2
+    dv = np.diff(v)
     if mesh.closed:
-        dv[-1] += 2.0 * math.pi
-    else:
-        dv = dv[:-1]
-    lam2, dv2 = conformal_factor(p, u) ** 2, dv**2
-
-    # band maxima combine as np.max over the whole grid: a NaN propagates
-    worst_u = worst_v = -math.inf
-    for lo, hi in _row_bands(mesh):
-        band_u, band_v = _induced_band(_planes(mesh, lo, hi), lo, nv, expected_u, lam2, dv2)
-        worst_u, worst_v = np.maximum(worst_u, band_u), np.maximum(worst_v, band_v)
-    return max(float(worst_u), float(worst_v))
-
-
-def _induced_band(grid, lo: int, nv: int, expected_u, lam2, dv2):
-    """Largest u- and v-edge deviations of the band of rows lo .. in ``grid``."""
-    edge_v, edge_u, _ = _grid_edges(grid)
-    quads, rows = slice(lo, lo + edge_u.shape[1]), slice(lo, lo + edge_v.shape[1])
-    dev_u = np.abs(_sq_norm(edge_u[..., :nv]) / expected_u[quads, None] - 1.0)
-    dev_v = np.abs(_sq_norm(edge_v) / (lam2[rows, None] * dv2) - 1.0)
-    return np.max(dev_u), np.max(dev_v)
+        dv = np.append(dv, v[0] - v[-1] + 2.0 * math.pi)
+    c = (2.0 * np.sin(0.5 * dv) / dv) ** 2
+    dev_v = np.abs(np.array([a.min() * c.min(), a.max() * c.max()]) - 1.0)
+    return float(np.max([dev_u, np.max(dev_v)]))
 
 
 def _fan_sum(t1_corners, t2_corners, closed: bool, out=None):
@@ -644,7 +641,7 @@ def angle_defect_curvature(mesh: RevolutionMesh):
     # vertices of zero-area triangles; column nv stands for column 0 of a
     # closed seam
     hit = np.zeros((nu, nv + 1), dtype=bool)
-    planes = _planes(mesh, 0, nu)
+    planes = _planes(mesh)
     for lo, hi in _row_bands(mesh):
         # interior row r sits at row r - 1 of the whole-grid sums
         band = slice(lo, hi - 2)
@@ -679,7 +676,7 @@ def _vertex_normals(mesh: RevolutionMesh) -> np.ndarray:
     gets its partial fan from _fan_sum; adding +0.0 leaves each sum as the
     face-ordered scatter makes it.
     """
-    v, u, diag = _grid_edges(_planes(mesh, 0, mesh.nu))
+    v, u, diag = _grid_edges(_planes(mesh))
     pad = ((1, 1), (0, 0) if mesh.closed else (1, 1))
     # (d - b) x (c - b) = (-diag) x v_bot = v_bot x diag
     fn1 = [np.pad(c, pad) for c in _cross(v[:, :-1], u[..., :-1])]

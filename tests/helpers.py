@@ -18,7 +18,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 import ricci_liouville
-from ricci_liouville import MetricParams, ParameterError, derive_constants
+from ricci_liouville import MetricParams, ParameterError, conformal_factor, derive_constants
 from ricci_liouville.revolution import ARC_LENGTH_TOL
 
 
@@ -316,6 +316,31 @@ def reference_angle_defect(mesh):
     ids = ids[~np.isin(ids, skipped)]
     defect = 2.0 * math.pi - angle_sum[ids]
     return ids, defect / area_share[ids], area_share[ids], skipped
+
+
+def reference_induced_metric_check(mesh, p):
+    """Induced-metric deviation measured edge by edge on the whole vertex grid.
+
+    The form induced_metric_check had before it read the profile and the
+    angles: every u-edge and v-edge is a 3-d difference of mesh.vertices,
+    the seam edges of a closed mesh running from the last column back to
+    column 0 over the angle step v[0] - v[-1] + 2 pi.  Squared lengths are
+    compared against lambda(u_mid)^2 du^2 and lambda(u)^2 dv^2.
+    """
+    u, v = mesh.profile.u, mesh.v
+    verts = mesh.vertices.reshape(mesh.nu, mesh.nv, 3)
+    dv = np.diff(v)
+    if mesh.closed:
+        verts = np.concatenate([verts, verts[:, :1]], axis=1)
+        dv = np.append(dv, v[0] - v[-1] + 2.0 * math.pi)
+    edge_u = verts[1:] - verts[:-1]
+    edge_v = verts[:, 1:] - verts[:, :-1]
+    lam_mid = conformal_factor(p, 0.5 * (u[1:] + u[:-1]))
+    lam = conformal_factor(p, u)
+    expected_u = (lam_mid * np.diff(u)) ** 2
+    dev_u = np.abs(np.sum(edge_u**2, axis=2) / expected_u[:, None] - 1.0)
+    dev_v = np.abs(np.sum(edge_v**2, axis=2) / np.outer(lam**2, dv**2) - 1.0)
+    return max(float(dev_u.max()), float(dev_v.max()))
 
 
 def reference_obj(mesh):

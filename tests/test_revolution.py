@@ -35,6 +35,7 @@ from helpers import (
     reference_adaptive_simpson,
     reference_angle_defect,
     reference_faces,
+    reference_induced_metric_check,
     reference_metric_from_profile,
     reference_obj,
     reference_ply,
@@ -82,11 +83,13 @@ def grid_rows(nv, *rows):
 def factor(monkeypatch):
     """Make profile_from_metric integrate lambda and lambda' given as array callables.
 
-    They replace the closed form the integrand calls; the interval still has
-    to lie inside the embeddable interval of the params passed.
+    They replace the closed form the integrand and the profile's y call;
+    the interval still has to lie inside the embeddable interval of the
+    params passed.
     """
 
     def use(lam, dlam):
+        monkeypatch.setattr(revolution, "conformal_factor", lambda p, u: lam(u))
         monkeypatch.setattr(
             revolution, "conformal_factor_derivatives", lambda p, u: (lam(u), dlam(u), None)
         )
@@ -237,6 +240,12 @@ class TestProfileFromMetric:
             n,
         )
         assert np.array_equal(prof.x, x_ref)
+
+    def test_y_is_the_closed_form_factor(self, ref_params):
+        lo, hi = embeddable_interval(ref_params)
+        prof = profile_from_metric(ref_params, (0.8 * lo, 0.8 * hi), n=201)
+        assert np.array_equal(prof.y, conformal_factor(ref_params, prof.u))
+        assert np.array_equal(prof.y, conformal_factor_derivatives(ref_params, prof.u)[0])
 
     def test_rejects_interval_beyond_embeddable(self, ref_params):
         _, hi = embeddable_interval(ref_params)
@@ -548,6 +557,38 @@ class TestMeshAngles:
         mesh = RevolutionMesh(cylinder(1.0, 3), v, False)
         assert (mesh.nv, mesh.face_count) == (16, 60)
 
+    @pytest.mark.parametrize(
+        "v, seam, widest",
+        [(2.0 * math.pi * np.arange(8) / 16, "3.5342917352885173", "0.39269908169872414"),
+         ([0.0, 1.0, 2.0], "4.283185307179586", "1.0"),
+         (np.arange(3) * (2.0 * math.pi / 3.0 - 0.4e-12), "2.094395102393996",
+          "2.094395102392795")],
+        ids=["half-turn", "three-radians", "just-over"],
+    )
+    def test_closed_seam_step_checked(self, v, seam, widest):
+        # angles short of one turn: the seam quad would bridge the gap in one
+        # step; just over, the seam step is 1.2e-12 wider than the others
+        with pytest.raises(ParameterError) as err:
+            RevolutionMesh(cylinder(1.0, 3), v, True)
+        assert str(err.value) == (
+            f"a closed mesh needs a seam step 2 pi - (v[-1] - v[0]) = {seam} no wider "
+            f"than its widest angle step {widest}"
+        )
+        mesh = RevolutionMesh(cylinder(1.0, 3), v, False)
+        assert mesh.nv == len(v)
+
+    @pytest.mark.parametrize("v_lo", [0.0, -math.pi, 123.456, 1e3])
+    def test_closed_tessellations_accepted(self, v_lo):
+        # tessellate closes the seam up to 1e-12 off a full turn; 0.9e-12
+        # leaves room for the rounding of v_lo + 2 pi
+        for nv in (3, 16, 314, 40000, 2**20):
+            for slack in (-0.9e-12, 0.0, 0.9e-12):
+                mesh = tessellate(cylinder(1.0, 2), v_lo, v_lo + 2.0 * math.pi + slack, nv)
+                assert mesh.closed and mesh.nv == nv
+        # a seam step 0.9e-12 wider than the others is within the bound
+        v = v_lo + np.arange(3) * (2.0 * math.pi / 3.0 - 0.3e-12)
+        assert RevolutionMesh(cylinder(1.0, 2), v, True).closed
+
 
 class TestInducedMetric:
     def test_cylinder_u_edges_exact(self):
@@ -580,6 +621,28 @@ class TestInducedMetric:
             devs.append(induced_metric_check(mesh, ref_params))
         assert devs[1] < 1e-3
         assert devs[0] / devs[1] > 1.8
+
+    @pytest.mark.parametrize("v_hi", [math.pi, 2.0 * math.pi], ids=["open", "closed"])
+    @pytest.mark.parametrize("nu, nv", [(3, 7), (9, 10), (67, 157), (801, 314), (5, 40000)])
+    def test_matches_grid_reference(self, ref_params, nu, nv, v_hi):
+        mesh = ref_mesh(ref_params, nu, nv, v_hi)
+        assert mesh.closed == (v_hi == 2.0 * math.pi)
+        want = reference_induced_metric_check(mesh, ref_params)
+        assert induced_metric_check(mesh, ref_params) == pytest.approx(want, rel=1e-8, abs=0)
+
+    @pytest.mark.parametrize("shift", [0.05, -0.05])
+    @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
+    def test_matches_grid_reference_off_the_metric(self, ref_params, shift, closed):
+        # y = lambda + shift keeps every u-chord but makes y^2 / lambda^2 vary
+        # by row, above 1 or below it; uneven angle steps, the closed seam
+        # the narrowest, make the v-edge factor vary by step
+        prof = ref_mesh(ref_params, 67, 3, math.pi).profile
+        shifted = ProfileCurve(prof.u, prof.x, prof.y + shift, params=ref_params)
+        v = np.concatenate([[0.0], np.cumsum(np.linspace(0.1, 0.3, 31))])
+        mesh = RevolutionMesh(shifted, v, closed)
+        want = reference_induced_metric_check(mesh, ref_params)
+        assert want > 0.04
+        assert induced_metric_check(mesh, ref_params) == pytest.approx(want, rel=1e-8, abs=0)
 
     def test_provenance_required(self, ref_params):
         prof = cylinder(2.0, 9)
@@ -772,7 +835,9 @@ class TestRowBands:
             finally:
                 tracemalloc.stop()
         assert peaks[0] <= 10 * grid_array
-        assert peaks[1] <= 2 * grid_array
+        # the induced check forms no grid array: its peak is the closed-form
+        # lambda of the 801 profile rows
+        assert peaks[1] <= 0.05 * grid_array
 
 
 def small_ref_mesh(params, v_hi, nv):
@@ -817,12 +882,14 @@ class TestExports:
     ODD_X = [0.0, -0.0, 1e50, 5e-324, 0.1]
     ODD_Y = [1.5, 5e-324, 2.2250738585072009e-308, 1.5, 1.0000000000000002]
     ODD_V = [-5e-324, 0.0, 1e-310, 1.5]
+    # further angles that take a closed mesh round one turn
+    TURN = [3.0, 4.5, 6.0]
 
     @pytest.mark.parametrize("closed", [False, True], ids=["open", "closed"])
     @pytest.mark.parametrize("nu, nv", [(2, 3), (3, 4), (5, 4)])
     def test_exports_of_odd_values_match_reference(self, nu, nv, closed):
         prof = ProfileCurve(self.ODD_U[:nu], self.ODD_X[:nu], self.ODD_Y[:nu])
-        mesh = RevolutionMesh(prof, self.ODD_V[:nv], closed)
+        mesh = RevolutionMesh(prof, self.ODD_V[:nv] + (self.TURN if closed else []), closed)
         text = mesh_to_obj(mesh)
         assert text == reference_obj(mesh).encode("ascii")
         assert b"\nv 0 " in text and b"\nv -0 " in text
