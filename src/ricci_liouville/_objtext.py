@@ -17,8 +17,8 @@ from functools import cache
 
 import numpy as np
 
-# lines per band: 8190 values, about revolution._BAND_VERTICES.  The
-# band's temporaries then come from the same heap pages band after band;
+# lines per band: 8190 values, small enough that the band's temporaries
+# come from the same heap pages band after band;
 # at 8192 lines the heap is trimmed and faulted in again (10.6k minor
 # faults per 201 x 157 export in a fresh process, against 3.7k).
 _BAND_LINES = 2730

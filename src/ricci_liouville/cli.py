@@ -10,7 +10,9 @@ a verdict file), and prints the stdout text only after them.  A run
 that ends with an error message writes no file and prints nothing on
 stdout.  Every range passes one rule, _check_range (finite ends and span,
 lo < hi); mesh checks both ranges and --nv before its profile quadrature,
-classify --b and --resample-n before it reads the profile.
+classify --b and --resample-n before it reads the profile.  A mesh
+quadrature that fails at a --tol below eps^2 of the profile's length is
+a usage error; above that it stays a numerical failure.
 The manifest records every parsed flag except --outdir, with defaults
 resolved.  Data outputs are byte-deterministic for identical inputs.
 
@@ -180,7 +182,7 @@ def cmd_verify(args):
 
 
 def cmd_mesh(args):
-    from .metric import MetricParams
+    from .metric import MetricParams, conformal_factor
     from .revolution import mesh_to_obj, mesh_to_ply, profile_from_metric, tessellate
 
     if not (math.isfinite(args.tol) and args.tol > 0.0):
@@ -195,9 +197,19 @@ def cmd_mesh(args):
         args.nu * args.nv,
         f"--nu {args.nu} with --nv {args.nv} asks for {args.nu} x {args.nv} mesh vertices",
     )
-    profile = profile_from_metric(
-        p, (args.u_lo, args.u_hi), tol=args.tol, n=args.nu
-    )
+    try:
+        profile = profile_from_metric(p, (args.u_lo, args.u_hi), tol=args.tol, n=args.nu)
+    except ConvergenceError:
+        # x' <= lambda, largest at an end, bounds the profile's length; a
+        # tolerance below eps^2 of that asks for more digits than two
+        # float64s carry, which no quadrature meets
+        length = (args.u_hi - args.u_lo) * float(conformal_factor(p, [args.u_lo, args.u_hi]).max())
+        if args.tol < sys.float_info.epsilon**2 * length:
+            raise ParameterError(
+                f"--tol {args.tol!r} is below eps^2 times the profile length bound {length:.6g}: "
+                "no float64 quadrature can meet it"
+            ) from None
+        raise
     mesh = tessellate(profile, args.v_lo, args.v_hi, args.nv)
     data = mesh_to_obj(mesh) if args.format == "obj" else mesh_to_ply(mesh)
     summary = {"vertices": mesh.nu * mesh.nv, "faces": mesh.face_count, "closed": mesh.closed}

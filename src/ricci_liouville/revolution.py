@@ -51,16 +51,6 @@ ARC_LENGTH_TOL = 1e-6
 _INTEGRAND_FLOOR = -1e-12
 _SIMPSON_MAX_DEPTH = 20  # subdivision cap 2**20 intervals
 _EPS = float(np.finfo(float).eps)
-# vertices per row band of the angle defect.
-# The ~30 live temporaries of a band then total about 2 MB: they stay in a
-# 4 MiB L2, and malloc hands the same heap pages to band after band.  At
-# 16384 the heap is trimmed after each band and faulted in again (18k
-# minor faults per 801 x 314 defect call against 2.6k).  Pages are reused
-# only once a block of 2 MB or more was freed (glibc's dynamic mmap and
-# trim thresholds): _planes fills the defect's whole grid through np.outer
-# temporaries, which are such blocks.  After a fill with out= the first
-# 801 x 314 defect call in a fresh process took 14.6k faults, not 3.3k.
-_BAND_VERTICES = 8192
 
 
 def _profile_columns(t, x, y, name: str, least: int, label: str):
@@ -421,12 +411,11 @@ def tessellate(profile: ProfileCurve, v_lo: float, v_hi: float, nv: int) -> Revo
 
 
 def _planes(mesh: RevolutionMesh) -> np.ndarray:
-    """The vertex grid as x, y, z planes of shape (3, nu, nv + closed).
+    """The vertex grid of _vertex_normals as x, y, z planes of shape (3, nu, nv + closed).
 
     np.outer forms y cos v and y sin v as for ``vertices``, so every value
-    has its bits, and its whole-grid temporaries are wanted (see
-    _BAND_VERTICES).  On a closed seam column nv repeats column 0, so
-    every quad, the wrapped one included, reads its corners from adjacent
+    has its bits.  On a closed seam column nv repeats column 0, so every
+    quad, the wrapped one included, reads its corners from adjacent
     columns.
     """
     cos, sin = np.cos(mesh.v), np.sin(mesh.v)
@@ -440,23 +429,8 @@ def _planes(mesh: RevolutionMesh) -> np.ndarray:
     return grid
 
 
-def _row_bands(mesh: RevolutionMesh):
-    """Yield (lo, hi) for bands of vertex rows lo .. hi - 1 of the mesh grid.
-
-    Each band holds up to max(1, _BAND_VERTICES // nv) interior rows,
-    lo + 1 .. hi - 2, with a one-row halo on each side.  The interior rows
-    of successive bands tile 1 .. nu - 2, so their quad rows overlap by
-    one; two rows give one band with no interior.  The caller does each
-    band's work in a helper function, which frees its temporaries.
-    """
-    nu = mesh.nu
-    height = max(1, _BAND_VERTICES // mesh.nv)
-    for first in range(1, max(nu - 1, 2), height):
-        yield first - 1, min(first + height, nu - 1) + 1
-
-
 def _grid_edges(grid: np.ndarray):
-    """Every edge vector of a band of the tube, as (3, rows, cols) coordinate planes.
+    """Every edge vector of the tube, as (3, rows, cols) coordinate planes.
 
     ``grid`` holds vertex rows as _planes lays them out.  Quad (i, j) has
     corners a = (i, j), d = (i, j + 1), b = (i + 1, j) and
@@ -473,24 +447,9 @@ def _grid_edges(grid: np.ndarray):
     return v, u, diag
 
 
-def _dot(p, q):
-    # the summation order of np.einsum("...i,...i", p, q) over three terms
-    return (p[0] * q[0] + p[2] * q[2]) + p[1] * q[1]
-
-
-def _sq_norm(p):
-    # the summation order of np.linalg.norm(..., axis=-1) and of
-    # np.sum(... ** 2, axis=-1) over three terms
-    return (p[0] * p[0] + p[1] * p[1]) + p[2] * p[2]
-
-
 def _cross(p, q):
     # the operations of np.cross
     return p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]
-
-
-def _cross_norm(p, q):
-    return np.sqrt(_sq_norm(_cross(p, q)))
 
 
 def induced_metric_check(mesh: RevolutionMesh, p: MetricParams) -> float:
@@ -556,60 +515,63 @@ def _fan_sum(t1_corners, t2_corners, closed: bool, out=None):
 
 
 def _corner_terms(area2, dots, sq_opposite):
-    """Angles and mixed Voronoi area shares at the three corners of triangles.
+    """Mixed Voronoi area shares at the three corners of triangles.
 
-    dots[c] is the dot product of the two edges leaving corner c and
-    sq_opposite[c] the squared length of the edge opposite it.  The share
-    is the cotangent formula, with the obtuse-triangle fallback of A/2 at
-    the obtuse corner and A/4 at the others.
+    area2 is the doubled area, dots[c] the dot product of the two edges
+    leaving corner c and sq_opposite[c] the squared length of the edge
+    opposite it.  The share is the cotangent formula, with the
+    obtuse-triangle fallback of A/2 at the obtuse corner (dots[c] < 0)
+    and A/4 at the others.
     """
-    angles = [np.arctan2(area2, d) for d in dots]
     # squared length of the edge opposite each corner, times its cotangent
     opp = [sq * (d / area2) for sq, d in zip(sq_opposite, dots)]
-    tri_area = 0.5 * area2
-    obtuse = [a > 0.5 * math.pi for a in angles]
+    obtuse = [d < 0.0 for d in dots]
     any_obtuse = obtuse[0] | obtuse[1] | obtuse[2]
-    half, quarter = tri_area / 2.0, tri_area / 4.0
+    half, quarter = area2 / 4.0, area2 / 8.0
     shares = []
     for c in range(3):
         share = (opp[c - 1] + opp[c - 2]) / 8.0
         np.copyto(share, quarter, where=any_obtuse)
         np.copyto(share, half, where=obtuse[c])
         shares.append(share)
-    return angles, shares
+    return shares
 
 
-def _defect_band(grid, closed: bool, angle_sum, area_share):
-    """Fan sums of angles and area shares over one band of rows in ``grid``.
+def _defect_rows(x, y, s, c2):
+    """(row, step) tables of the fans of the inner rows of a profile slice.
 
-    Writes the sums of the band's interior rows to angle_sum and
-    area_share and returns the masks of zero-area triangles (a, d, b)
-    and (b, d, c) on the band's quads.
+    x and y hold profile rows 0 .. m - 1; s = |sin(dv / 2)| and
+    c2 = cos(dv / 2)^2 hold one value per distinct angle step dv.  A
+    vertex of row i takes the corners of its own quad column at one step
+    and those of the column before it at another.  Returns three
+    (m - 2, steps) tables for rows 1 .. m - 2, the area shares of the own
+    column ("here") and of the column before ("left") and the defect
+    t_i-1 - t_i that each of the two adds, and the zero-area mask of the
+    (m - 1, steps) quads.
     """
-    v, u, diag = _grid_edges(grid)
-    u_left, u_right = u[..., :-1], u[..., 1:]
-    v_top, v_bot = v[:, :-1], v[:, 1:]
-    sq_v, sq_u, sq_diag = _dot(v, v), _dot(u, u), _dot(diag, diag)
-    sq_u_left, sq_u_right = sq_u[..., :-1], sq_u[..., 1:]
-
-    # triangle (a, d, b) has edges v_top, diag, -u_left; triangle (b, d, c)
-    # has edges -diag, u_right, -v_bot
-    area1 = _cross_norm(u_left, v_top)
-    area2 = _cross_norm(v_bot, diag)
+    dx, dy = np.diff(x)[:, None], np.diff(y)[:, None]
+    y0, y1 = y[:-1, None], y[1:, None]
+    ysum, s2 = y0 + y1, s * s
+    h2 = dx * dx + dy * dy * c2
+    height = np.sqrt(h2)
+    diag2, leg2 = h2 + ysum * ysum * s2, dx * dx + dy * dy
+    top, bottom = 2.0 * y0 * s, 2.0 * y1 * s
+    # corners a, d, b of triangle (a, d, b) and b, d, c of triangle (b, d, c)
     with np.errstate(divide="ignore", invalid="ignore"):
-        angles1, shares1 = _corner_terms(
-            area1,
-            (_dot(v_top, u_left), -_dot(diag, v_top), _dot(u_left, diag)),
-            (sq_diag, sq_u_left, sq_v[:-1]),
+        a_a, a_d, a_b = _corner_terms(
+            top * height,
+            (-top * dy * s, top * ysum * s, h2 + dy * ysum * s2),
+            (diag2, leg2, top * top),
         )
-        angles2, shares2 = _corner_terms(
-            area2,
-            (-_dot(diag, v_bot), _dot(u_right, diag), _dot(v_bot, u_right)),
-            (sq_u_right, sq_v[1:], sq_diag),
+        b_b, b_d, b_c = _corner_terms(
+            bottom * height,
+            (bottom * ysum * s, h2 - dy * ysum * s2, bottom * dy * s),
+            (leg2, bottom * bottom, diag2),
         )
-    _fan_sum(angles1, angles2, closed, out=angle_sum)
-    _fan_sum(shares1, shares2, closed, out=area_share)
-    return area1 <= 0.0, area2 <= 0.0
+    here = (b_b + a_b)[:-1] + a_a[1:]
+    left = (a_d + b_d)[1:] + b_c[:-1]
+    tilt = np.arctan2(dy * s, height)
+    return here, left, tilt[:-1] - tilt[1:], height == 0.0
 
 
 def angle_defect_curvature(mesh: RevolutionMesh):
@@ -620,38 +582,51 @@ def angle_defect_curvature(mesh: RevolutionMesh):
     are estimated: rows 1..nu-2, and for open meshes also columns
     1..nv-2.  Zero-area triangles are skipped and their vertices reported.
 
-    The faces are not read: each edge vector is formed on the (nu, nv)
-    vertex grid, and every vertex sums its six-triangle fan from shifted
-    slices.
-
-    The vertex planes, formed once for the whole grid (see _planes), are
-    processed in cache-sized row bands with a one-row halo (see
-    _row_bands).  Angle sums, area shares and the zero-area mask go into
-    whole-grid arrays, compressed once at the end.  Every value takes the
-    same float operations on the same inputs as on the whole grid at
-    once, so the results do not depend on the band height.
+    No vertex is formed.  Quad (i, j) is a planar isosceles trapezoid:
+    parallel sides 2 y_i s and 2 y_i+1 s, s = |sin(dv_j / 2)| over its
+    angle step dv_j (v[0] - v[-1] + 2 pi across a closed seam), legs
+    (dx, dy) and height H = sqrt(dx^2 + dy^2 cos^2(dv_j / 2)).  So every
+    squared side, doubled area and corner dot product is a function of
+    the profile row and the angle step, evaluated once per (row, distinct
+    step), and each vertex gathers its fan from the table through the
+    steps of its column and the column before it.  Both go in row bands
+    with temporaries of 128 KiB, however many steps there are.  The
+    trapezoid's angles are pi/2 + t at a and d and pi/2 - t at b and c,
+    t = atan2(dy s, H); a diagonal splits an angle and adds none, so the
+    defect at vertex (i, j) sums t_i-1 - t_i over the steps of columns
+    j - 1 and j.  A triangle has zero area exactly where H = 0, since
+    y > 0 and s > 0.
 
     Returns (vertex_indices, curvature_estimates, areas, skipped_vertices).
     """
-    closed, nu, nv = mesh.closed, mesh.nu, mesh.nv
-    cols = nv if closed else nv - 1
-    first = 0 if closed else 1
-    inner = (max(nu - 2, 0), nv - 2 * first)
-    angle_sum, area_share = np.empty(inner), np.empty(inner)
-    # vertices of zero-area triangles; column nv stands for column 0 of a
+    closed, nu, nv, v = mesh.closed, mesh.nu, mesh.nv, mesh.v
+    x, y = mesh.profile.x, mesh.profile.y
+    dv = np.diff(v)
+    if closed:
+        # v[0] - v[-1] + 2 pi correctly rounded, 2 pi as the float
+        # 2.0 * math.pi plus its rounding error
+        dv = np.append(dv, math.fsum((v[0], -v[-1], 2.0 * math.pi, 2.4492935982947064e-16)))
+    steps, step_of = np.unique(dv, return_inverse=True)
+    s, c2 = np.abs(np.sin(0.5 * steps)), np.cos(0.5 * steps) ** 2
+    # bands of 16k table entries, and below of 16k vertices: each
+    # temporary then takes 128 KiB, under glibc's default mmap threshold
+    band = 16384
+    share_here, share_left, tilt = (np.empty((max(nu - 2, 0), steps.size)) for _ in range(3))
+    flat = np.empty((nu - 1, steps.size), dtype=bool)
+    rows = max(1, band // steps.size)
+    for lo in range(0, max(nu - 2, 1), rows):
+        hi = min(lo + rows, nu - 2)
+        share_here[lo:hi], share_left[lo:hi], tilt[lo:hi], flat[lo : hi + 1] = _defect_rows(
+            x[lo : hi + 2], y[lo : hi + 2], s, c2
+        )
+
+    # vertices of zero-area quads; column nv stands for column 0 of a
     # closed seam
+    cols, flat = step_of.size, flat[:, step_of]
     hit = np.zeros((nu, nv + 1), dtype=bool)
-    planes = _planes(mesh)
-    for lo, hi in _row_bands(mesh):
-        # interior row r sits at row r - 1 of the whole-grid sums
-        band = slice(lo, hi - 2)
-        flat1, flat2 = _defect_band(planes[:, lo:hi], closed, angle_sum[band], area_share[band])
-        quads, below = slice(lo, lo + len(flat1)), slice(lo + 1, lo + len(flat1) + 1)
-        either = flat1 | flat2
-        hit[quads, :cols] |= flat1
-        hit[quads, 1 : cols + 1] |= either
-        hit[below, :cols] |= either
-        hit[below, 1 : cols + 1] |= flat2
+    for r in (slice(0, nu - 1), slice(1, nu)):
+        for j in (slice(0, cols), slice(1, cols + 1)):
+            hit[r, j] |= flat
     hit[:, 0] |= hit[:, nv]
     hit = hit[:, :nv]
     skipped = np.flatnonzero(hit)
@@ -661,10 +636,20 @@ def angle_defect_curvature(mesh: RevolutionMesh):
     if not closed:
         keep[:, [0, -1]] = False
     ids = np.flatnonzero(keep)
-    keep = keep[1:-1, first : nv - first]
-    areas = area_share[keep]
-    k = angle_sum[keep]
-    np.subtract(2.0 * math.pi, k, out=k)
+    first = 0 if closed else 1
+    inner = keep[1:-1, first : nv - first]
+
+    # each vertex gathers its fan through the steps of its own column and
+    # of the column before it
+    here, left = (step_of, np.roll(step_of, 1)) if closed else (step_of[1:], step_of[:-1])
+    k, areas = np.empty(ids.size), np.empty(ids.size)
+    ends = np.concatenate([[0], np.cumsum(inner.sum(axis=1))])
+    rows = max(1, band // cols)
+    for lo in range(0, nu - 2, rows):
+        hi = min(lo + rows, nu - 2)
+        part, inside = slice(ends[lo], ends[hi]), inner[lo:hi]
+        areas[part] = (share_here[lo:hi, here] + share_left[lo:hi, left])[inside]
+        k[part] = (tilt[lo:hi, here] + tilt[lo:hi, left])[inside]
     np.divide(k, areas, out=k)
     return ids, k, areas, skipped
 

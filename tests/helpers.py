@@ -269,13 +269,24 @@ def reference_vertex_normals(mesh):
     return normals / norm[:, None]
 
 
-def reference_angle_defect(mesh):
-    """Angle-defect curvature from the face list: per-face gathers, one bincount scatter.
+def reference_angle_defect(mesh, dtype=np.float64):
+    """Angle-defect curvature from the face list: per-face gathers, one scatter.
 
     The face-based form angle_defect_curvature had before it worked on the
-    vertex grid, kept as it was.  Returns (ids, k, areas, skipped).
+    vertex grid.  In float64 it reads mesh.vertices and scatters with
+    np.bincount, as it did.  In another dtype, such as np.longdouble, it
+    builds the vertices from the profile and the angles in that dtype and
+    scatters with np.add.at, since np.bincount sums float64 weights only.
+    Returns (ids, k, areas, skipped), k and areas in ``dtype``.
     """
-    verts, faces = mesh.vertices, mesh.faces
+    faces = mesh.faces
+    if dtype == np.float64:
+        verts = mesh.vertices
+    else:
+        x, y, v = (np.asarray(a, dtype=dtype) for a in (mesh.profile.x, mesh.profile.y, mesh.v))
+        verts = np.column_stack(
+            [np.repeat(x, v.size), np.outer(y, np.cos(v)).ravel(), np.outer(y, np.sin(v)).ravel()]
+        )
     p0, p1, p2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
     # edge c runs from corner c to corner c + 1 and is opposite corner c + 2
     edges = np.stack([p1 - p0, p2 - p1, p0 - p2])
@@ -294,8 +305,9 @@ def reference_angle_defect(mesh):
 
     # mixed Voronoi areas (cot formula, obtuse fallback: A/2 at the obtuse
     # corner, A/4 at the others)
+    pi = np.arccos(np.asarray(-1.0, dtype=dtype))
     tri_area = 0.5 * area2
-    obtuse = angles > 0.5 * math.pi
+    obtuse = angles > 0.5 * pi
     share = np.where(
         obtuse.any(axis=0),
         np.where(obtuse, tri_area / 2.0, tri_area / 4.0),
@@ -304,8 +316,13 @@ def reference_angle_defect(mesh):
 
     # one scatter over the corners in corner-major order
     corners = faces.T.ravel()
-    angle_sum = np.bincount(corners, weights=angles.ravel(), minlength=len(verts))
-    area_share = np.bincount(corners, weights=share.ravel(), minlength=len(verts))
+    if dtype == np.float64:
+        angle_sum = np.bincount(corners, weights=angles.ravel(), minlength=len(verts))
+        area_share = np.bincount(corners, weights=share.ravel(), minlength=len(verts))
+    else:
+        angle_sum, area_share = np.zeros(len(verts), dtype), np.zeros(len(verts), dtype)
+        np.add.at(angle_sum, corners, angles.ravel())
+        np.add.at(area_share, corners, share.ravel())
 
     rows = np.arange(1, mesh.nu - 1)
     if mesh.closed:
@@ -314,7 +331,7 @@ def reference_angle_defect(mesh):
         cols = np.arange(1, mesh.nv - 1)
     ids = (rows[:, None] * mesh.nv + cols[None, :]).ravel()
     ids = ids[~np.isin(ids, skipped)]
-    defect = 2.0 * math.pi - angle_sum[ids]
+    defect = 2.0 * pi - angle_sum[ids]
     return ids, defect / area_share[ids], area_share[ids], skipped
 
 

@@ -313,7 +313,8 @@ class TestMesh:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_unreachable_tolerance_fails_fast(self, tmp_path, capsys):
-        # no leaf can get under 1e-300 within the subdivision cap: fail at the first level
+        # 1e-300 is below eps^2 of the profile's length: a usage error once
+        # the first quadrature level fails, naming the flag
         start = time.perf_counter()
         rc = run_cli(
             ["mesh", "--c1", 1, "--c2", -1.8333333333333333, "--u-lo", -0.4, "--u-hi", 0.4,
@@ -321,10 +322,10 @@ class TestMesh:
              "--format", "ply", "--tol", 1e-300, "--outdir", tmp_path]
         )
         assert time.perf_counter() - start < 2.0
-        assert rc == 3
+        assert rc == 2
         assert capsys.readouterr().err == (
-            "numerical failure: quadrature tolerance 1e-300 is below the rounding floor of "
-            "adaptive Simpson; 20 subdivision levels cannot meet it\n"
+            "error: --tol 1e-300 is below eps^2 times the profile length bound 2.35254: "
+            "no float64 quadrature can meet it\n"
         )
         assert list(tmp_path.iterdir()) == []
 
