@@ -93,7 +93,7 @@ def _points_for(lo: float, hi: float, h: float, name: str) -> int:
         raise ParameterError(f"--h must be finite and positive, got {h!r}")
     _check_range(lo, hi, name)
     n = int(round(_check_steps(lo, hi, h, name, "--h"))) + 1
-    if n < 2 or abs((hi - lo) / (n - 1) - h) > 1e-9 * max(1.0, h):
+    if n < 2 or abs((hi - lo) / (n - 1) - h) > 1e-9 * h:
         raise ParameterError(f"h = {h} does not evenly divide the {name} range")
     return n
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -164,7 +163,7 @@ class RevolutionMesh:
         """Number of triangles, 2 (nu - 1) cols; see ``faces``."""
         return 2 * (self.nu - 1) * (self.nv if self.closed else self.nv - 1)
 
-    @cached_property
+    @property
     def faces(self) -> np.ndarray:
         """(2 (nu - 1) cols, 3) int64 vertex indices with outward orientation.
 
@@ -411,12 +410,13 @@ def tessellate(profile: ProfileCurve, v_lo: float, v_hi: float, nv: int) -> Revo
 
 
 def _planes(mesh: RevolutionMesh) -> np.ndarray:
-    """The vertex grid of _vertex_normals as x, y, z planes of shape (3, nu, nv + closed).
+    """The vertex grid as x, y, z planes of shape (3, nu, nv + closed).
 
     np.outer forms y cos v and y sin v as for ``vertices``, so every value
-    has its bits.  On a closed seam column nv repeats column 0, so every
-    quad, the wrapped one included, reads its corners from adjacent
-    columns.
+    has its bits.  On a closed seam column nv repeats column 0, so the
+    corners of every quad, the wrapped one included, sit in adjacent
+    columns: _vertex_normals reads a, d, b and c of all quads as four
+    shifted views of the grid.
     """
     cos, sin = np.cos(mesh.v), np.sin(mesh.v)
     if mesh.closed:
@@ -427,24 +427,6 @@ def _planes(mesh: RevolutionMesh) -> np.ndarray:
     grid[1] = np.outer(y, cos)
     grid[2] = np.outer(y, sin)
     return grid
-
-
-def _grid_edges(grid: np.ndarray):
-    """Every edge vector of the tube, as (3, rows, cols) coordinate planes.
-
-    ``grid`` holds vertex rows as _planes lays them out.  Quad (i, j) has
-    corners a = (i, j), d = (i, j + 1), b = (i + 1, j) and
-    c = (i + 1, j + 1).  Returns v = d - a on every row, u = b - a on
-    every column and diag = b - d.  u carries one column more than the
-    quads (column 0 again on a closed seam), so u[..., :-1] and u[..., 1:]
-    are the left and right u-edges of each quad: triangle (a, d, b) has
-    edges v, diag, -u left and triangle (b, d, c) has edges -diag, u right,
-    -v one row down.
-    """
-    v = grid[:, :, 1:] - grid[:, :, :-1]
-    u = grid[:, 1:] - grid[:, :-1]
-    diag = grid[:, 1:, :-1] - grid[:, :-1, 1:]
-    return v, u, diag
 
 
 def _cross(p, q):
@@ -481,37 +463,6 @@ def induced_metric_check(mesh: RevolutionMesh, p: MetricParams) -> float:
     c = (2.0 * np.sin(0.5 * dv) / dv) ** 2
     dev_v = np.abs(np.array([a.min() * c.min(), a.max() * c.max()]) - 1.0)
     return float(np.max([dev_u, np.max(dev_v)]))
-
-
-def _fan_sum(t1_corners, t2_corners, closed: bool, out=None):
-    """Sum the six triangle-corner terms around every vertex of the quad grid.
-
-    t1_corners and t2_corners hold the terms at corners 0, 1, 2 of the
-    triangles (a, d, b) and (b, d, c), each as a (rows, cols) quad array.
-    The result covers the vertices whose whole fan is present: quad-grid
-    rows 1..rows-1 and, unless the seam is closed, columns 1..cols-1.  It
-    is written to ``out`` when given.  The terms are added as a scatter
-    over the faces adds them, from +0.0, corner-major and then in face
-    order: at column 0 of a closed seam the wrapped quad comes last, so
-    the final two terms swap.
-    """
-    if closed:
-        here, left = (lambda t: t), (lambda t: np.roll(t, 1, axis=1))
-    else:
-        here, left = (lambda t: t[:, 1:]), (lambda t: t[:, :-1])
-    (a0, a1, a2), (b0, b1, b2) = t1_corners, t2_corners
-    total = np.add(here(b0[:-1]), 0.0, out=out)
-    total += here(a0[1:])
-    total += left(a1[1:])
-    total += left(b1[1:])
-    fifth, sixth = left(b2[:-1]), here(a2[:-1])
-    if closed:
-        first_col = (total[:, 0] + sixth[:, 0]) + fifth[:, 0]
-    total += fifth
-    total += sixth
-    if closed:
-        total[:, 0] = first_col
-    return total
 
 
 def _corner_terms(area2, dots, sq_opposite):
@@ -657,18 +608,38 @@ def angle_defect_curvature(mesh: RevolutionMesh):
 def _vertex_normals(mesh: RevolutionMesh) -> np.ndarray:
     """Unit sums of the face normals (d - a) x (b - a) and (d - b) x (c - b) at each vertex.
 
-    The quad arrays are padded with +0.0 quads all round, so every vertex
-    gets its partial fan from _fan_sum; adding +0.0 leaves each sum as the
-    face-ordered scatter makes it.
+    Quad (i, j) has corners a = (i, j), d = (i, j+1), b = (i+1, j),
+    c = (i+1, j+1) and triangles t1 = (a, d, b) and t2 = (b, d, c).  Each
+    vertex adds its fan in the order a scatter over ``faces`` does,
+    corner-major and then in face order, from +0.0: t2 of quad (i-1, j),
+    t1 of (i, j), t1 and t2 of (i, j-1), t2 of (i-1, j-1), then t1 of
+    (i-1, j).  At column 0 of a closed seam the last two swap, since the
+    wrapped quad comes last in face order.  A border vertex skips the
+    terms it lacks, as adding +0.0 would: a sum started at +0.0 is never
+    -0.0.
     """
-    v, u, diag = _grid_edges(_planes(mesh))
-    pad = ((1, 1), (0, 0) if mesh.closed else (1, 1))
-    # (d - b) x (c - b) = (-diag) x v_bot = v_bot x diag
-    fn1 = [np.pad(c, pad) for c in _cross(v[:, :-1], u[..., :-1])]
-    fn2 = [np.pad(c, pad) for c in _cross(v[:, 1:], diag)]
-    normals = np.stack(
-        [_fan_sum((n1,) * 3, (n2,) * 3, mesh.closed) for n1, n2 in zip(fn1, fn2)], axis=-1
-    ).reshape(-1, 3)
+    nu, nv, closed = mesh.nu, mesh.nv, mesh.closed
+    g = _planes(mesh)
+    a, d, b, c = g[:, :-1, :-1], g[:, :-1, 1:], g[:, 1:, :-1], g[:, 1:, 1:]
+    fn1 = _cross(d - a, b - a)
+    # (d - b) x (c - b) = (c - b) x (b - d)
+    fn2 = _cross(c - b, b - d)
+    cols, last = a.shape[2], nv - 1
+    # (nu nv, 3) rows, so the norms below sum each row's squares as on
+    # any (n, 3) array; each coordinate plane is a (nu, nv) view
+    normals = np.zeros((nu, nv, 3))
+    for out, n1, n2 in zip(normals.transpose(2, 0, 1), fn1, fn2):
+        out[1:, :cols] += n2
+        out[:-1, :cols] += n1
+        for n in (n1, n2):
+            out[:-1, 1:] += n[:, :last]
+            if closed:
+                out[:-1, 0] += n[:, last]
+        out[1:, 1:] += n2[:, :last]
+        out[1:, :cols] += n1
+        if closed:
+            out[1:, 0] += n2[:, last]
+    normals = normals.reshape(-1, 3)
     norm = np.linalg.norm(normals, axis=1)
     norm[norm == 0.0] = 1.0
     return normals / norm[:, None]
@@ -694,7 +665,7 @@ def mesh_to_obj(mesh: RevolutionMesh) -> bytes:
         b"# surface of revolution, outward orientation\n",
         vertex_rows,
         _vertex_normals(mesh),
-        _fill_faces(mesh, np.empty((mesh.face_count, 3), dtype=np.int64)),
+        mesh.faces,
     )
 
 

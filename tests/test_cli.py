@@ -147,12 +147,15 @@ class TestVerify:
             ).read_bytes()
 
     def test_h_must_divide_range(self, tmp_path, capsys):
-        rc = run_cli(
-            ["verify", "--c1", 1, "--c2", -1.8333333333333333,
-             "--u-lo", -0.4, "--u-hi", 0.4, "--h", 0.03, "--outdir", tmp_path]
-        )
-        assert rc == 2
-        assert "divide" in capsys.readouterr().err
+        # the spacing is compared relative to h, so a range of 1e-9 is checked too
+        for lo, hi, h in ((-0.4, 0.4, 0.03), (0.0, 1e-9, 1.3e-10)):
+            rc = run_cli(
+                ["verify", "--c1", 1, "--c2", -1.8333333333333333, "--u-lo", lo, "--u-hi", hi,
+                 "--h", h, "--outdir", tmp_path / str(h)]
+            )
+            assert rc == 2
+            assert f"h = {h} does not evenly divide the u range" in capsys.readouterr().err
+            assert not (tmp_path / str(h)).exists()
 
     def test_grid_outside_domain_is_usage_error(self, tmp_path, capsys):
         rc = run_cli(

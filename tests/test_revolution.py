@@ -968,12 +968,37 @@ class TestExports:
         assert mesh_to_obj(mesh) == reference_obj(mesh).encode("ascii")
 
     @pytest.mark.parametrize(
-        "n, v_hi, nv", [(2, math.pi, 3), (2, 2.0 * math.pi, 5), (3, math.pi, 3), (61, 1.0, 5)]
+        "n, v_hi, nv",
+        [(2, math.pi, 3), (2, 2.0 * math.pi, 5), (3, math.pi, 3), (61, 1.0, 5),
+         (2, 2.0 * math.pi, 3)],
     )
     def test_vertex_normals_match_reference(self, n, v_hi, nv):
         s, x, y = sphere_profile_arrays(n=n, s0=0.05)
         mesh = tessellate(ProfileCurve(u=s, x=x, y=y), 0.0, v_hi, nv)
         assert mesh_to_obj(mesh) == reference_obj(mesh).encode("ascii")
+
+    # a zero-area quad row inside the tube, and one at its first row, whose
+    # vertices then have only zero face normals and keep a +0.0 normal
+    @pytest.mark.parametrize("v_hi", [math.pi, 2.0 * math.pi], ids=["open", "closed"])
+    @pytest.mark.parametrize("n, rows", [(16, [5]), (6, [0])], ids=["inner", "first"])
+    def test_vertex_normals_of_zero_area_rows_match_reference(self, n, rows, v_hi):
+        mesh = tessellate(collapsed_cylinder(n, rows), 0.0, v_hi, 16)
+        text = mesh_to_obj(mesh)
+        assert text == reference_obj(mesh).encode("ascii")
+        assert (b"\nvn 0 0 0\n" in text) == (rows == [0])
+
+    def test_vertex_normals_traced_memory(self, ref_params):
+        mesh = tessellate(profile_from_metric(ref_params, (-0.33, 0.33), n=201),
+                          0.0, 2.0 * math.pi, 157)
+        tracemalloc.start()
+        try:
+            size = revolution._vertex_normals(mesh).nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the vertex planes, both face-normal sets and the result, with no
+        # padded or stacked copies
+        assert peak <= 6.5 * size
 
     # profiles and angles with signed zeros, subnormals and huge values, which
     # the OBJ writer sends through '%.17g' itself; x is 0 and -0 on the first
@@ -1001,10 +1026,13 @@ class TestExports:
         mesh = ref_mesh(ref_params, nu, nv, v_hi)
         assert mesh.face_count == len(mesh.faces) == len(reference_faces(nu, nv, mesh.closed))
 
-    def test_ply_builds_no_face_array(self, ref_params):
+    def test_ply_builds_no_face_array(self, ref_params, monkeypatch):
         mesh = small_ref_mesh(ref_params, 2.0 * math.pi, 10)
+        # faces is built on each access, so reading it is what must not happen
+        monkeypatch.setattr(
+            RevolutionMesh, "faces", property(lambda self: pytest.fail("mesh_to_ply read faces"))
+        )
         mesh_to_ply(mesh)
-        assert "faces" not in vars(mesh)
 
     def test_ply_traced_memory_stays_near_its_output(self, ref_params):
         mesh = ref_mesh(ref_params, 801, 314, 2.0 * math.pi)
