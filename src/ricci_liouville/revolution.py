@@ -209,7 +209,8 @@ def _simpson_segments(f, nodes, tol: float) -> np.ndarray:
     """Adaptive Simpson integrals of f over every segment [nodes[i], nodes[i+1]].
 
     ``tol`` is the total tolerance, split evenly over the segments.
-    ``f`` maps an array of abscissae to an array of values.  All segments
+    ``f`` maps an array of abscissae to an array of values; its first call
+    gets the n nodes followed by the n - 1 segment midpoints.  All segments
     are refined together, breadth first: each level holds the frontier of
     intervals not yet accepted and evaluates all their quarter points in
     one call of f.  The per-leaf rule is that of the recursive algorithm
@@ -299,10 +300,13 @@ def profile_from_metric(p: MetricParams, interval, *, tol: float = 1e-10, n: int
     total estimated quadrature error below ``tol``.  The interval must sit
     inside both the metric domain and the embeddability interval of p.
     All n - 1 segments are refined together, and each refinement level
-    takes lambda and lambda' from one closed-form call.  A gap value below
-    -1e-12 at a quadrature node is a precondition breach and is reported
-    with its location.  x never decreases: each Simpson leaf
-    (16 (L + R) - W) / 15 of the nonnegative integrand is nonnegative.
+    takes lambda and lambda' from one closed-form call.  The first level
+    evaluates the n profile nodes themselves, so y is a copy of its
+    lambda there and the closed form is evaluated at the Simpson nodes
+    alone.  A gap value below -1e-12 at a quadrature node is a
+    precondition breach and is reported with its location.  x never
+    decreases: each Simpson leaf (16 (L + R) - W) / 15 of the
+    nonnegative integrand is nonnegative.
     """
     u_lo, u_hi = float(interval[0]), float(interval[1])
     emb_lo, emb_hi = embeddable_interval(p)
@@ -318,8 +322,14 @@ def profile_from_metric(p: MetricParams, interval, *, tol: float = 1e-10, n: int
     if not (math.isfinite(tol) and tol > 0.0):
         raise ParameterError(f"quadrature tolerance must be finite and positive, got {tol!r}")
 
+    y = None
+
     def integrand(t):
+        nonlocal y
         lam, dlam, _ = conformal_factor_derivatives(p, t)
+        if y is None:
+            # the first call: the nodes u, then the segment midpoints
+            y = lam[:n].copy()
         gap = lam * lam - dlam * dlam
         bad = gap < _INTEGRAND_FLOOR
         if bad.any():
@@ -332,7 +342,6 @@ def profile_from_metric(p: MetricParams, interval, *, tol: float = 1e-10, n: int
 
     u = np.linspace(u_lo, u_hi, n)
     x = np.cumsum(np.concatenate([[0.0], _simpson_segments(integrand, u, tol)]))
-    y = conformal_factor(p, u)
     return ProfileCurve(u=u, x=x, y=y, params=p)
 
 
@@ -539,14 +548,15 @@ def angle_defect_curvature(mesh: RevolutionMesh):
     (dx, dy) and height H = sqrt(dx^2 + dy^2 cos^2(dv_j / 2)).  So every
     squared side, doubled area and corner dot product is a function of
     the profile row and the angle step, evaluated once per (row, distinct
-    step), and each vertex gathers its fan from the table through the
-    steps of its column and the column before it.  Both go in row bands
-    with temporaries of 128 KiB, however many steps there are.  The
-    trapezoid's angles are pi/2 + t at a and d and pi/2 - t at b and c,
-    t = atan2(dy s, H); a diagonal splits an angle and adds none, so the
-    defect at vertex (i, j) sums t_i-1 - t_i over the steps of columns
-    j - 1 and j.  A triangle has zero area exactly where H = 0, since
-    y > 0 and s > 0.
+    step) in row bands with temporaries of 128 KiB.  A vertex's fan
+    spans the step of its own column and that of the column before it,
+    so its area and defect are summed once per (row, distinct pair of
+    those steps), and each output is one gather of that table along the
+    columns.  The trapezoid's angles are pi/2 + t at a and d and
+    pi/2 - t at b and c, t = atan2(dy s, H); a diagonal splits an angle
+    and adds none, so the defect at vertex (i, j) sums t_i-1 - t_i over
+    the steps of columns j - 1 and j.  A triangle has zero area exactly
+    where H = 0, since y > 0 and s > 0.
 
     Returns (vertex_indices, curvature_estimates, areas, skipped_vertices).
     """
@@ -559,8 +569,8 @@ def angle_defect_curvature(mesh: RevolutionMesh):
         dv = np.append(dv, math.fsum((v[0], -v[-1], 2.0 * math.pi, 2.4492935982947064e-16)))
     steps, step_of = np.unique(dv, return_inverse=True)
     s, c2 = np.abs(np.sin(0.5 * steps)), np.cos(0.5 * steps) ** 2
-    # bands of 16k table entries, and below of 16k vertices: each
-    # temporary then takes 128 KiB, under glibc's default mmap threshold
+    # bands of 16k table entries: each temporary then takes 128 KiB,
+    # under glibc's default mmap threshold
     band = 16384
     share_here, share_left, tilt = (np.empty((max(nu - 2, 0), steps.size)) for _ in range(3))
     flat = np.empty((nu - 1, steps.size), dtype=bool)
@@ -570,6 +580,27 @@ def angle_defect_curvature(mesh: RevolutionMesh):
         share_here[lo:hi], share_left[lo:hi], tilt[lo:hi], flat[lo : hi + 1] = _defect_rows(
             x[lo : hi + 2], y[lo : hi + 2], s, c2
         )
+
+    # the (own step, step before) pair of each interior column, and the
+    # area and curvature tables of the distinct pairs; each step table
+    # goes as soon as it is read
+    here, left = (step_of, np.roll(step_of, 1)) if closed else (step_of[1:], step_of[:-1])
+    pairs, pair_of = np.unique(here * steps.size + left, return_inverse=True)
+    ph, pl = np.divmod(pairs, steps.size)
+    areas = share_here.take(ph, axis=1)
+    del share_here
+    areas += share_left.take(pl, axis=1)
+    del share_left
+    k = tilt.take(ph, axis=1)
+    k += tilt.take(pl, axis=1)
+    del tilt
+    k /= areas
+
+    first = 0 if closed else 1
+    if not flat.any():
+        ids = (np.arange(1, nu - 1)[:, None] * nv + np.arange(first, nv - first)).ravel()
+        k, areas = (a.take(pair_of, axis=1).ravel() for a in (k, areas))
+        return ids, k, areas, np.empty(0, dtype=np.intp)
 
     # vertices of zero-area quads; column nv stands for column 0 of a
     # closed seam
@@ -587,22 +618,17 @@ def angle_defect_curvature(mesh: RevolutionMesh):
     if not closed:
         keep[:, [0, -1]] = False
     ids = np.flatnonzero(keep)
-    first = 0 if closed else 1
     inner = keep[1:-1, first : nv - first]
-
-    # each vertex gathers its fan through the steps of its own column and
-    # of the column before it
-    here, left = (step_of, np.roll(step_of, 1)) if closed else (step_of[1:], step_of[:-1])
-    k, areas = np.empty(ids.size), np.empty(ids.size)
+    # the kept vertices in row bands of 16k vertices
+    k_kept, areas_kept = np.empty(ids.size), np.empty(ids.size)
     ends = np.concatenate([[0], np.cumsum(inner.sum(axis=1))])
     rows = max(1, band // cols)
     for lo in range(0, nu - 2, rows):
         hi = min(lo + rows, nu - 2)
         part, inside = slice(ends[lo], ends[hi]), inner[lo:hi]
-        areas[part] = (share_here[lo:hi, here] + share_left[lo:hi, left])[inside]
-        k[part] = (tilt[lo:hi, here] + tilt[lo:hi, left])[inside]
-    np.divide(k, areas, out=k)
-    return ids, k, areas, skipped
+        areas_kept[part] = areas[lo:hi].take(pair_of, axis=1)[inside]
+        k_kept[part] = k[lo:hi].take(pair_of, axis=1)[inside]
+    return ids, k_kept, areas_kept, skipped
 
 
 def _vertex_normals(mesh: RevolutionMesh) -> np.ndarray:

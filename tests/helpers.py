@@ -273,23 +273,22 @@ def reference_angle_defect(mesh, dtype=np.float64):
     """Angle-defect curvature from the face list: per-face gathers, one scatter.
 
     The face-based form angle_defect_curvature had before it worked on the
-    vertex grid.  In float64 it reads mesh.vertices and scatters with
-    np.bincount, as it did.  In another dtype, such as np.longdouble, it
-    builds the vertices from the profile and the angles in that dtype and
-    scatters with np.add.at, since np.bincount sums float64 weights only.
-    Returns (ids, k, areas, skipped), k and areas in ``dtype``.
+    vertex grid.  In float64 it reads mesh.vertices, takes each edge as a
+    difference of its corners and scatters with np.bincount, as it did.
+    In another dtype, such as np.longdouble, it builds each edge in that
+    dtype from the profile and the angles of its corners (chord_edges)
+    and scatters with np.add.at, since np.bincount sums float64 weights
+    only.  Returns (ids, k, areas, skipped), k and areas in ``dtype``.
     """
     faces = mesh.faces
     if dtype == np.float64:
         verts = mesh.vertices
+        p0, p1, p2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+        # edge c runs from corner c to corner c + 1 and is opposite corner c + 2
+        edges = np.stack([p1 - p0, p2 - p1, p0 - p2])
     else:
-        x, y, v = (np.asarray(a, dtype=dtype) for a in (mesh.profile.x, mesh.profile.y, mesh.v))
-        verts = np.column_stack(
-            [np.repeat(x, v.size), np.outer(y, np.cos(v)).ravel(), np.outer(y, np.sin(v)).ravel()]
-        )
-    p0, p1, p2 = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    # edge c runs from corner c to corner c + 1 and is opposite corner c + 2
-    edges = np.stack([p1 - p0, p2 - p1, p0 - p2])
+        edges = chord_edges(mesh, dtype)
+    nverts = mesh.nu * mesh.nv
     area2 = np.linalg.norm(np.cross(edges[2], edges[0]), axis=1)
     degenerate = area2 <= 0.0
     skipped = np.unique(faces[degenerate].ravel())
@@ -317,10 +316,10 @@ def reference_angle_defect(mesh, dtype=np.float64):
     # one scatter over the corners in corner-major order
     corners = faces.T.ravel()
     if dtype == np.float64:
-        angle_sum = np.bincount(corners, weights=angles.ravel(), minlength=len(verts))
-        area_share = np.bincount(corners, weights=share.ravel(), minlength=len(verts))
+        angle_sum = np.bincount(corners, weights=angles.ravel(), minlength=nverts)
+        area_share = np.bincount(corners, weights=share.ravel(), minlength=nverts)
     else:
-        angle_sum, area_share = np.zeros(len(verts), dtype), np.zeros(len(verts), dtype)
+        angle_sum, area_share = np.zeros(nverts, dtype), np.zeros(nverts, dtype)
         np.add.at(angle_sum, corners, angles.ravel())
         np.add.at(area_share, corners, share.ravel())
 
@@ -333,6 +332,36 @@ def reference_angle_defect(mesh, dtype=np.float64):
     ids = ids[~np.isin(ids, skipped)]
     defect = 2.0 * pi - angle_sum[ids]
     return ids, defect / area_share[ids], area_share[ids], skipped
+
+
+def chord_edges(mesh, dtype):
+    """The (3, faces, 3) edges of reference_angle_defect in ``dtype``, each from its two corners.
+
+    Corner (i, j) is profile sample i turned by the angle v[j], unwrapped
+    to v[0] + 2 pi where a closed seam's last quad returns to column 0.
+    An edge from (x, y, a) to (x', y', a') with m = (a + a') / 2 and
+    h = (a' - a) / 2 is (x' - x, dy cos m - ys sin m, dy sin m + ys cos m)
+    with dy = (y' - y) cos h and ys = (y' + y) sin h: the profile chord
+    turned to the angle m plus the v-chord 2 y sin(dv / 2).  No two
+    coordinates y cos v of neighbouring corners are subtracted, so narrow
+    columns do not cancel.
+    """
+    faces, nv = mesh.faces, mesh.nv
+    x, y, v = (np.asarray(a, dtype=dtype) for a in (mesh.profile.x, mesh.profile.y, mesh.v))
+    row, col = np.divmod(faces, nv)
+    angle = v[col]
+    if mesh.closed:
+        turn = 2.0 * np.arccos(np.asarray(-1.0, dtype=dtype))
+        wrapped = (col == 0) & (col.max(axis=1, keepdims=True) == nv - 1)
+        angle = np.where(wrapped, angle + turn, angle)
+    # edge c runs from corner c to corner c + 1 and is opposite corner c + 2
+    xa, ya, aa = x[row], y[row], angle
+    xb, yb, ab = (a[:, [1, 2, 0]] for a in (xa, ya, aa))
+    m, h = 0.5 * (aa + ab), 0.5 * (ab - aa)
+    dy, ys = (yb - ya) * np.cos(h), (yb + ya) * np.sin(h)
+    cos_m, sin_m = np.cos(m), np.sin(m)
+    edges = np.stack([xb - xa, dy * cos_m - ys * sin_m, dy * sin_m + ys * cos_m], axis=-1)
+    return edges.transpose(1, 0, 2)
 
 
 def reference_induced_metric_check(mesh, p):
