@@ -597,9 +597,9 @@ def angle_defect_curvature(mesh: RevolutionMesh):
     k /= areas
 
     first = 0 if closed else 1
+    k, areas = (a.take(pair_of, axis=1).ravel() for a in (k, areas))
     if not flat.any():
         ids = (np.arange(1, nu - 1)[:, None] * nv + np.arange(first, nv - first)).ravel()
-        k, areas = (a.take(pair_of, axis=1).ravel() for a in (k, areas))
         return ids, k, areas, np.empty(0, dtype=np.intp)
 
     # vertices of zero-area quads; column nv stands for column 0 of a
@@ -617,18 +617,11 @@ def angle_defect_curvature(mesh: RevolutionMesh):
     keep[[0, -1]] = False
     if not closed:
         keep[:, [0, -1]] = False
-    ids = np.flatnonzero(keep)
-    inner = keep[1:-1, first : nv - first]
-    # the kept vertices in row bands of 16k vertices
-    k_kept, areas_kept = np.empty(ids.size), np.empty(ids.size)
-    ends = np.concatenate([[0], np.cumsum(inner.sum(axis=1))])
-    rows = max(1, band // cols)
-    for lo in range(0, nu - 2, rows):
-        hi = min(lo + rows, nu - 2)
-        part, inside = slice(ends[lo], ends[hi]), inner[lo:hi]
-        areas_kept[part] = areas[lo:hi].take(pair_of, axis=1)[inside]
-        k_kept[part] = k[lo:hi].take(pair_of, axis=1)[inside]
-    return ids, k_kept, areas_kept, skipped
+    # mask one output at a time, freeing each full one before the next
+    inner = keep[1:-1, first : nv - first].ravel()
+    k = k[inner]
+    areas = areas[inner]
+    return np.flatnonzero(keep), k, areas, skipped
 
 
 def _vertex_normals(mesh: RevolutionMesh) -> np.ndarray:
