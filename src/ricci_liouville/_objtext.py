@@ -17,11 +17,13 @@ from functools import cache
 
 import numpy as np
 
-# lines per band: 8190 values, small enough that the band's temporaries
-# come from the same heap pages band after band;
-# at 8192 lines the heap is trimmed and faulted in again (10.6k minor
-# faults per 201 x 157 export in a fresh process, against 3.7k).
-_BAND_LINES = 2730
+# lines per band: 4095 values, small enough that the band's temporaries
+# come from the same heap pages band after band, also in a fresh process
+# where nothing larger has been freed yet; from about 1500 lines the heap
+# is trimmed and faulted in again after each band (7.0k minor faults per
+# 201 x 157 export in a fresh process at 2730 lines, against 3.0k; 29.0k
+# against 11.8k at 401 x 314).
+_BAND_LINES = 1365
 
 # slots of one float field: separator, sign, the '0.000' of |x| < 1, then
 # 18 slots for the 17 significant digits and the point among them
@@ -203,16 +205,17 @@ def _face_lines(out, faces, count: int):
     _write_lines(out, b"f", b" " + text[0].tobytes(), keep, len(faces), fill)
 
 
-def obj_bytes(header: bytes, vertex_rows, normals, faces) -> bytes:
-    """OBJ bytes: ``header``, then v, vn and f records (1-based corners k//k).
+def obj_bytes(header: bytes, count: int, vertex_rows, normal_rows, faces) -> bytes:
+    """OBJ bytes: ``header``, then ``count`` v and vn records and the f records of ``faces``.
 
-    vertex_rows(lo, hi) gives vertices lo .. hi - 1 as rows, one per row of ``normals``.
+    vertex_rows(lo, hi) and normal_rows(lo, hi) give vertices and normals
+    lo .. hi - 1 as (hi - lo, 3) rows; faces hold 0-based corners, written
+    1-based as k//k.
     """
     out = io.BytesIO()
     out.write(header)
-    n = len(normals)
-    _float_lines(out, b"v", vertex_rows, n)
-    _float_lines(out, b"vn", lambda lo, hi: normals[lo:hi], n)
-    _face_lines(out, faces, n)
+    _float_lines(out, b"v", vertex_rows, count)
+    _float_lines(out, b"vn", normal_rows, count)
+    _face_lines(out, faces, count)
     # with no export alive, CPython hands back the BytesIO's own bytes object
     return out.getvalue()

@@ -418,31 +418,6 @@ def tessellate(profile: ProfileCurve, v_lo: float, v_hi: float, nv: int) -> Revo
     return RevolutionMesh(profile, v, closed)
 
 
-def _planes(mesh: RevolutionMesh) -> np.ndarray:
-    """The vertex grid as x, y, z planes of shape (3, nu, nv + closed).
-
-    np.outer forms y cos v and y sin v as for ``vertices``, so every value
-    has its bits.  On a closed seam column nv repeats column 0, so the
-    corners of every quad, the wrapped one included, sit in adjacent
-    columns: _vertex_normals reads a, d, b and c of all quads as four
-    shifted views of the grid.
-    """
-    cos, sin = np.cos(mesh.v), np.sin(mesh.v)
-    if mesh.closed:
-        cos, sin = np.append(cos, cos[0]), np.append(sin, sin[0])
-    y = mesh.profile.y
-    grid = np.empty((3, mesh.nu, cos.size))
-    grid[0] = mesh.profile.x[:, None]
-    grid[1] = np.outer(y, cos)
-    grid[2] = np.outer(y, sin)
-    return grid
-
-
-def _cross(p, q):
-    # the operations of np.cross
-    return p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]
-
-
 def induced_metric_check(mesh: RevolutionMesh, p: MetricParams) -> float:
     """Max relative deviation of squared edge lengths from the metric.
 
@@ -624,66 +599,48 @@ def angle_defect_curvature(mesh: RevolutionMesh):
     return np.flatnonzero(keep), k, areas, skipped
 
 
-def _vertex_normals(mesh: RevolutionMesh) -> np.ndarray:
-    """Unit sums of the face normals (d - a) x (b - a) and (d - b) x (c - b) at each vertex.
-
-    Quad (i, j) has corners a = (i, j), d = (i, j+1), b = (i+1, j),
-    c = (i+1, j+1) and triangles t1 = (a, d, b) and t2 = (b, d, c).  Each
-    vertex adds its fan in the order a scatter over ``faces`` does,
-    corner-major and then in face order, from +0.0: t2 of quad (i-1, j),
-    t1 of (i, j), t1 and t2 of (i, j-1), t2 of (i-1, j-1), then t1 of
-    (i-1, j).  At column 0 of a closed seam the last two swap, since the
-    wrapped quad comes last in face order.  A border vertex skips the
-    terms it lacks, as adding +0.0 would: a sum started at +0.0 is never
-    -0.0.
-    """
-    nu, nv, closed = mesh.nu, mesh.nv, mesh.closed
-    g = _planes(mesh)
-    a, d, b, c = g[:, :-1, :-1], g[:, :-1, 1:], g[:, 1:, :-1], g[:, 1:, 1:]
-    fn1 = _cross(d - a, b - a)
-    # (d - b) x (c - b) = (c - b) x (b - d)
-    fn2 = _cross(c - b, b - d)
-    cols, last = a.shape[2], nv - 1
-    # (nu nv, 3) rows, so the norms below sum each row's squares as on
-    # any (n, 3) array; each coordinate plane is a (nu, nv) view
-    normals = np.zeros((nu, nv, 3))
-    for out, n1, n2 in zip(normals.transpose(2, 0, 1), fn1, fn2):
-        out[1:, :cols] += n2
-        out[:-1, :cols] += n1
-        for n in (n1, n2):
-            out[:-1, 1:] += n[:, :last]
-            if closed:
-                out[:-1, 0] += n[:, last]
-        out[1:, 1:] += n2[:, :last]
-        out[1:, :cols] += n1
-        if closed:
-            out[1:, 0] += n2[:, last]
-    normals = normals.reshape(-1, 3)
-    norm = np.linalg.norm(normals, axis=1)
-    norm[norm == 0.0] = 1.0
-    return normals / norm[:, None]
-
-
 def mesh_to_obj(mesh: RevolutionMesh) -> bytes:
     """Wavefront OBJ bytes of ``mesh``, with LF line ends.
 
     v and vn records give each value as '%.17g' writes it, then f records
-    list each face's 1-based corners as k//k, counter-clockwise.  The text
-    is built on whole arrays, band by band (see _objtext), each band's
-    vertices from the profile and angles as ``vertices`` forms them.
+    list each face's 1-based corners as k//k, counter-clockwise.  Vertex
+    normals are the revolved unit normal (-t_y, t_x) / |t| of the
+    profile's tangent t: the chord sum (p[i+1] - p[i]) + (p[i] - p[i-1])
+    of p = (x, y) inside the profile and the one chord at each end, scaled
+    by its larger component before it is squared.  A zero t gives the zero
+    normal, each zero signed as cos v or sin v is.  The text is built on
+    whole arrays, band by band (see _objtext); v and vn rows alike are
+    first[i], radius[i] cos v[j], radius[i] sin v[j], from the profile and
+    angles as ``vertices`` forms them, and no vertex or normal grid is
+    built.
     """
     from ._objtext import obj_bytes
 
-    x, y, cos, sin = mesh.profile.x, mesh.profile.y, np.cos(mesh.v), np.sin(mesh.v)
+    prof, nv = mesh.profile, mesh.nv
+    cos, sin = np.cos(mesh.v), np.sin(mesh.v)
+    # each chord turned a quarter turn, (-dy, dx), so that their sums point
+    # along the normal; a repeated sample gives +0.0
+    chords = np.diff(np.stack([-prof.y, prof.x]), axis=1)
+    normal = np.concatenate(
+        [chords[:, :1], chords[:, :-1] + chords[:, 1:], chords[:, -1:]], axis=1
+    )
+    scale = np.abs(normal).max(axis=0)
+    normal /= np.where(scale > 0.0, scale, 1.0)
+    # the norm is at least 1 once scaled, unless the tangent is zero
+    normal /= np.maximum(np.sqrt(normal[0] * normal[0] + normal[1] * normal[1]), 1.0)
 
-    def vertex_rows(lo, hi):
-        i, j = np.divmod(np.arange(lo, hi), mesh.nv)
-        return np.column_stack([x[i], y[i] * cos[j], y[i] * sin[j]])
+    def revolved(first, radius):
+        def rows(lo, hi):
+            i, j = np.divmod(np.arange(lo, hi), nv)
+            return np.column_stack([first[i], radius[i] * cos[j], radius[i] * sin[j]])
+
+        return rows
 
     return obj_bytes(
         b"# surface of revolution, outward orientation\n",
-        vertex_rows,
-        _vertex_normals(mesh),
+        mesh.nu * nv,
+        revolved(prof.x, prof.y),
+        revolved(*normal),
         mesh.faces,
     )
 

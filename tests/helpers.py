@@ -14,11 +14,18 @@ import struct
 import sys
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
 import ricci_liouville
-from ricci_liouville import MetricParams, ParameterError, conformal_factor, derive_constants
+from ricci_liouville import (
+    MetricParams,
+    ParameterError,
+    conformal_factor,
+    conformal_factor_derivatives,
+    derive_constants,
+)
 from ricci_liouville.revolution import ARC_LENGTH_TOL
 
 
@@ -33,6 +40,11 @@ def child_env(**overrides):
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(ricci_liouville.__file__))
     env.update(overrides)
     return env
+
+
+def log_uniform(lo, hi):
+    """Floats in [lo, hi] drawn uniform in log."""
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
 def sweep_params():
@@ -256,17 +268,49 @@ def reference_mesh_faces(mesh):
 
 
 def reference_vertex_normals(mesh):
-    verts, faces = mesh.vertices, reference_mesh_faces(mesh)
-    fn = np.cross(
-        verts[faces[:, 1]] - verts[faces[:, 0]],
-        verts[faces[:, 2]] - verts[faces[:, 0]],
-    )
-    normals = np.zeros_like(verts)
-    for c in range(3):
-        np.add.at(normals, faces[:, c], fn)
-    norm = np.linalg.norm(normals, axis=1)
-    norm[norm == 0.0] = 1.0
-    return normals / norm[:, None]
+    """Vertex normals by the profile's chord rule, vertex by vertex in Python floats.
+
+    Sample i has the tangent t = (p[i+1] - p[i]) + (p[i] - p[i-1]) of
+    p = (x, y), or the one chord at an end, each chord taken turned a
+    quarter turn as (-dy, dx) = ((-y[i+1]) - (-y[i]), x[i+1] - x[i]).  t is
+    divided by its larger component and then by max(|t|, 1), the zero
+    tangent giving the zero normal; the row of vertex (i, j) is
+    (n0, n1 cos v[j], n1 sin v[j]), with cos and sin taken by np.cos and
+    np.sin of mesh.v as for ``vertices``.
+    """
+    x, y = mesh.profile.x.tolist(), mesh.profile.y.tolist()
+    cos, sin = np.cos(mesh.v).tolist(), np.sin(mesh.v).tolist()
+    chords = [((-y[k + 1]) - (-y[k]), x[k + 1] - x[k]) for k in range(len(x) - 1)]
+    rows = []
+    for i in range(len(x)):
+        if i == 0 or i == len(x) - 1:
+            t0, t1 = chords[min(i, len(chords) - 1)]
+        else:
+            (a0, a1), (b0, b1) = chords[i - 1], chords[i]
+            t0, t1 = a0 + b0, a1 + b1
+        scale = max(abs(t0), abs(t1))
+        if scale > 0.0:
+            t0, t1 = t0 / scale, t1 / scale
+        norm = max(math.sqrt(t0 * t0 + t1 * t1), 1.0)
+        n0, n1 = t0 / norm, t1 / norm
+        rows += [(n0, n1 * c, n1 * s) for c, s in zip(cos, sin)]
+    return np.array(rows)
+
+
+def reference_exact_normal(p, mesh):
+    """The exact unit normal (-lambda', sqrt(lambda^2 - lambda'^2) (cos v, sin v)) / lambda.
+
+    Rows in ``vertices`` order, lambda and lambda' from
+    conformal_factor_derivatives at the profile's u.
+    """
+    lam, dlam, _ = conformal_factor_derivatives(p, mesh.profile.u)
+    radial = np.sqrt(lam * lam - dlam * dlam) / lam
+    nv = mesh.nv
+    return np.column_stack([
+        np.repeat(-dlam / lam, nv),
+        np.outer(radial, np.cos(mesh.v)).ravel(),
+        np.outer(radial, np.sin(mesh.v)).ravel(),
+    ])
 
 
 def reference_angle_defect(mesh, dtype=np.float64):

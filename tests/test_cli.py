@@ -16,7 +16,7 @@ from ricci_liouville import cli, embeddable_interval, profile_from_metric
 from ricci_liouville.cli import main
 from ricci_liouville.fileio import write_atomic
 
-from helpers import arc_length_resample, child_env, reference_sweep_csv
+from helpers import arc_length_resample, child_env, log_uniform, reference_sweep_csv
 
 
 def run_cli(args):
@@ -267,16 +267,17 @@ class TestMesh:
         "mesh", "--c1", 1, "--c2", -1.8333333333333333, "--u-lo", -0.3, "--u-hi", 0.3,
         "--nu", 31, "--nv", 24,
     ]
-    # sha256 of the files written while the mesh stored its vertex and uv grids
+    # sha256 of the files: the PLY bytes are those written while the mesh
+    # stored its vertex and uv grids, the OBJ vn records the profile's normal
     PINNED_SHA256 = {
         ("0", "6.283185307179586", "ply"):
             "8d6144550aea8df06a2d476ffc66df0b1275f9759aaca95ea3585caa4ff8a9e3",
         ("0", "6.283185307179586", "obj"):
-            "930a7dd0a7e4d0e7ee739eebfc67cf23f9e6bfc46521fb88b2f00a130d2c6890",
+            "47be26ef8e361e189d164e7ff4efa52b29095a854436d47a5eb524689d4de8c4",
         ("0.5", "2.5", "ply"):
             "831d8625cee3ac1afc1a044073b70b31b6a90f658db43fe94b7e8d21013f3aa6",
         ("0.5", "2.5", "obj"):
-            "67f0c426eae30cc42454200bc890e72f8d486a7520e81a5d6ec87d8a99e0ee5a",
+            "2ce1e64032a0637cf433da4d5fe68823e98b5f0d722ed647060989964072c4a6",
     }
 
     @pytest.mark.parametrize("v_lo, v_hi, fmt", list(PINNED_SHA256),
@@ -555,10 +556,6 @@ def sweep_argv(b_values, c1_values, c2_values, u_lo, u_hi, h_levels):
         "--c2-values=" + ",".join(map(repr, c2_values)),
         f"--u-lo={u_lo!r}", f"--u-hi={u_hi!r}", "--h-levels=" + ",".join(map(repr, h_levels)),
     ]
-
-
-def log_uniform(lo, hi):
-    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
 # the row cases the per-triple oracle distinguishes: K >= -2 b^2 at some level,
